@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import scenarios
 from .engine import EngineConfig
@@ -124,14 +124,20 @@ def _write_file(label: str, path: str, payload: str) -> None:
         raise CumacError(f"cannot write {label} {path}: {exc}") from None
 
 
-def _emit_report(args: argparse.Namespace, doc: dict[str, Any], text: str) -> None:
+def _emit_report(
+    args: argparse.Namespace, structured: Callable[[], str], text: Callable[[], str]
+) -> None:
+    """Write the report in the requested format when --report is given.
+    The two callables build the structured and the text payload; only the
+    one that is written gets called."""
     if not args.report:
         return
-    if args.format == "structured":
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        payload = text
+    payload = structured() if args.format == "structured" else text()
     _write_file("report", args.report, payload)
+
+
+def _json_payload(doc: dict[str, Any]) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _print_replay_summary(name: str, report: ReplayReport) -> None:
@@ -160,7 +166,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     _write_file("store", args.store_out, store.save())
     _print_replay_summary(name, report)
     print(f"store written: {args.store_out}")
-    _emit_report(args, report.to_structured(), report.to_text())
+    _emit_report(args, report.to_json, report.to_text)
     return 0 if report.deny_count == 0 else 1
 
 
@@ -180,7 +186,7 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
     config = _load_config(trace, args)
     report = replay(trace, EnvironmentBit.UNSECURE, store, config)
     _print_replay_summary(name, report)
-    _emit_report(args, report.to_structured(), report.to_text())
+    _emit_report(args, report.to_json, report.to_text)
     return 0 if report.deny_count == 0 else 1
 
 
@@ -194,7 +200,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"denied by lwm only: {result.lwm_only or 'none'}")
     print(f"denied by both: {result.both or 'none'}")
     print(f"denied by cumac only: {result.cumac_only or 'none'}")
-    _emit_report(args, result.to_structured(), result.to_text())
+    _emit_report(args, lambda: _json_payload(result.to_structured()), result.to_text)
     return 0 if result.cumac_deny_count == 0 else 1
 
 
@@ -251,7 +257,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         "runs": runs,
     }
     text = f"{matched}/{args.runs} matched\n"
-    _emit_report(args, doc, text)
+    _emit_report(args, lambda: _json_payload(doc), lambda: text)
     return 0 if mismatches == 0 else 1
 
 

@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+
+from cumac import cli
 from cumac.cli import main
+from cumac.lwm import ComparisonReport
+from cumac.replay import ReplayReport
 from cumac.store import AccessMode, ExceptionStore
 
 
@@ -135,6 +140,90 @@ class TestOracleCheck:
         doc = json.loads(report_path.read_text())
         assert doc["summary"]["matched"] == 4
         assert [r["seed"] for r in doc["runs"]] == [7, 8, 9, 10]
+
+
+class TestReportFiles:
+    def test_structured_enforce_report_is_the_json_dump(self, capsys, tmp_path, monkeypatch):
+        reports = []
+        real_replay = cli.replay
+
+        def kept_replay(*args, **kwargs):
+            reports.append(real_replay(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "replay", kept_replay)
+        report_path = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "enforce", "--scenario", "network-rootkit", "--empty-store",
+            "--format", "structured", "--report", str(report_path),
+        )
+        assert code == 1
+        (report,) = reports
+        expected = json.dumps(report.to_structured(), sort_keys=True, indent=2) + "\n"
+        assert report_path.read_text("utf-8") == expected
+
+
+# Each command with its usual exit code; {tmp} is a scratch directory.
+REPORTING_COMMANDS = [
+    (["learn", "--scenario", "admin-remote-upgrade", "--store-out", "{tmp}/s.cumac"], 0),
+    (["enforce", "--scenario", "usb-rootkit", "--empty-store"], 1),
+    (["enforce", "--scenario", "self-revocation", "--empty-store"], 0),
+    (["compare", "--scenario", "usb-rootkit"], 1),
+    (["compare", "--scenario", "self-revocation"], 0),
+]
+STRUCTURED_BUILDERS = [
+    (ReplayReport, "to_structured"),
+    (ReplayReport, "to_json"),
+    (ComparisonReport, "to_structured"),
+]
+TEXT_BUILDERS = [(ReplayReport, "to_text"), (ComparisonReport, "to_text")]
+
+
+def _never_called(name):
+    def builder(*_args, **_kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return builder
+
+
+class TestReportsAreBuiltOnlyWhenAsked:
+    """A command builds no report without --report, and with it only the
+    format it writes."""
+
+    @pytest.fixture
+    def forbid(self, monkeypatch):
+        def forbid(builders):
+            for owner, name in builders:
+                monkeypatch.setattr(owner, name, _never_called(name))
+
+        return forbid
+
+    @staticmethod
+    def run(capsys, tmp_path, argv, *extra):
+        return run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv), *extra)
+
+    @pytest.mark.parametrize("argv, code", REPORTING_COMMANDS)
+    def test_without_report_nothing_is_built(self, capsys, tmp_path, forbid, argv, code):
+        forbid(STRUCTURED_BUILDERS + TEXT_BUILDERS)
+        assert self.run(capsys, tmp_path, argv)[0] == code
+
+    @pytest.mark.parametrize("argv, code", REPORTING_COMMANDS)
+    def test_text_report_builds_no_structured_form(self, capsys, tmp_path, forbid, argv, code):
+        forbid(STRUCTURED_BUILDERS)
+        report_path = tmp_path / "report.txt"
+        result = self.run(capsys, tmp_path, argv, "--format", "text", "--report", str(report_path))
+        assert result[0] == code
+        assert report_path.read_text("utf-8").startswith(("mode: ", "label: "))
+
+    @pytest.mark.parametrize("argv, code", REPORTING_COMMANDS)
+    def test_structured_report_builds_no_text_form(self, capsys, tmp_path, forbid, argv, code):
+        forbid(TEXT_BUILDERS)
+        report_path = tmp_path / "report.json"
+        result = self.run(
+            capsys, tmp_path, argv, "--format", "structured", "--report", str(report_path)
+        )
+        assert result[0] == code
+        assert "summary" in json.loads(report_path.read_text("utf-8"))
 
 
 class TestUsageErrors:

@@ -1,16 +1,19 @@
 """Replay driver: counters, determinism, store purity, report forms,
-collector state."""
+the JSON encoder of reports, collector state."""
 
 import gc
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumac import scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceError
+from cumac.model import ALLOW, Read
 from cumac.randomtrace import random_trace
-from cumac.replay import learn, replay
+from cumac.replay import ReplayReport, learn, replay
 from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
 from cumac.trace import parse_trace
 
@@ -27,6 +30,40 @@ DANGLING_WRITE_TRACE = (
     "CREATE pid=1 path=/etc/evil perms=644 owner=root dir=0\n"  # denied: no file
     "WRITE pid=1 fid=5\n"  # dangles at replay time
 )
+
+# Paths, user names and a peer with non-ASCII characters (one outside the
+# Basic Multilingual Plane), quotes and backslashes, which the report must
+# escape as json.dumps does. The parser takes any non-whitespace token.
+ESCAPED_NAMES_TRACE = (
+    "cumac-trace v1\n"
+    "LABEL attack\n"
+    "USER root trusted=1\n"
+    'USER zo\u00eb"\\ trusted=0\n'
+    "FILE fid=1 path=/ perms=755 owner=root dir=1\n"
+    "FILE fid=2 path=/bin perms=755 owner=root dir=1\n"
+    "FILE fid=3 path=/bin/sh perms=755 owner=root dir=0\n"
+    'FILE fid=4 path=/tmp\u00e9"\\ perms=777 owner=root dir=1\n'
+    "PROC pid=1 key=3 user=root\n"
+    "FORK parent=1 child=2\n"
+    'NET pid=2 peer=\u4f8b"\\\U0001f642\n'
+    'LOGIN pid=2 user=zo\u00eb"\\\n'
+    'CREATE pid=2 path=/tmp\u00e9"\\/na\u00efve perms=755 owner=zo\u00eb"\\ dir=0\n'
+    'COPY pid=1 src=3 dst=/tmp\u00e9"\\/\u043a"\\ perms=700 owner=root\n'
+    'MOUNT id=1 prefix=/tmp\u00e9"\\/\u00b5\n'
+    "EXEC pid=2 fid=5\n"
+    "IPC from=2 to=1 chan=shm\n"
+    "WRITE pid=1 fid=6\n"
+    "UNMOUNT id=1\n"
+    "PRIV pid=1 cap=CAP_SYS_MODULE\n"
+)
+
+
+def assert_json_is_the_reference(report: ReplayReport) -> None:
+    """to_json() equals json.dumps of the structured report. The lines are
+    compared, so a failure names the first differing line; pytest's diff
+    of two long strings can take minutes."""
+    reference = json.dumps(report.to_structured(), sort_keys=True, indent=2) + "\n"
+    assert report.to_json().splitlines(True) == reference.splitlines(True)
 
 
 class TestCounters:
@@ -192,6 +229,42 @@ class TestReportForms:
         with pytest.raises(TraceError) as exc_info:
             replay(trace, EnvironmentBit.UNSECURE)
         assert exc_info.value.seq == 3
+
+
+class TestJsonEncoder:
+    """ReplayReport.to_json() writes the bytes json.dumps writes for the
+    structured report, which it never builds."""
+
+    @pytest.mark.parametrize("mode", list(EnvironmentBit))
+    @pytest.mark.parametrize("name", scenarios.available())
+    def test_scenarios_match_the_reference(self, name, mode):
+        report = replay(scenarios.load_trace(name), mode)
+        assert_json_is_the_reference(report)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), mode=st.sampled_from(list(EnvironmentBit)))
+    def test_random_traces_match_the_reference(self, seed, mode):
+        report = replay(random_trace(seed=seed, events=300), mode)
+        assert_json_is_the_reference(report)
+
+    @pytest.mark.parametrize("mode", list(EnvironmentBit))
+    def test_escaped_names_match_the_reference(self, mode):
+        report = replay(parse_trace(ESCAPED_NAMES_TRACE), mode)
+        args = [row["args"] for row in report.decision_rows()]
+        assert {"pid": 2, "peer_address": '\u4f8b"\\\U0001f642'} in args
+        assert args[-4]["channel"] == "shm"
+        assert any(row["taint_updates"] for row in report.decision_rows())
+        assert_json_is_the_reference(report)
+
+    def test_empty_log_matches_the_reference(self):
+        report = replay(parse_trace("cumac-trace v1\n"), EnvironmentBit.UNSECURE)
+        assert_json_is_the_reference(report)
+
+    def test_unknown_argument_type_is_refused(self):
+        report = replay(parse_trace("cumac-trace v1\n"), EnvironmentBit.UNSECURE)
+        report.log.append((Read(seq=1, pid=1.5, fid=2), ALLOW))
+        with pytest.raises(TypeError, match="float"):
+            report.to_json()
 
 
 class TestCollectorState:
