@@ -8,7 +8,7 @@ deterministic state machine. A low-water-mark integrity engine over the
 same event vocabulary serves as the compatibility baseline.
 """
 
-from .engine import DEFAULT_LOOPBACK_PREFIXES, Engine, EngineConfig, new_engine
+from .engine import DEFAULT_LOOPBACK_PREFIXES, Engine, EngineConfig
 from .errors import (
     ConfigError,
     CumacError,
@@ -34,7 +34,6 @@ from .model import (
     executable,
     is_integrity_protected,
     is_sensitivity_protected,
-    parse_perms,
 )
 from .oracle import export_taint_graph, taint_oracle
 from .randomtrace import random_trace
@@ -81,8 +80,6 @@ __all__ = [
     "is_integrity_protected",
     "is_sensitivity_protected",
     "learn",
-    "new_engine",
-    "parse_perms",
     "parse_trace",
     "random_trace",
     "render_trace",

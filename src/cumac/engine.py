@@ -26,9 +26,10 @@ Rules that are deliberate choices rather than forced ones:
   mobile it stays flagged (``FileRecord.on_mobile_mount`` memoizes the
   observation), but a file untouched for the whole mount window is plain
   local again after the unmount (physically it was never reachable).
-* Created files get fresh ids from a monotone counter starting past the
-  highest seeded id; the counter advances even for denied create attempts
-  so that ids never depend on the exception store's contents.
+* A created file takes the id its event carries (``Create.new_fid``,
+  ``Copy.dst_fid``). The trace parser allocates those ids, one per create
+  and per copy to a fresh path, allowed or not, so ids never depend on the
+  exception store's contents.
 """
 
 from __future__ import annotations
@@ -62,11 +63,13 @@ from .model import (
     UserRecord,
     Verdict,
     Write,
+    _covers,
     executable,
     file_entity,
     is_integrity_protected,
     is_sensitivity_protected,
     proc_entity,
+    under_live_mount,
 )
 from .store import AccessMode, EnvironmentBit, ExceptionStore
 
@@ -103,10 +106,6 @@ class EngineConfig:
     files: list[FileRecord] = field(default_factory=list)
     processes: list[ProcessRecord] = field(default_factory=list)
     loopback_prefixes: tuple[str, ...] = DEFAULT_LOOPBACK_PREFIXES
-
-    @property
-    def trusted_users(self) -> set[str]:
-        return {u.name for u in self.users.values() if u.trusted}
 
     @classmethod
     def from_trace(cls, trace, trusted_users: set[str] | None = None) -> "EngineConfig":
@@ -153,20 +152,12 @@ def _parent_path(path: str) -> str:
     return head if head else "/"
 
 
-def _covers(prefix: str, path: str) -> bool:
-    """True when ``path`` lies under ``prefix`` (component-wise)."""
-    if prefix == "/":
-        return True
-    return path == prefix or path.startswith(prefix + "/")
-
-
 class Engine:
     """Applies one event at a time, emits a Decision per event, and keeps
     the append-only decision log.
 
     One instance is single-threaded; distinct instances may run in
-    parallel. The environment bit lives on the exception store and is read
-    through :attr:`mode`.
+    parallel. The environment bit lives on the exception store.
     """
 
     __slots__ = (
@@ -178,7 +169,6 @@ class Engine:
         "_logged_events",
         "_decisions",
         "_files_by_path",
-        "_next_fid",
         "_handlers",
     )
 
@@ -198,10 +188,9 @@ class Engine:
         for proc in config.processes:
             self.processes[proc.pid] = replace(proc)
         for f in config.files:
-            rec = replace(f, file_exceptions=store.file_entries(f.fid))
+            rec = replace(f)
             self.files[rec.fid] = rec
             self._files_by_path[rec.path] = rec.fid
-        self._next_fid = max(self.files, default=0) + 1
         self._handlers = {
             Fork: self._on_fork,
             Exec: self._on_exec,
@@ -216,10 +205,6 @@ class Engine:
             Ipc: self._on_ipc,
             PrivOp: self._on_priv_op,
         }
-
-    @property
-    def mode(self) -> EnvironmentBit:
-        return self.store.bit
 
     def step(self, event: Event) -> Decision:
         """Apply one event: decide against pre-event state, mutate only on
@@ -284,9 +269,7 @@ class Engine:
         if store.bit is EnvironmentBit.SECURE:
             store.record_file_exception(proc.key, f.fid, mode)
             return ALLOW
-        # f.file_exceptions is the store's own list for f, so an empty one
-        # means no grant on f, without a lookup in the store.
-        if f.file_exceptions and store.check_file_exception(proc.key, f.fid, mode):
+        if store.check_file_exception(proc.key, f.fid, mode):
             return _BY_FILE_EXCEPTION[reason]
         return _DENIED[reason]
 
@@ -379,15 +362,12 @@ class Engine:
         del self.mounts[ev.mount_id]
         return ALLOW
 
-    def _under_live_mount(self, path: str) -> bool:
-        return any(_covers(prefix, path) for prefix in self.mounts.values())
-
     def file_on_mobile_mount(self, f: FileRecord) -> bool:
         """Whether a file counts as mobile-storage content right now; the
         observation is memoized on the record."""
         if f.on_mobile_mount:
             return True
-        if self.mounts and self._under_live_mount(f.path):
+        if self.mounts and under_live_mount(self.mounts, f.path):
             f.on_mobile_mount = True
             return True
         return False
@@ -398,12 +378,14 @@ class Engine:
         # Pre-state mobility; memoized further down only if the copy is
         # allowed (denied events must leave no mark anywhere).
         src_mobile = src.on_mobile_mount or (
-            bool(self.mounts) and self._under_live_mount(src.path)
+            bool(self.mounts) and under_live_mount(self.mounts, src.path)
         )
-        dst_fid = self._files_by_path.get(ev.dst_path)
+        dst = self.files.get(ev.dst_fid)
         tainted = proc.taint is _PI
 
-        if dst_fid is None:
+        if dst is None:
+            if ev.dst_path in self._files_by_path:
+                raise TraceError(ev.seq, f"path {ev.dst_path!r} already exists")
             parent = self._lookup_parent(ev.seq, ev.dst_path)
             decision = ALLOW
             if tainted and is_integrity_protected(parent):
@@ -411,16 +393,19 @@ class Engine:
                     proc, parent, AccessMode.WRITE, DenyReason.INTEGRITY_WRITE
                 )
             if decision.verdict is Verdict.DENY:
-                self._next_fid += 1  # the attempt reserves an id
                 return decision
             dst = self._register_file(
+                fid=ev.dst_fid,
                 path=ev.dst_path,
                 perms=PermissionBits.parse(ev.dst_perms),
                 owner=ev.dst_owner,
                 is_directory=src.is_directory,
             )
         else:
-            dst = self.files[dst_fid]
+            if dst.path != ev.dst_path:
+                raise TraceError(
+                    ev.seq, f"fid {ev.dst_fid} names {dst.path!r}, not {ev.dst_path!r}"
+                )
             decision = ALLOW
             if tainted and is_integrity_protected(dst):
                 decision = self._mediate_file(
@@ -450,6 +435,8 @@ class Engine:
         proc = self._need_proc(ev.seq, ev.pid)
         if ev.path in self._files_by_path:
             raise TraceError(ev.seq, f"path {ev.path!r} already exists")
+        if ev.new_fid in self.files:
+            raise TraceError(ev.seq, f"fid {ev.new_fid} already live")
         parent = self._lookup_parent(ev.seq, ev.path)
         decision = ALLOW
         if proc.taint is _PI and is_integrity_protected(parent):
@@ -457,9 +444,9 @@ class Engine:
                 proc, parent, AccessMode.WRITE, DenyReason.INTEGRITY_WRITE
             )
         if decision.verdict is Verdict.DENY:
-            self._next_fid += 1  # the attempt reserves an id
             return decision
         new = self._register_file(
+            fid=ev.new_fid,
             path=ev.path,
             perms=PermissionBits.parse(ev.perms),
             owner=ev.owner,
@@ -540,25 +527,16 @@ class Engine:
         return parent
 
     def _register_file(
-        self, path: str, perms: PermissionBits, owner: str, is_directory: bool
+        self, fid: int, path: str, perms: PermissionBits, owner: str, is_directory: bool
     ) -> FileRecord:
-        fid = self._next_fid
-        self._next_fid += 1
         rec = FileRecord(
             fid=fid,
             path=path,
             perms=perms,
             owner=owner,
             is_directory=is_directory,
-            on_mobile_mount=self._under_live_mount(path),
-            file_exceptions=self.store.file_entries(fid),
+            on_mobile_mount=under_live_mount(self.mounts, path),
         )
         self.files[fid] = rec
         self._files_by_path[path] = fid
         return rec
-
-
-def new_engine(config: EngineConfig, store: ExceptionStore) -> Engine:
-    """Construct an engine over a validated snapshot; all seeded entities
-    start non-intrusion and the decision log starts empty."""
-    return Engine(config, store)

@@ -19,8 +19,9 @@ Mapping choices, also disclosed in every comparison report:
   the creator's level (Low when created under a live mobile mount).
 * Copy is read-then-write: the subject's level first drops to the
   source's, then the write/create check runs against the destination.
-* Denials are inert, matching the tracing engine's discipline; for trace
-  compatibility a refused create still registers the object id.
+* Denials are inert, matching the tracing engine's discipline, except that
+  a refused create still registers the object under the id its event
+  carries, so that later references to it resolve.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any
 
-from .engine import Engine, EngineConfig, _covers, _parent_path
+from .engine import Engine, EngineConfig, _parent_path
 from .errors import TraceError
 from .model import (
     ALLOW,
@@ -49,6 +50,8 @@ from .model import (
     Unmount,
     Verdict,
     Write,
+    _covers,
+    under_live_mount,
 )
 from .store import ExceptionStore
 from .trace import EVENT_VERBS, Trace
@@ -80,7 +83,6 @@ class LwmEngine:
         self._fid_by_path: dict[str, int] = {}
         self._dir_fids: set[int] = set()
         self._mounts: dict[int, str] = {}
-        self._next_fid = 0
 
         low_pids, mobile_prefixes = self._prescan(trace)
         for proc in trace.header.processes:
@@ -93,7 +95,6 @@ class LwmEngine:
             if f.is_directory:
                 self._dir_fids.add(f.fid)
         self._low_pids = low_pids
-        self._next_fid = max((f.fid for f in trace.header.files), default=0) + 1
 
     def _prescan(self, trace: Trace) -> tuple[set[int], set[str]]:
         """Entrance-mirroring initial assignment: which pids ever face the
@@ -126,22 +127,16 @@ class LwmEngine:
             raise TraceError(seq, f"unknown fid {fid}")
         return level
 
-    def _under_live_mount(self, path: str) -> bool:
-        return any(_covers(prefix, path) for prefix in self._mounts.values())
-
     def _birth_level(self, subject: IntegrityLevel, path: str) -> IntegrityLevel:
-        if self._under_live_mount(path):
+        if under_live_mount(self._mounts, path):
             return IntegrityLevel.LOW
         return subject
 
-    def _register(self, path: str, level: IntegrityLevel, is_dir: bool) -> int:
-        fid = self._next_fid
-        self._next_fid += 1
+    def _register(self, fid: int, path: str, level: IntegrityLevel, is_dir: bool) -> None:
         self.object_levels[fid] = level
         self._fid_by_path[path] = fid
         if is_dir:
             self._dir_fids.add(fid)
-        return fid
 
     # -- the step rule -------------------------------------------------------------
 
@@ -173,31 +168,26 @@ class LwmEngine:
             parent = self._parent_level(ev.seq, ev.path)
             denied = subject < parent
             # Register the object either way so later references resolve.
-            self._register(ev.path, self._birth_level(subject, ev.path), ev.is_directory)
+            self._register(
+                ev.new_fid, ev.path, self._birth_level(subject, ev.path), ev.is_directory
+            )
             return _DENY_WRITE if denied else ALLOW
         if isinstance(ev, Copy):
             subject = self._need_subject(ev.seq, ev.pid)
             src = self._need_object(ev.seq, ev.src_fid)
             dropped = min(subject, src)
-            dst_fid = self._fid_by_path.get(ev.dst_path)
-            if dst_fid is None:
-                parent = self._parent_level(ev.seq, ev.dst_path)
-                denied = dropped < parent
-                if denied:
-                    self._register(
-                        ev.dst_path,
-                        self._birth_level(dropped, ev.dst_path),
-                        ev.src_fid in self._dir_fids,
-                    )
-                    return _DENY_WRITE
-                self.subject_levels[ev.pid] = dropped
+            dst = self.object_levels.get(ev.dst_fid)
+            if dst is None:
+                denied = dropped < self._parent_level(ev.seq, ev.dst_path)
                 self._register(
+                    ev.dst_fid,
                     ev.dst_path,
                     self._birth_level(dropped, ev.dst_path),
                     ev.src_fid in self._dir_fids,
                 )
-                return ALLOW
-            if dropped < self.object_levels[dst_fid]:
+            else:
+                denied = dropped < dst
+            if denied:
                 return _DENY_WRITE
             self.subject_levels[ev.pid] = dropped
             return ALLOW

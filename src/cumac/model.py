@@ -9,14 +9,10 @@ from this module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .errors import PermsFormatError
-
-if TYPE_CHECKING:
-    from .store import FileExceptionEntry
 
 Key = int
 """Application identity: the inode number of the executable it was started
@@ -105,11 +101,6 @@ _PARSED_PERMS: dict[str, PermissionBits] = {}
 validation; the values are immutable and there are at most 512 of them."""
 
 
-def parse_perms(octal: str) -> PermissionBits:
-    """Parse a 3-digit octal permission string into its nine bits."""
-    return PermissionBits.parse(octal)
-
-
 @dataclass(slots=True)
 class UserRecord:
     """A configured account; trust is a configuration input, not derived."""
@@ -131,12 +122,8 @@ class ProcessRecord:
 
 @dataclass(slots=True)
 class FileRecord:
-    """A filesystem node.
-
-    ``file_exceptions`` is a read-through view of the central exception
-    store's per-file list; the engine wires it up when the record enters
-    engine state. Directories carry exception lists but never taint.
-    """
+    """A filesystem node. Directories can be granted exceptions (creating
+    a file writes its parent) but never carry taint."""
 
     fid: int
     path: str
@@ -145,7 +132,6 @@ class FileRecord:
     taint: TaintState = TaintState.NON_INTRUSION
     is_directory: bool = False
     on_mobile_mount: bool = False
-    file_exceptions: "list[FileExceptionEntry]" = field(default_factory=list)
 
 
 def executable(f: FileRecord) -> bool:
@@ -162,6 +148,19 @@ def is_integrity_protected(f: FileRecord) -> bool:
 def is_sensitivity_protected(f: FileRecord) -> bool:
     """A file others may not read requires sensitivity protection."""
     return not f.perms.other_read
+
+
+def _covers(prefix: str, path: str) -> bool:
+    """True when ``path`` lies under ``prefix`` (component-wise)."""
+    if prefix == "/":
+        return True
+    return path == prefix or path.startswith(prefix + "/")
+
+
+def under_live_mount(mounts: dict[int, str], path: str) -> bool:
+    """Whether ``path`` lies under one of the live mounts (mount id to
+    path prefix)."""
+    return any(_covers(prefix, path) for prefix in mounts.values())
 
 
 # --- entity identifiers -----------------------------------------------------
@@ -238,20 +237,28 @@ class Unmount(Event):
 
 @dataclass(frozen=True, slots=True)
 class Copy(Event):
+    """``dst_fid`` is the id of the file at ``dst_path`` when one exists,
+    else the id this copy creates; the trace parser resolves it."""
+
     pid: int
     src_fid: int
     dst_path: str
     dst_perms: str
     dst_owner: str
+    dst_fid: int
 
 
 @dataclass(frozen=True, slots=True)
 class Create(Event):
+    """``new_fid`` is the id the created file gets; the trace parser
+    allocates it."""
+
     pid: int
     path: str
     perms: str
     owner: str
     is_directory: bool
+    new_fid: int
 
 
 @dataclass(frozen=True, slots=True)

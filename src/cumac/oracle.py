@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .engine import Engine, EngineConfig, _covers
+from .engine import Engine, EngineConfig
 from .model import (
     Copy,
     Create,
@@ -51,6 +51,7 @@ from .model import (
     entity_sort_key,
     file_entity,
     proc_entity,
+    under_live_mount,
 )
 from .store import ExceptionStore
 from .trace import EVENT_VERBS, Trace
@@ -71,36 +72,27 @@ class _FileFacts:
 
 
 class StructureMirror:
-    """Replays the structural side of a trace (who exists, what is
+    """Replays the structural side of a trace (which files exist, what is
     executable, what sits on a mobile mount) without any policy logic.
 
-    Mirrors the engine's deterministic fid allocation, including the id
-    reserved by a denied create attempt.
+    Created files take the ids their events carry, which the trace parser
+    resolved; the mirror counts none.
     """
 
     def __init__(self, trace: Trace, config: EngineConfig | None = None):
         self.config = config or EngineConfig.from_trace(trace)
         self.files: dict[int, _FileFacts] = {}
-        self.fid_by_path: dict[str, int] = {}
-        self.pids: set[int] = set()
         self.mounts: dict[int, str] = {}
         for f in trace.header.files:
             facts = _FileFacts(f.fid, f.path, f.perms.any_exec and not f.is_directory, f.is_directory, False)
             self.files[f.fid] = facts
-            self.fid_by_path[f.path] = f.fid
-        for p in trace.header.processes:
-            self.pids.add(p.pid)
-        self.next_fid = max(self.files, default=0) + 1
-
-    def under_live_mount(self, path: str) -> bool:
-        return any(_covers(prefix, path) for prefix in self.mounts.values())
 
     def observe_mobile(self, facts: _FileFacts) -> bool:
         """Same lazy rule as the engine: a file counts as mobile when used
         under a live mount, and the observation is memoized."""
         if facts.mobile:
             return True
-        if self.mounts and self.under_live_mount(facts.path):
+        if self.mounts and under_live_mount(self.mounts, facts.path):
             facts.mobile = True
             return True
         return False
@@ -112,38 +104,29 @@ class StructureMirror:
         record = self.config.users.get(user)
         return record is None or not record.trusted
 
-    def register(self, path: str, perms: str, is_directory: bool) -> _FileFacts:
-        fid = self.next_fid
-        self.next_fid += 1
+    def register(self, fid: int, path: str, perms: str, is_directory: bool) -> None:
         bits = PermissionBits.parse(perms)
-        facts = _FileFacts(
-            fid, path, bits.any_exec and not is_directory, is_directory, self.under_live_mount(path)
+        self.files[fid] = _FileFacts(
+            fid,
+            path,
+            bits.any_exec and not is_directory,
+            is_directory,
+            under_live_mount(self.mounts, path),
         )
-        self.files[fid] = facts
-        self.fid_by_path[path] = fid
-        return facts
 
-    def apply(self, ev: Event, denied: bool) -> None:
-        """Advance structural state past one event (edges are the caller's
-        job). Denied events only consume reserved fids."""
-        if isinstance(ev, Fork):
-            self.pids.add(ev.child_pid)
-        elif isinstance(ev, Mount):
+    def apply(self, ev: Event) -> None:
+        """Advance structural state past one allowed event (edges are the
+        caller's job); a denied event changes nothing, so callers skip it."""
+        if isinstance(ev, Mount):
             self.mounts[ev.mount_id] = ev.path_prefix
         elif isinstance(ev, Unmount):
             self.mounts.pop(ev.mount_id, None)
         elif isinstance(ev, Create):
-            if denied:
-                self.next_fid += 1
-            else:
-                self.register(ev.path, ev.perms, ev.is_directory)
+            self.register(ev.new_fid, ev.path, ev.perms, ev.is_directory)
         elif isinstance(ev, Copy):
-            if ev.dst_path not in self.fid_by_path:
-                if denied:
-                    self.next_fid += 1
-                else:
-                    src = self.files[ev.src_fid]
-                    self.register(ev.dst_path, ev.dst_perms, src.is_directory)
+            if ev.dst_fid not in self.files:
+                src = self.files[ev.src_fid]
+                self.register(ev.dst_fid, ev.dst_path, ev.dst_perms, src.is_directory)
 
 
 def engine_verdicts(trace: Trace, config: EngineConfig | None = None) -> list[Verdict]:
@@ -186,52 +169,51 @@ def taint_oracle(
         adjacency.setdefault(src, []).append(dst)
 
     for ev, verdict in zip(trace.events, verdicts):
-        denied = verdict is Verdict.DENY
-        if not denied:
-            step = ev.seq
-            if isinstance(ev, Fork):
-                edge(node(proc_entity(ev.parent_pid), step), node(proc_entity(ev.child_pid), step))
-            elif isinstance(ev, Exec):
-                facts = mirror.files[ev.fid]
-                file_node = node(file_entity(ev.fid), step)
-                if mirror.observe_mobile(facts):
-                    sources.append(file_node)
-                edge(file_node, node(proc_entity(ev.pid), step))
-            elif isinstance(ev, RemoteComm):
-                if mirror.is_remote(ev.peer_address):
-                    sources.append(node(proc_entity(ev.pid), step))
-            elif isinstance(ev, Login):
-                if mirror.is_untrusted(ev.user):
-                    sources.append(node(proc_entity(ev.pid), step))
-            elif isinstance(ev, Ipc):
-                a = node(proc_entity(ev.from_pid), step)
-                b = node(proc_entity(ev.to_pid), step)
-                edge(a, b)
-                if ev.channel is IpcChannel.SHARED_MEMORY:
-                    edge(b, a)
-            elif isinstance(ev, Write):
-                if mirror.files[ev.fid].is_executable:
-                    edge(node(proc_entity(ev.pid), step), node(file_entity(ev.fid), step))
-            elif isinstance(ev, Create):
-                mirror.apply(ev, denied)
-                facts = mirror.files[mirror.fid_by_path[ev.path]]
-                if facts.is_executable:
-                    edge(node(proc_entity(ev.pid), step), node(file_entity(facts.fid), step))
-                continue
-            elif isinstance(ev, Copy):
-                src_facts = mirror.files[ev.src_fid]
-                src_mobile = mirror.observe_mobile(src_facts)
-                mirror.apply(ev, denied)
-                dst_facts = mirror.files[mirror.fid_by_path[ev.dst_path]]
-                if dst_facts.is_executable:
-                    dst_node = node(file_entity(dst_facts.fid), step)
-                    edge(node(proc_entity(ev.pid), step), dst_node)
-                    edge(node(file_entity(src_facts.fid), step), dst_node)
-                    if src_mobile:
-                        sources.append(dst_node)
-                continue
-            # Read and PrivOp propagate nothing; Mount/Unmount below.
-        mirror.apply(ev, denied)
+        if verdict is Verdict.DENY:
+            continue  # denied events contribute no edges
+        step = ev.seq
+        if isinstance(ev, Fork):
+            edge(node(proc_entity(ev.parent_pid), step), node(proc_entity(ev.child_pid), step))
+        elif isinstance(ev, Exec):
+            facts = mirror.files[ev.fid]
+            file_node = node(file_entity(ev.fid), step)
+            if mirror.observe_mobile(facts):
+                sources.append(file_node)
+            edge(file_node, node(proc_entity(ev.pid), step))
+        elif isinstance(ev, RemoteComm):
+            if mirror.is_remote(ev.peer_address):
+                sources.append(node(proc_entity(ev.pid), step))
+        elif isinstance(ev, Login):
+            if mirror.is_untrusted(ev.user):
+                sources.append(node(proc_entity(ev.pid), step))
+        elif isinstance(ev, Ipc):
+            a = node(proc_entity(ev.from_pid), step)
+            b = node(proc_entity(ev.to_pid), step)
+            edge(a, b)
+            if ev.channel is IpcChannel.SHARED_MEMORY:
+                edge(b, a)
+        elif isinstance(ev, Write):
+            if mirror.files[ev.fid].is_executable:
+                edge(node(proc_entity(ev.pid), step), node(file_entity(ev.fid), step))
+        elif isinstance(ev, Create):
+            mirror.apply(ev)
+            facts = mirror.files[ev.new_fid]
+            if facts.is_executable:
+                edge(node(proc_entity(ev.pid), step), node(file_entity(facts.fid), step))
+        elif isinstance(ev, Copy):
+            src_facts = mirror.files[ev.src_fid]
+            src_mobile = mirror.observe_mobile(src_facts)
+            mirror.apply(ev)
+            dst_facts = mirror.files[ev.dst_fid]
+            if dst_facts.is_executable:
+                dst_node = node(file_entity(dst_facts.fid), step)
+                edge(node(proc_entity(ev.pid), step), dst_node)
+                edge(node(file_entity(src_facts.fid), step), dst_node)
+                if src_mobile:
+                    sources.append(dst_node)
+        elif isinstance(ev, (Mount, Unmount)):
+            mirror.apply(ev)
+        # Read and PrivOp propagate nothing.
 
     reached: set[tuple[str, int]] = set()
     queue = deque(n for n in sources if n not in reached)
@@ -259,7 +241,6 @@ def export_taint_graph(report: "ReplayReport", trace: Trace) -> str:
     in sequence order, and denied events show as dashed edges. Output is
     byte-stable for equal inputs.
     """
-    mirror = StructureMirror(trace)
     tainted = set(report.final_taint)
     proc_nodes: set[str] = {proc_entity(p.pid) for p in trace.header.processes}
     file_labels: dict[str, str] = {
@@ -301,27 +282,21 @@ def export_taint_graph(report: "ReplayReport", trace: Trace) -> str:
         elif isinstance(ev, Read):
             add(file_entity(ev.fid), proc_entity(ev.pid))
         elif isinstance(ev, Create):
-            mirror.apply(ev, denied)
             if not denied:
-                fid = mirror.fid_by_path[ev.path]
-                file_labels[file_entity(fid)] = ev.path
-                add(proc_entity(ev.pid), file_entity(fid))
-            continue
+                file_labels[file_entity(ev.new_fid)] = ev.path
+                add(proc_entity(ev.pid), file_entity(ev.new_fid))
         elif isinstance(ev, Copy):
-            existing = ev.dst_path in mirror.fid_by_path
-            mirror.apply(ev, denied)
-            if not denied or existing:
-                fid = mirror.fid_by_path[ev.dst_path]
-                file_labels.setdefault(file_entity(fid), ev.dst_path)
-                add(proc_entity(ev.pid), file_entity(fid))
-                add(file_entity(ev.src_fid), file_entity(fid))
-            continue
+            # A denied copy onto an existing file still shows its edges.
+            dst = file_entity(ev.dst_fid)
+            if not denied or dst in file_labels:
+                file_labels.setdefault(dst, ev.dst_path)
+                add(proc_entity(ev.pid), dst)
+                add(file_entity(ev.src_fid), dst)
         elif isinstance(ev, PrivOp):
             cap = f"cap:{ev.capability}"
             extra_nodes.add(cap)
             add(proc_entity(ev.pid), cap)
         # Mount/Unmount carry no entity-to-entity flow.
-        mirror.apply(ev, denied)
 
     lines = ["digraph taint_trace {", "  rankdir=LR;"]
     for entity in sorted(proc_nodes, key=entity_sort_key):

@@ -41,6 +41,7 @@ from .model import (
     Unmount,
     UserRecord,
     Write,
+    under_live_mount,
 )
 from .trace import Trace, TraceHeader
 
@@ -117,17 +118,11 @@ class _Sim:
             if f.any_exec:
                 self.exec_files.append(f.fid)
 
-    def under_live_mount(self, path: str) -> bool:
-        for prefix in self.mounts.values():
-            if path == prefix or path.startswith(prefix + "/"):
-                return True
-        return False
-
     def observe_mobile(self, f: "_SimFile") -> bool:
         # Same lazy rule as the engine; the observation sticks.
         if f.mobile:
             return True
-        if self.mounts and self.under_live_mount(f.path):
+        if self.mounts and under_live_mount(self.mounts, f.path):
             f.mobile = True
             return True
         return False
@@ -290,13 +285,13 @@ def random_trace(
                 is_dir=is_dir,
                 any_exec=bits.any_exec and not is_dir,
                 other_write=bits.other_write,
-                mobile=sim.under_live_mount(path),
+                mobile=under_live_mount(sim.mounts, path),
                 maybe_taint=False,
             )
             new.maybe_taint = proc.maybe_taint and new.any_exec
             next_fid += 1
             sim.add_file(new)
-            return Create(seq, proc.pid, path, perms, "root", is_dir)
+            return Create(seq, proc.pid, path, perms, "root", is_dir, new.fid)
         if verb == "COPY":
             proc = sim.procs[rng.choice(_pid_list)]
             src = sim.files[rng.choice(sim.plain_files)]
@@ -316,14 +311,14 @@ def random_trace(
                     is_dir=False,
                     any_exec=bits.any_exec,
                     other_write=bits.other_write,
-                    mobile=sim.under_live_mount(path),
+                    mobile=under_live_mount(sim.mounts, path),
                 )
                 new.maybe_taint = new.any_exec and (
                     src_mobile or src.maybe_taint or proc.maybe_taint
                 )
                 next_fid += 1
                 sim.add_file(new)
-                return Copy(seq, proc.pid, src.fid, path, perms, "root")
+                return Copy(seq, proc.pid, src.fid, path, perms, "root", new.fid)
             pool = sim.writable_files if proc.maybe_taint else sim.plain_files
             if not pool:
                 return None
@@ -331,7 +326,7 @@ def random_trace(
             dst.maybe_taint = dst.maybe_taint or (
                 dst.any_exec and (src_mobile or src.maybe_taint or proc.maybe_taint)
             )
-            return Copy(seq, proc.pid, src.fid, dst.path, rng.choice(_PERMS_POOL), "root")
+            return Copy(seq, proc.pid, src.fid, dst.path, rng.choice(_PERMS_POOL), "root", dst.fid)
         if verb == "WRITE":
             proc = sim.procs[rng.choice(_pid_list)]
             f = sim.files[rng.choice(sim.plain_files)]

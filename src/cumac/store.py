@@ -4,7 +4,9 @@ Each application (identified by its key, the inode of its executable) can
 hold per-file access-mode grants and a set of privilege grants. While the
 environment bit says Secure, the engine records every access it would
 otherwise refuse; while it says Unsecure, those records authorize the same
-accesses and nothing new may be recorded.
+accesses and nothing new may be recorded. A file has an exception list
+only once it holds a grant; the engine looks grants up by file id and
+keeps no list of its own.
 
 On-disk format (UTF-8 text, ``#`` starts a comment line):
 
@@ -81,21 +83,12 @@ class FileExceptionEntry:
     modes: AccessModeVector
 
 
-@dataclass(slots=True)
-class PrivExceptionEntry:
-    """One application's privilege grants."""
-
-    key: Key
-    capabilities: set[str]
-
-
 class ExceptionStore:
     """Central store for both exceptional-access lists.
 
     Lists are keyed by file id and application key here rather than being
-    scattered through file records; FileRecord.file_exceptions aliases the
-    per-file list handed out by :meth:`file_entries`, so records see
-    updates immediately.
+    scattered through file records. A file has a list only once it holds
+    a grant, so a lookup for any other file misses at once.
     """
 
     def __init__(self, bit: EnvironmentBit = EnvironmentBit.UNSECURE):
@@ -107,11 +100,9 @@ class ExceptionStore:
     # -- views ----------------------------------------------------------------
 
     def file_entries(self, fid: int) -> list[FileExceptionEntry]:
-        """The live (aliased, mutated in place) exception list for a file."""
+        """The exception list of a file, mutated in place; made, empty, on
+        the first call for that file, which only recording and loading do."""
         return self._file_lists.setdefault(fid, [])
-
-    def priv_entry(self, key: Key) -> PrivExceptionEntry:
-        return PrivExceptionEntry(key, set(self._priv_lists.get(key, ())))
 
     def iter_file_triples(self) -> Iterator[tuple[int, Key, AccessMode]]:
         for fid, entries in self._file_lists.items():

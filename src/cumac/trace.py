@@ -29,9 +29,14 @@ comparison reports can call denials false negatives or true positives.
 
 Files created mid-trace (CREATE, or COPY to a fresh path) receive ids from
 a monotone counter starting past the highest snapshot fid; later lines
-reference them by those ids. The parser mirrors that allocation so it can
-reject dangling references statically. Paths are absolute, ``/``-separated
-and contain no spaces, ``.`` or ``..`` segments.
+reference them by those ids. The parser is the one place that allocates
+them: it puts each one on its event (``Create.new_fid``, ``Copy.dst_fid``),
+and the engines and the oracle only look ids up. An id is used up when the
+line is parsed, so a create or copy the engine later denies still takes
+one, and ids never depend on the exception store. The parser also rejects
+dangling references statically. The resolved ids are not written back by
+``render_trace``; they follow from the lines. Paths are absolute,
+``/``-separated and contain no spaces, ``.`` or ``..`` segments.
 
 Parsing is total: arbitrary bytes yield either a Trace or a positioned
 TraceParseError, never a crash.
@@ -366,10 +371,11 @@ class _Parser:
             src = self.known_fid(line_no, "src", fields["src"])
             dst_path = self.parse_path(line_no, "dst", fields["dst"])
             perms = self.parse_perms(line_no, fields["perms"])
-            if dst_path not in self.fid_by_path:
+            dst_fid = self.fid_by_path.get(dst_path)
+            if dst_fid is None:
                 self.require_parent_dir(line_no, dst_path)
-                self.allocate_fid(src in self.dir_fids, dst_path)
-            self.events.append(Copy(seq, pid, src, dst_path, perms, fields["owner"]))
+                dst_fid = self.allocate_fid(src in self.dir_fids, dst_path)
+            self.events.append(Copy(seq, pid, src, dst_path, perms, fields["owner"], dst_fid))
         elif verb == "CREATE":
             pid = self.known_pid(line_no, "pid", fields["pid"])
             path = self.parse_path(line_no, "path", fields["path"])
@@ -378,8 +384,8 @@ class _Parser:
             perms = self.parse_perms(line_no, fields["perms"])
             is_dir = self.parse_flag(line_no, "dir", fields["dir"])
             self.require_parent_dir(line_no, path)
-            self.allocate_fid(is_dir, path)
-            self.events.append(Create(seq, pid, path, perms, fields["owner"], is_dir))
+            fid = self.allocate_fid(is_dir, path)
+            self.events.append(Create(seq, pid, path, perms, fields["owner"], is_dir, fid))
         elif verb in ("WRITE", "READ"):
             pid = self.known_pid(line_no, "pid", fields["pid"])
             fid = self.known_fid(line_no, "fid", fields["fid"])

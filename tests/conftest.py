@@ -78,15 +78,26 @@ def small_config() -> EngineConfig:
 
 
 class Driver:
-    """Feeds events to an engine with automatic sequence numbers."""
+    """Feeds events to an engine with automatic sequence numbers, and gives
+    created files their ids as the trace parser does: every create and
+    every copy to a path not seen before takes the next id, allowed or not."""
 
     def __init__(self, engine: Engine):
         self.engine = engine
         self._seq = 0
+        self._fid_by_path = {f.path: f.fid for f in engine.files.values()}
+        self._next_fid = max(engine.files, default=0) + 1
 
     def _next(self) -> int:
         self._seq += 1
         return self._seq
+
+    def _fid(self, path: str) -> int:
+        fid = self._fid_by_path.get(path)
+        if fid is None:
+            fid = self._fid_by_path[path] = self._next_fid
+            self._next_fid += 1
+        return fid
 
     def fork(self, parent: int, child: int):
         return self.engine.step(Fork(self._next(), parent, child))
@@ -107,10 +118,12 @@ class Driver:
         return self.engine.step(Unmount(self._next(), mount_id))
 
     def copy(self, pid: int, src: int, dst: str, perms: str, owner: str = "root"):
-        return self.engine.step(Copy(self._next(), pid, src, dst, perms, owner))
+        return self.engine.step(Copy(self._next(), pid, src, dst, perms, owner, self._fid(dst)))
 
     def create(self, pid: int, path: str, perms: str, owner: str = "root", is_dir: bool = False):
-        return self.engine.step(Create(self._next(), pid, path, perms, owner, is_dir))
+        return self.engine.step(
+            Create(self._next(), pid, path, perms, owner, is_dir, self._fid(path))
+        )
 
     def write(self, pid: int, fid: int):
         return self.engine.step(Write(self._next(), pid, fid))

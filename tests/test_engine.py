@@ -15,9 +15,11 @@ from conftest import (
     make_driver,
     small_config,
 )
-from cumac.engine import Engine, EngineConfig, new_engine
+from cumac.engine import Engine, EngineConfig
 from cumac.errors import ConfigError, TraceError
 from cumac.model import (
+    Copy,
+    Create,
     DenyReason,
     ExceptionKind,
     FileRecord,
@@ -35,7 +37,7 @@ NI = TaintState.NON_INTRUSION
 
 class TestNewEngine:
     def test_empty_config(self):
-        engine = new_engine(EngineConfig(), ExceptionStore())
+        engine = Engine(EngineConfig(), ExceptionStore())
         assert engine.processes == {}
         assert engine.files == {}
         assert engine.decision_log == []
@@ -45,7 +47,7 @@ class TestNewEngine:
             users={"root": UserRecord("root", True)},
             files=[FileRecord(fid=10, path="/bin/sh", perms=PermissionBits.parse("755"))],
         )
-        engine = new_engine(config, ExceptionStore())
+        engine = Engine(config, ExceptionStore())
         assert engine.files[10].path == "/bin/sh"
         assert engine.files[10].taint is NI
 
@@ -57,7 +59,7 @@ class TestNewEngine:
             ]
         )
         with pytest.raises(ConfigError, match="duplicate fid 10"):
-            new_engine(config, ExceptionStore())
+            Engine(config, ExceptionStore())
 
     def test_duplicate_path_rejected(self):
         config = EngineConfig(
@@ -67,7 +69,7 @@ class TestNewEngine:
             ]
         )
         with pytest.raises(ConfigError, match="duplicate path"):
-            new_engine(config, ExceptionStore())
+            Engine(config, ExceptionStore())
 
     def test_configs_are_reusable(self):
         config = small_config()
@@ -340,12 +342,6 @@ class TestCreate:
         with pytest.raises(TraceError, match="parent directory"):
             driver.create(1, "/opt/x", "644")
 
-    def test_denied_create_still_reserves_the_fid(self, driver):
-        driver.taint_via_net(1)
-        driver.create(1, "/etc/backdoor.conf", "644")  # denied, reserves 13
-        driver.create(1, "/tmp/next", "644")  # allowed
-        assert driver.engine._files_by_path["/tmp/next"] == LS + 2
-
 
 class TestWrite:
     def test_tainted_write_to_protected_binary_denied(self, driver):
@@ -458,16 +454,6 @@ class TestSecureLearning:
         d.priv(1, "CAP_CHOWN")
         assert d.engine.store.triple_count() == 0
 
-    def test_file_record_exception_list_is_a_read_through_view(self, secure_driver):
-        d = secure_driver
-        entries = d.file(LS).file_exceptions
-        assert entries == []
-        d.taint_via_net(1)
-        d.write(1, LS)  # recorded against the central store
-        assert len(entries) == 1
-        assert entries[0].key == SH
-        assert entries[0].modes.write is True
-
 
 def _state_fingerprint(engine: Engine):
     procs = {p.pid: (p.key, p.taint, p.user, p.parent) for p in engine.processes.values()}
@@ -476,6 +462,40 @@ def _state_fingerprint(engine: Engine):
         for f in engine.files.values()
     }
     return (procs, files, dict(engine.mounts))
+
+
+def _full_state(engine: Engine):
+    return (
+        repr(engine.processes),
+        repr(engine.files),
+        dict(engine._files_by_path),
+        dict(engine.mounts),
+        engine.store.save(),
+        len(engine.decision_log),
+    )
+
+
+class TestLibraryEvents:
+    """Events built by library code carry ids no parser has checked; an id
+    that contradicts engine state is refused before anything changes, even
+    where a tainted actor in the Secure environment would record a grant."""
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (Create(99, 1, "/etc/new.conf", "755", "root", False, HOSTS), "fid 7 already live"),
+            (Copy(99, 1, USB_TOOL, "/etc/hosts", "644", "root", SHADOW), "names '/etc/shadow'"),
+            (Copy(99, 1, USB_TOOL, "/etc/hosts", "644", "root", 99), "already exists"),
+        ],
+    )
+    def test_contradicting_ids_leave_state_unchanged(self, secure_driver, event, message):
+        d = secure_driver
+        d.taint_via_net(1)
+        d.mount(1, "/mnt/usb")
+        before = _full_state(d.engine)
+        with pytest.raises(TraceError, match=message):
+            d.engine.step(event)
+        assert _full_state(d.engine) == before
 
 
 class TestInvariants:

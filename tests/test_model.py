@@ -18,7 +18,6 @@ from cumac.model import (
     file_entity,
     is_integrity_protected,
     is_sensitivity_protected,
-    parse_perms,
     proc_entity,
     validate_capability,
 )
@@ -26,40 +25,40 @@ from cumac.model import (
 
 class TestPermissionBits:
     def test_755(self):
-        bits = parse_perms("755")
+        bits = PermissionBits.parse("755")
         assert bits.owner_read and bits.owner_write and bits.owner_exec
         assert bits.group_read and not bits.group_write and bits.group_exec
         assert bits.other_read and not bits.other_write and bits.other_exec
 
     def test_000_all_false(self):
-        bits = parse_perms("000")
+        bits = PermissionBits.parse("000")
         assert bits == PermissionBits()
 
     def test_644(self):
-        bits = parse_perms("644")
+        bits = PermissionBits.parse("644")
         assert bits.other_read is True
         assert bits.other_write is False
 
     def test_round_trip_all_512(self):
         for value in range(512):
             text = format(value, "03o")
-            assert parse_perms(text).render() == text
+            assert PermissionBits.parse(text).render() == text
 
     def test_error_names_offending_character(self):
         with pytest.raises(PermsFormatError, match="'9'"):
-            parse_perms("955")
+            PermissionBits.parse("955")
         with pytest.raises(PermsFormatError, match="'x'"):
-            parse_perms("7x5")
+            PermissionBits.parse("7x5")
 
     def test_wrong_length_rejected(self):
         for bad in ("", "7", "7777", "75"):
             with pytest.raises(PermsFormatError):
-                parse_perms(bad)
+                PermissionBits.parse(bad)
 
     @given(st.text(max_size=6))
     def test_parse_total(self, text):
         try:
-            bits = parse_perms(text)
+            bits = PermissionBits.parse(text)
         except PermsFormatError:
             return
         assert bits.render() == text
@@ -67,7 +66,7 @@ class TestPermissionBits:
 
 class TestProtectionPredicates:
     def _file(self, perms, is_dir=False):
-        return FileRecord(fid=1, path="/x", perms=parse_perms(perms), is_directory=is_dir)
+        return FileRecord(fid=1, path="/x", perms=PermissionBits.parse(perms), is_directory=is_dir)
 
     def test_integrity_755(self):
         assert is_integrity_protected(self._file("755")) is True

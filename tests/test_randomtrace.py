@@ -12,6 +12,7 @@ class TestValidity:
             reparsed = parse_trace(render_trace(trace))
             assert len(reparsed.events) == 600
             assert render_trace(reparsed) == render_trace(trace)
+            assert reparsed.events == trace.events
 
     def test_exact_event_count(self):
         for events in (1, 10, 257):

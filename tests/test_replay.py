@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from cumac import scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceError
-from cumac.model import ALLOW, Read
+from cumac.lwm import compare
+from cumac.model import ALLOW, Read, Verdict
+from cumac.oracle import taint_oracle
 from cumac.randomtrace import random_trace
 from cumac.replay import ReplayReport, learn, replay
 from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
@@ -29,6 +31,25 @@ DANGLING_WRITE_TRACE = (
     "NET pid=1 peer=203.0.113.5\n"
     "CREATE pid=1 path=/etc/evil perms=644 owner=root dir=0\n"  # denied: no file
     "WRITE pid=1 fid=5\n"  # dangles at replay time
+)
+
+# Enforcing, the create of /etc/evil is denied, and the copy to the same
+# path then makes the file. Both lines name one file, fid 4, in every
+# environment, so /etc/other is fid 5 whatever the store allowed.
+STORE_DEPENDENT_IDS_TRACE = (
+    "cumac-trace v1\n"
+    "USER root trusted=1\n"
+    "FILE fid=1 path=/ perms=755 owner=root dir=1\n"
+    "FILE fid=2 path=/etc perms=755 owner=root dir=1\n"
+    "FILE fid=3 path=/etc/tool perms=755 owner=root dir=0\n"
+    "PROC pid=1 key=3 user=root\n"
+    "PROC pid=2 key=3 user=root\n"
+    "NET pid=1 peer=203.0.113.9\n"  # pid 1 tainted
+    "CREATE pid=1 path=/etc/evil perms=755 owner=root dir=0\n"
+    "COPY pid=2 src=3 dst=/etc/evil perms=755 owner=root\n"
+    "CREATE pid=2 path=/etc/other perms=644 owner=root dir=0\n"
+    "WRITE pid=2 fid=5\n"
+    "EXEC pid=2 fid=4\n"
 )
 
 # Paths, user names and a peer with non-ASCII characters (one outside the
@@ -163,6 +184,36 @@ class TestPurity:
         replay(trace, EnvironmentBit.SECURE, store)
         assert store.checksum() != before
 
+    def test_enforcing_over_an_empty_store_makes_no_file_lists(self):
+        store = ExceptionStore()
+        report = replay(random_trace(seed=7, events=2000), EnvironmentBit.UNSECURE, store)
+        assert report.deny_count > 0
+        assert store._file_lists == {}
+
+
+class TestIdsDoNotDependOnTheStore:
+    @pytest.mark.parametrize("mode", list(EnvironmentBit))
+    def test_each_file_keeps_its_parsed_id(self, mode):
+        trace = parse_trace(STORE_DEPENDENT_IDS_TRACE)
+        engine = Engine(EngineConfig.from_trace(trace), ExceptionStore(mode))
+        verdicts = [engine.step(ev).verdict for ev in trace.events]
+        create_denied = mode is EnvironmentBit.UNSECURE
+        assert (verdicts[1] is Verdict.DENY) is create_denied
+        assert verdicts.count(Verdict.DENY) == int(create_denied)
+        assert trace.events[4].fid == 5
+        assert engine.files[4].path == "/etc/evil"
+        assert engine.files[5].path == "/etc/other"
+
+    @pytest.mark.parametrize("mode", list(EnvironmentBit))
+    def test_the_oracle_and_the_comparison_agree(self, mode):
+        trace = parse_trace(STORE_DEPENDENT_IDS_TRACE)
+        report = replay(trace, mode, ExceptionStore())
+        assert report.event_count == 6
+        verdicts = [decision.verdict for _, decision in report.log]
+        assert sorted(taint_oracle(trace, verdicts)) == sorted(report.final_taint)
+        comparison = compare(trace, ExceptionStore())
+        assert comparison.event_count == 6
+
 
 class TestDeterminism:
     def test_decision_logs_are_byte_identical(self):
@@ -223,6 +274,12 @@ class TestReportForms:
         assert priv_row["verdict"] == "Deny"
         assert priv_row["reason"] == "PrivilegedOp"
         assert priv_row["args"] == {"pid": 3, "capability": "CAP_SYS_MODULE"}
+
+    def test_rows_show_no_resolved_ids(self):
+        report = replay(parse_trace(STORE_DEPENDENT_IDS_TRACE), EnvironmentBit.SECURE)
+        rows = report.decision_rows()
+        assert sorted(rows[1]["args"]) == ["is_directory", "owner", "path", "perms", "pid"]
+        assert sorted(rows[2]["args"]) == ["dst_owner", "dst_path", "dst_perms", "pid", "src_fid"]
 
     def test_trace_errors_abort_with_sequence_number(self):
         trace = parse_trace(DANGLING_WRITE_TRACE)

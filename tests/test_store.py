@@ -65,7 +65,7 @@ class TestPriv:
         store = secure_store()
         assert store.record_priv_exception(10, "CAP_KILL") is True
         assert store.record_priv_exception(10, "CAP_KILL") is False
-        assert store.priv_entry(10).capabilities == {"CAP_KILL"}
+        assert list(store.iter_priv_pairs()) == [(10, "CAP_KILL")]
 
     def test_key_isolation(self):
         store = secure_store()

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from cumac import scenarios
+from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceParseError
-from cumac.model import Copy, Create, IpcChannel, PrivOp
+from cumac.model import Copy, Create, IpcChannel, PrivOp, Verdict
+from cumac.store import ExceptionStore
 from cumac.trace import parse_trace, render_trace
 
 HEADER = "cumac-trace v1\n"
@@ -154,6 +156,7 @@ class TestFidMirroring:
         )
         trace = parse_trace(text)
         assert len(trace.events) == 4
+        assert [ev.new_fid for ev in trace.events[:2]] == [5, 6]
 
     def test_reference_before_creation_rejected(self):
         text = SMALL + "WRITE pid=1 fid=5\nCREATE pid=1 path=/tmp/a perms=644 owner=root dir=0\n"
@@ -164,6 +167,7 @@ class TestFidMirroring:
         text = SMALL + "COPY pid=1 src=3 dst=/tmp/sh.bak perms=755 owner=root\n" + "WRITE pid=1 fid=5\n"
         trace = parse_trace(text)
         assert isinstance(trace.events[0], Copy)
+        assert trace.events[0].dst_fid == 5
 
     def test_copy_to_existing_path_does_not_allocate(self):
         text = (
@@ -174,6 +178,24 @@ class TestFidMirroring:
         )
         trace = parse_trace(text)
         assert isinstance(trace.events[1], Create)
+        assert trace.events[0].dst_fid == 3
+        assert trace.events[1].new_fid == 5
+
+    def test_a_create_the_engine_denies_still_uses_its_id(self):
+        text = (
+            SMALL
+            + "NET pid=1 peer=203.0.113.5\n"
+            + "CREATE pid=1 path=/bin/evil perms=755 owner=root dir=0\n"
+            + "CREATE pid=1 path=/tmp/next perms=644 owner=root dir=0\n"
+            + "WRITE pid=1 fid=6\n"
+        )
+        trace = parse_trace(text)
+        assert [trace.events[1].new_fid, trace.events[2].new_fid] == [5, 6]
+        engine = Engine(EngineConfig.from_trace(trace), ExceptionStore())
+        verdicts = [engine.step(ev).verdict for ev in trace.events]
+        assert verdicts[1] is Verdict.DENY
+        assert 5 not in engine.files
+        assert engine.files[6].path == "/tmp/next"
 
 
 class TestScenarioFixtures:
