@@ -8,7 +8,7 @@ deterministic state machine. A low-water-mark integrity engine over the
 same event vocabulary serves as the compatibility baseline.
 """
 
-from .engine import DEFAULT_LOOPBACK_PREFIXES, Engine, EngineConfig
+from .engine import Engine, EngineConfig
 from .errors import (
     ConfigError,
     CumacError,
@@ -48,7 +48,6 @@ __all__ = [
     "ComparisonReport",
     "ConfigError",
     "CumacError",
-    "DEFAULT_LOOPBACK_PREFIXES",
     "Decision",
     "DenyReason",
     "Engine",

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError, TraceError
 from .model import (
     ALLOW,
+    LOOPBACK_PREFIXES,
     Copy,
     Create,
     Decision,
@@ -58,7 +59,6 @@ from .model import (
     Read,
     RemoteComm,
     TaintState,
-    TaintUpdate,
     Unmount,
     UserRecord,
     Verdict,
@@ -73,8 +73,6 @@ from .model import (
 )
 from .store import AccessMode, EnvironmentBit, ExceptionStore
 
-DEFAULT_LOOPBACK_PREFIXES = ("127.", "::1")
-
 _PI = TaintState.POTENTIAL_INTRUSION
 _NI = TaintState.NON_INTRUSION
 
@@ -85,18 +83,37 @@ _DENIED = {
     for reason in DenyReason
     if reason is not DenyReason.NONE
 }
-_BY_FILE_EXCEPTION = {
-    reason: Decision(Verdict.ALLOW_BY_EXCEPTION, reason, ExceptionKind.FILE_LIST)
-    for reason in (DenyReason.INTEGRITY_WRITE, DenyReason.SENSITIVITY_READ)
+_FILE_OUTCOMES = {
+    mode: (Decision(Verdict.ALLOW_BY_EXCEPTION, reason, ExceptionKind.FILE_LIST), _DENIED[reason])
+    for mode, reason in (
+        (AccessMode.WRITE, DenyReason.INTEGRITY_WRITE),
+        (AccessMode.READ, DenyReason.SENSITIVITY_READ),
+    )
 }
+"""Per access mode, the decisions for a file access that a tainted process
+makes by exception and for one that it is refused."""
 _BY_PRIV_EXCEPTION = Decision(
     Verdict.ALLOW_BY_EXCEPTION, DenyReason.PRIVILEGED_OP, ExceptionKind.PRIVILEGE_LIST
 )
 
 
+def _tainting(decision: Decision, *records: ProcessRecord | FileRecord) -> Decision:
+    """Taint each untainted record, in order, and return ``decision`` with
+    those transitions; ``decision`` itself when nothing changed."""
+    updates = []
+    for rec in records:
+        if rec.taint is _NI:
+            rec.taint = _PI
+            entity = proc_entity(rec.pid) if type(rec) is ProcessRecord else file_entity(rec.fid)
+            updates.append((entity, _NI, _PI))
+    if not updates:
+        return decision
+    return Decision(decision.verdict, decision.reason, decision.exception_kind, tuple(updates))
+
+
 @dataclass(slots=True)
 class EngineConfig:
-    """Initial snapshot and policy knobs for one engine run.
+    """Initial snapshot for one engine run.
 
     The snapshot must be internally consistent (unique ids and paths) and
     start clean: no seed may carry a potential-intrusion label.
@@ -105,7 +122,6 @@ class EngineConfig:
     users: dict[str, UserRecord] = field(default_factory=dict)
     files: list[FileRecord] = field(default_factory=list)
     processes: list[ProcessRecord] = field(default_factory=list)
-    loopback_prefixes: tuple[str, ...] = DEFAULT_LOOPBACK_PREFIXES
 
     @classmethod
     def from_trace(cls, trace, trusted_users: set[str] | None = None) -> "EngineConfig":
@@ -153,24 +169,14 @@ def _parent_path(path: str) -> str:
 
 
 class Engine:
-    """Applies one event at a time, emits a Decision per event, and keeps
-    the append-only decision log.
+    """Applies one event at a time and returns its Decision; the caller
+    keeps whatever log it needs.
 
     One instance is single-threaded; distinct instances may run in
     parallel. The environment bit lives on the exception store.
     """
 
-    __slots__ = (
-        "config",
-        "store",
-        "processes",
-        "files",
-        "mounts",
-        "_logged_events",
-        "_decisions",
-        "_files_by_path",
-        "_handlers",
-    )
+    __slots__ = ("config", "store", "processes", "files", "mounts", "_files_by_path", "_handlers")
 
     def __init__(self, config: EngineConfig, store: ExceptionStore):
         config.validate()
@@ -180,11 +186,6 @@ class Engine:
         self.files: dict[int, FileRecord] = {}
         self._files_by_path: dict[str, int] = {}
         self.mounts: dict[int, str] = {}
-        # The decision log, kept as two parallel lists so that a step stores
-        # two references rather than allocating a pair that lives as long
-        # as the engine.
-        self._logged_events: list[Event] = []
-        self._decisions: list[Decision] = []
         for proc in config.processes:
             self.processes[proc.pid] = replace(proc)
         for f in config.files:
@@ -207,26 +208,27 @@ class Engine:
         }
 
     def step(self, event: Event) -> Decision:
-        """Apply one event: decide against pre-event state, mutate only on
-        non-deny verdicts, append to the decision log."""
+        """Apply one event: decide against pre-event state and mutate only
+        on non-deny verdicts."""
         handler = self._handlers.get(type(event))
         if handler is None:
             raise TraceError(event.seq, f"unknown event kind {type(event).__name__}")
-        decision = handler(event)
-        self._logged_events.append(event)
-        self._decisions.append(decision)
-        return decision
-
-    @property
-    def decision_log(self) -> list[tuple[Event, Decision]]:
-        """Every applied event with its decision, in order (a new list on
-        each access)."""
-        return list(zip(self._logged_events, self._decisions))
+        return handler(event)
 
     def tainted_entities(self) -> set[str]:
         tainted = {proc_entity(p.pid) for p in self.processes.values() if p.taint is _PI}
         tainted.update(file_entity(f.fid) for f in self.files.values() if f.taint is _PI)
         return tainted
+
+    def file_on_mobile_mount(self, f: FileRecord) -> bool:
+        """Whether a file counts as mobile-storage content right now; the
+        observation is memoized on the record."""
+        if f.on_mobile_mount:
+            return True
+        if self.mounts and under_live_mount(self.mounts, f.path):
+            f.on_mobile_mount = True
+            return True
+        return False
 
     # -- lookups -------------------------------------------------------------
 
@@ -242,45 +244,70 @@ class Engine:
             raise TraceError(seq, f"unknown fid {fid}")
         return f
 
-    # -- taint plumbing --------------------------------------------------------
+    # -- critical operations and writes -----------------------------------------
 
-    @staticmethod
-    def _taint_proc(proc: ProcessRecord, updates: list[TaintUpdate]) -> None:
-        if proc.taint is _NI:
-            proc.taint = _PI
-            updates.append((proc_entity(proc.pid), _NI, _PI))
-
-    @staticmethod
-    def _taint_file(f: FileRecord, updates: list[TaintUpdate]) -> None:
-        if f.taint is _NI:
-            f.taint = _PI
-            updates.append((file_entity(f.fid), _NI, _PI))
-
-    # -- critical-operation mediation ---------------------------------------------
-    #
-    # Both helpers are reached only for deny candidates (tainted process,
-    # protected target). Secure environment: permit and record. Unsecure:
-    # permit when the store already lists the access, refuse otherwise.
-
-    def _mediate_file(
-        self, proc: ProcessRecord, f: FileRecord, mode: AccessMode, reason: DenyReason
-    ) -> Decision:
+    def _mediate_file(self, proc: ProcessRecord, f: FileRecord, mode: AccessMode) -> Decision:
+        """Decide a deny candidate: a tainted process accessing a protected
+        file. Secure environment: permit and record. Unsecure: permit when
+        the store already lists the access, refuse otherwise."""
         store = self.store
         if store.bit is EnvironmentBit.SECURE:
             store.record_file_exception(proc.key, f.fid, mode)
             return ALLOW
-        if store.check_file_exception(proc.key, f.fid, mode):
-            return _BY_FILE_EXCEPTION[reason]
-        return _DENIED[reason]
+        by_exception, denied = _FILE_OUTCOMES[mode]
+        return by_exception if store.check_file_exception(proc.key, f.fid, mode) else denied
 
-    def _mediate_priv(self, proc: ProcessRecord, capability: str) -> Decision:
-        store = self.store
-        if store.bit is EnvironmentBit.SECURE:
-            store.record_priv_exception(proc.key, capability)
-            return ALLOW
-        if store.check_priv_exception(proc.key, capability):
-            return _BY_PRIV_EXCEPTION
-        return _DENIED[DenyReason.PRIVILEGED_OP]
+    def _write(self, proc: ProcessRecord, f: FileRecord, taints: bool) -> Decision:
+        """Write an existing file; when ``taints``, an allowed write taints
+        it if executable."""
+        decision = ALLOW
+        if proc.taint is _PI and is_integrity_protected(f):
+            decision = self._mediate_file(proc, f, AccessMode.WRITE)
+            if decision.verdict is Verdict.DENY:
+                return decision
+        return _tainting(decision, f) if taints and executable(f) else decision
+
+    def _create(
+        self,
+        seq: int,
+        proc: ProcessRecord,
+        fid: int,
+        path: str,
+        perms: str,
+        owner: str,
+        is_directory: bool,
+        taints: bool,
+    ) -> Decision:
+        """Make a file at a fresh path, which writes its parent directory.
+        A malformed event raises before anything changes; when ``taints``,
+        a new executable starts tainted."""
+        if path in self._files_by_path:
+            raise TraceError(seq, f"path {path!r} already exists")
+        if fid in self.files:
+            raise TraceError(seq, f"fid {fid} already live")
+        parent_fid = self._files_by_path.get(_parent_path(path))
+        if parent_fid is None:
+            raise TraceError(seq, f"parent directory of {path!r} does not exist")
+        parent = self.files[parent_fid]
+        if not parent.is_directory:
+            raise TraceError(seq, f"parent of {path!r} is not a directory")
+        bits = PermissionBits.parse(perms)
+        decision = ALLOW
+        if proc.taint is _PI and is_integrity_protected(parent):
+            decision = self._mediate_file(proc, parent, AccessMode.WRITE)
+            if decision.verdict is Verdict.DENY:
+                return decision
+        new = FileRecord(
+            fid=fid,
+            path=path,
+            perms=bits,
+            owner=owner,
+            is_directory=is_directory,
+            on_mobile_mount=under_live_mount(self.mounts, path),
+        )
+        self.files[fid] = new
+        self._files_by_path[path] = fid
+        return _tainting(decision, new) if taints and executable(new) else decision
 
     # -- event rules ------------------------------------------------------------
 
@@ -288,48 +315,24 @@ class Engine:
         parent = self._need_proc(ev.seq, ev.parent_pid)
         if ev.child_pid in self.processes:
             raise TraceError(ev.seq, f"pid {ev.child_pid} already live")
-        child = ProcessRecord(
-            pid=ev.child_pid,
-            key=parent.key,
-            taint=parent.taint,
-            user=parent.user,
-            parent=parent.pid,
-        )
+        child = ProcessRecord(pid=ev.child_pid, key=parent.key, user=parent.user, parent=parent.pid)
         self.processes[ev.child_pid] = child
-        if child.taint is _PI:
-            return Decision(Verdict.ALLOW, taint_updates=((proc_entity(child.pid), _NI, _PI),))
-        return ALLOW
+        return _tainting(ALLOW, child) if parent.taint is _PI else ALLOW
 
     def _on_exec(self, ev: Exec) -> Decision:
         proc = self._need_proc(ev.seq, ev.pid)
         f = self._need_file(ev.seq, ev.fid)
         if not executable(f):
             raise TraceError(ev.seq, f"fid {ev.fid} is not executable")
-        mobile = self.file_on_mobile_mount(f)
-        taints_proc = f.taint is _PI or mobile or proc.taint is _PI
         proc.key = f.fid
-        if not taints_proc:
-            return ALLOW
-        updates: list[TaintUpdate] = []
-        if mobile:
+        if self.file_on_mobile_mount(f):
             # The mobile executable is the entrance entity itself.
-            self._taint_file(f, updates)
-        self._taint_proc(proc, updates)
-        if not updates:
-            return ALLOW
-        return Decision(Verdict.ALLOW, taint_updates=tuple(updates))
+            return _tainting(ALLOW, f, proc)
+        return _tainting(ALLOW, proc) if f.taint is _PI else ALLOW
 
     def _on_remote_comm(self, ev: RemoteComm) -> Decision:
         proc = self._need_proc(ev.seq, ev.pid)
-        peer = ev.peer_address
-        for prefix in self.config.loopback_prefixes:
-            if peer.startswith(prefix):
-                return ALLOW
-        if proc.taint is _PI:
-            return ALLOW
-        updates: list[TaintUpdate] = []
-        self._taint_proc(proc, updates)
-        return Decision(Verdict.ALLOW, taint_updates=tuple(updates))
+        return ALLOW if ev.peer_address.startswith(LOOPBACK_PREFIXES) else _tainting(ALLOW, proc)
 
     def _on_login(self, ev: Login) -> Decision:
         proc = self._need_proc(ev.seq, ev.pid)
@@ -337,11 +340,7 @@ class Engine:
         if user is None:
             raise TraceError(ev.seq, f"unknown user {ev.user!r}")
         proc.user = user.name
-        if user.trusted or proc.taint is _PI:
-            return ALLOW
-        updates: list[TaintUpdate] = []
-        self._taint_proc(proc, updates)
-        return Decision(Verdict.ALLOW, taint_updates=tuple(updates))
+        return ALLOW if user.trusted else _tainting(ALLOW, proc)
 
     def _on_mount(self, ev: Mount) -> Decision:
         if ev.mount_id in self.mounts:
@@ -362,16 +361,6 @@ class Engine:
         del self.mounts[ev.mount_id]
         return ALLOW
 
-    def file_on_mobile_mount(self, f: FileRecord) -> bool:
-        """Whether a file counts as mobile-storage content right now; the
-        observation is memoized on the record."""
-        if f.on_mobile_mount:
-            return True
-        if self.mounts and under_live_mount(self.mounts, f.path):
-            f.on_mobile_mount = True
-            return True
-        return False
-
     def _on_copy(self, ev: Copy) -> Decision:
         proc = self._need_proc(ev.seq, ev.pid)
         src = self._need_file(ev.seq, ev.src_fid)
@@ -380,117 +369,38 @@ class Engine:
         src_mobile = src.on_mobile_mount or (
             bool(self.mounts) and under_live_mount(self.mounts, src.path)
         )
+        taints = src_mobile or src.taint is _PI or proc.taint is _PI
         dst = self.files.get(ev.dst_fid)
-        tainted = proc.taint is _PI
-
         if dst is None:
-            if ev.dst_path in self._files_by_path:
-                raise TraceError(ev.seq, f"path {ev.dst_path!r} already exists")
-            parent = self._lookup_parent(ev.seq, ev.dst_path)
-            decision = ALLOW
-            if tainted and is_integrity_protected(parent):
-                decision = self._mediate_file(
-                    proc, parent, AccessMode.WRITE, DenyReason.INTEGRITY_WRITE
-                )
-            if decision.verdict is Verdict.DENY:
-                return decision
-            dst = self._register_file(
-                fid=ev.dst_fid,
-                path=ev.dst_path,
-                perms=PermissionBits.parse(ev.dst_perms),
-                owner=ev.dst_owner,
-                is_directory=src.is_directory,
+            decision = self._create(
+                ev.seq, proc, ev.dst_fid, ev.dst_path, ev.dst_perms, ev.dst_owner,
+                src.is_directory, taints,
             )
+        elif dst.path != ev.dst_path:
+            raise TraceError(ev.seq, f"fid {ev.dst_fid} names {dst.path!r}, not {ev.dst_path!r}")
         else:
-            if dst.path != ev.dst_path:
-                raise TraceError(
-                    ev.seq, f"fid {ev.dst_fid} names {dst.path!r}, not {ev.dst_path!r}"
-                )
-            decision = ALLOW
-            if tainted and is_integrity_protected(dst):
-                decision = self._mediate_file(
-                    proc, dst, AccessMode.WRITE, DenyReason.INTEGRITY_WRITE
-                )
-            if decision.verdict is Verdict.DENY:
-                return decision
-
-        if src_mobile:
+            decision = self._write(proc, dst, taints)
+        if src_mobile and decision.verdict is not Verdict.DENY:
             src.on_mobile_mount = True
-
-        if executable(dst) and (src_mobile or src.taint is _PI or tainted):
-            updates: list[TaintUpdate] = []
-            self._taint_file(dst, updates)
-            if updates:
-                if decision.verdict is Verdict.ALLOW_BY_EXCEPTION:
-                    return Decision(
-                        decision.verdict,
-                        decision.reason,
-                        decision.exception_kind,
-                        tuple(updates),
-                    )
-                return Decision(Verdict.ALLOW, taint_updates=tuple(updates))
         return decision
 
     def _on_create(self, ev: Create) -> Decision:
         proc = self._need_proc(ev.seq, ev.pid)
-        if ev.path in self._files_by_path:
-            raise TraceError(ev.seq, f"path {ev.path!r} already exists")
-        if ev.new_fid in self.files:
-            raise TraceError(ev.seq, f"fid {ev.new_fid} already live")
-        parent = self._lookup_parent(ev.seq, ev.path)
-        decision = ALLOW
-        if proc.taint is _PI and is_integrity_protected(parent):
-            decision = self._mediate_file(
-                proc, parent, AccessMode.WRITE, DenyReason.INTEGRITY_WRITE
-            )
-        if decision.verdict is Verdict.DENY:
-            return decision
-        new = self._register_file(
-            fid=ev.new_fid,
-            path=ev.path,
-            perms=PermissionBits.parse(ev.perms),
-            owner=ev.owner,
-            is_directory=ev.is_directory,
+        return self._create(
+            ev.seq, proc, ev.new_fid, ev.path, ev.perms, ev.owner, ev.is_directory,
+            proc.taint is _PI,
         )
-        if proc.taint is _PI and executable(new):
-            updates: list[TaintUpdate] = []
-            self._taint_file(new, updates)
-            if decision.verdict is Verdict.ALLOW_BY_EXCEPTION:
-                return Decision(
-                    decision.verdict, decision.reason, decision.exception_kind, tuple(updates)
-                )
-            return Decision(Verdict.ALLOW, taint_updates=tuple(updates))
-        return decision
 
     def _on_write(self, ev: Write) -> Decision:
         proc = self._need_proc(ev.seq, ev.pid)
         f = self._need_file(ev.seq, ev.fid)
-        if proc.taint is not _PI:
-            return ALLOW
-        decision = ALLOW
-        if is_integrity_protected(f):
-            decision = self._mediate_file(
-                proc, f, AccessMode.WRITE, DenyReason.INTEGRITY_WRITE
-            )
-            if decision.verdict is Verdict.DENY:
-                return decision
-        if executable(f) and f.taint is _NI:
-            updates: list[TaintUpdate] = []
-            self._taint_file(f, updates)
-            if decision.verdict is Verdict.ALLOW_BY_EXCEPTION:
-                return Decision(
-                    decision.verdict, decision.reason, decision.exception_kind, tuple(updates)
-                )
-            return Decision(Verdict.ALLOW, taint_updates=tuple(updates))
-        return decision
+        return self._write(proc, f, True) if proc.taint is _PI else ALLOW
 
     def _on_read(self, ev: Read) -> Decision:
         proc = self._need_proc(ev.seq, ev.pid)
         f = self._need_file(ev.seq, ev.fid)
         if proc.taint is _PI and is_sensitivity_protected(f):
-            return self._mediate_file(
-                proc, f, AccessMode.READ, DenyReason.SENSITIVITY_READ
-            )
+            return self._mediate_file(proc, f, AccessMode.READ)
         return ALLOW
 
     def _on_ipc(self, ev: Ipc) -> Decision:
@@ -498,45 +408,21 @@ class Engine:
             raise TraceError(ev.seq, f"ipc endpoints must differ (pid {ev.from_pid})")
         sender = self._need_proc(ev.seq, ev.from_pid)
         receiver = self._need_proc(ev.seq, ev.to_pid)
-        updates: list[TaintUpdate] = []
         if ev.channel is IpcChannel.SHARED_MEMORY:
             if sender.taint is _PI or receiver.taint is _PI:
-                self._taint_proc(sender, updates)
-                self._taint_proc(receiver, updates)
+                return _tainting(ALLOW, sender, receiver)
         elif sender.taint is _PI:
-            self._taint_proc(receiver, updates)
-        if not updates:
-            return ALLOW
-        return Decision(Verdict.ALLOW, taint_updates=tuple(updates))
+            return _tainting(ALLOW, receiver)
+        return ALLOW
 
     def _on_priv_op(self, ev: PrivOp) -> Decision:
         proc = self._need_proc(ev.seq, ev.pid)
         if proc.taint is not _PI:
             return ALLOW
-        return self._mediate_priv(proc, ev.capability)
-
-    # -- filesystem bookkeeping ---------------------------------------------------
-
-    def _lookup_parent(self, seq: int, path: str) -> FileRecord:
-        parent_fid = self._files_by_path.get(_parent_path(path))
-        if parent_fid is None:
-            raise TraceError(seq, f"parent directory of {path!r} does not exist")
-        parent = self.files[parent_fid]
-        if not parent.is_directory:
-            raise TraceError(seq, f"parent of {path!r} is not a directory")
-        return parent
-
-    def _register_file(
-        self, fid: int, path: str, perms: PermissionBits, owner: str, is_directory: bool
-    ) -> FileRecord:
-        rec = FileRecord(
-            fid=fid,
-            path=path,
-            perms=perms,
-            owner=owner,
-            is_directory=is_directory,
-            on_mobile_mount=under_live_mount(self.mounts, path),
-        )
-        self.files[fid] = rec
-        self._files_by_path[path] = fid
-        return rec
+        store = self.store
+        if store.bit is EnvironmentBit.SECURE:
+            store.record_priv_exception(proc.key, ev.capability)
+            return ALLOW
+        if store.check_priv_exception(proc.key, ev.capability):
+            return _BY_PRIV_EXCEPTION
+        return _DENIED[DenyReason.PRIVILEGED_OP]

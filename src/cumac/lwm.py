@@ -34,6 +34,7 @@ from .engine import Engine, EngineConfig, _parent_path
 from .errors import TraceError
 from .model import (
     ALLOW,
+    LOOPBACK_PREFIXES,
     Copy,
     Create,
     Decision,
@@ -79,7 +80,6 @@ class LwmEngine:
         self.config = config or EngineConfig.from_trace(trace)
         self.subject_levels: dict[int, IntegrityLevel] = {}
         self.object_levels: dict[int, IntegrityLevel] = {}
-        self.decision_log: list[tuple[Event, Decision]] = []
         self._fid_by_path: dict[str, int] = {}
         self._dir_fids: set[int] = set()
         self._mounts: dict[int, str] = {}
@@ -103,7 +103,7 @@ class LwmEngine:
         prefixes: set[str] = set()
         for ev in trace.events:
             if isinstance(ev, RemoteComm):
-                if not any(ev.peer_address.startswith(p) for p in self.config.loopback_prefixes):
+                if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
                     low_pids.add(ev.pid)
             elif isinstance(ev, Login):
                 user = self.config.users.get(ev.user)
@@ -140,19 +140,8 @@ class LwmEngine:
 
     # -- the step rule -------------------------------------------------------------
 
-    def step(self, event: Event) -> Decision:
-        decision = self._apply(event)
-        self.decision_log.append((event, decision))
-        return decision
-
-    def _apply(self, ev: Event) -> Decision:
-        if isinstance(ev, Read):
-            subject = self._need_subject(ev.seq, ev.pid)
-            obj = self._need_object(ev.seq, ev.fid)
-            if obj < subject:
-                self.subject_levels[ev.pid] = obj
-            return ALLOW
-        if isinstance(ev, Exec):
+    def step(self, ev: Event) -> Decision:
+        if isinstance(ev, (Read, Exec)):
             # Exec reads the binary, so the subject's level drops with it.
             subject = self._need_subject(ev.seq, ev.pid)
             obj = self._need_object(ev.seq, ev.fid)
@@ -232,9 +221,7 @@ class LwmEngine:
 
 def run_lwm(trace: Trace, config: EngineConfig | None = None) -> list[tuple[Event, Decision]]:
     engine = LwmEngine(trace, config)
-    for ev in trace.events:
-        engine.step(ev)
-    return engine.decision_log
+    return [(ev, engine.step(ev)) for ev in trace.events]
 
 
 # -- side-by-side comparison ----------------------------------------------------

@@ -163,6 +163,11 @@ def under_live_mount(mounts: dict[int, str], path: str) -> bool:
     return any(_covers(prefix, path) for prefix in mounts.values())
 
 
+LOOPBACK_PREFIXES = ("127.", "::1")
+"""Peer-address prefixes of the local host: talking to such a peer is no
+entrance. Used as ``peer.startswith(LOOPBACK_PREFIXES)``."""
+
+
 # --- entity identifiers -----------------------------------------------------
 #
 # Taint sets and reports mix processes and files, so they use namespaced

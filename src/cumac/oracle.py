@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .engine import Engine, EngineConfig
 from .model import (
+    LOOPBACK_PREFIXES,
     Copy,
     Create,
     Event,
@@ -98,7 +99,7 @@ class StructureMirror:
         return False
 
     def is_remote(self, peer: str) -> bool:
-        return not any(peer.startswith(p) for p in self.config.loopback_prefixes)
+        return not peer.startswith(LOOPBACK_PREFIXES)
 
     def is_untrusted(self, user: str) -> bool:
         record = self.config.users.get(user)

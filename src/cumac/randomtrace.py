@@ -195,14 +195,11 @@ def random_trace(
     seed: int = 0,
     events: int = 1000,
     include_entrances: bool = True,
-    weights: dict[str, float] | None = None,
 ) -> Trace:
     """Generate a valid trace of exactly ``events`` events."""
     rng = random.Random(seed)
     header, sim = _snapshot(rng)
     weight_map = dict(DEFAULT_WEIGHTS)
-    if weights:
-        weight_map.update(weights)
     if not include_entrances:
         weight_map["MOUNT"] = 0.0
         weight_map["UNMOUNT"] = 0.0

@@ -2,7 +2,9 @@
 
 A replay is deterministic: the same trace, config and store contents yield
 the same decision log byte for byte. In Secure mode the store is augmented
-with learned exceptions; in Unsecure mode it is strictly read-only.
+with learned exceptions; in Unsecure mode it is strictly read-only. The
+engine keeps no log: the replay loop collects each step's decision, and
+the report pairs the decisions with the trace's events.
 
 ``ReplayReport.to_json`` writes the structured report without building it:
 its bytes equal ``json.dumps(report.to_structured(), sort_keys=True,
@@ -18,8 +20,8 @@ each ``Engine.step`` call; only the median resists a stray slow event.
 The cyclic garbage collector is paused for the whole replay, the loop and
 the assembly of the report, and then restored to its prior state. A replay
 makes no reference cycles, so collections there would reclaim nothing; they
-would only walk the trace and the decision log, again and again as both
-grow.
+would only walk the trace and the collected decisions, again and again as
+both grow.
 """
 
 from __future__ import annotations
@@ -307,19 +309,21 @@ def replay(
 
         durations = array("q")
         append_duration = durations.append
+        decisions: list[Decision] = []
+        append_decision = decisions.append
         step = engine.step
         wall_start = perf_counter()
         for ev in trace.events:
             t0 = perf_counter_ns()
-            step(ev)
+            decision = step(ev)
             append_duration(perf_counter_ns() - t0)
+            append_decision(decision)
         wall = perf_counter() - wall_start
 
-        log = engine.decision_log
         allows = 0
         exception_allows = 0
         denies: dict[str, int] = {}
-        for _, decision in log:
+        for decision in decisions:
             verdict = decision.verdict
             if verdict is Verdict.ALLOW:
                 allows += 1
@@ -341,7 +345,7 @@ def replay(
             mode=mode,
             label=trace.header.label,
             event_count=len(trace.events),
-            log=log,
+            log=list(zip(trace.events, decisions)),
             final_taint=sorted(engine.tainted_entities(), key=entity_sort_key),
             allows=allows,
             denies_by_reason=denies,

@@ -80,10 +80,12 @@ def small_config() -> EngineConfig:
 class Driver:
     """Feeds events to an engine with automatic sequence numbers, and gives
     created files their ids as the trace parser does: every create and
-    every copy to a path not seen before takes the next id, allowed or not."""
+    every copy to a path not seen before takes the next id, allowed or not.
+    ``log`` holds each event it fed with its decision, in order."""
 
     def __init__(self, engine: Engine):
         self.engine = engine
+        self.log = []
         self._seq = 0
         self._fid_by_path = {f.path: f.fid for f in engine.files.values()}
         self._next_fid = max(engine.files, default=0) + 1
@@ -99,43 +101,48 @@ class Driver:
             self._next_fid += 1
         return fid
 
+    def _step(self, event):
+        decision = self.engine.step(event)
+        self.log.append((event, decision))
+        return decision
+
     def fork(self, parent: int, child: int):
-        return self.engine.step(Fork(self._next(), parent, child))
+        return self._step(Fork(self._next(), parent, child))
 
     def exec(self, pid: int, fid: int):
-        return self.engine.step(Exec(self._next(), pid, fid))
+        return self._step(Exec(self._next(), pid, fid))
 
     def net(self, pid: int, peer: str):
-        return self.engine.step(RemoteComm(self._next(), pid, peer))
+        return self._step(RemoteComm(self._next(), pid, peer))
 
     def login(self, pid: int, user: str):
-        return self.engine.step(Login(self._next(), pid, user))
+        return self._step(Login(self._next(), pid, user))
 
     def mount(self, mount_id: int, prefix: str):
-        return self.engine.step(Mount(self._next(), mount_id, prefix))
+        return self._step(Mount(self._next(), mount_id, prefix))
 
     def unmount(self, mount_id: int):
-        return self.engine.step(Unmount(self._next(), mount_id))
+        return self._step(Unmount(self._next(), mount_id))
 
     def copy(self, pid: int, src: int, dst: str, perms: str, owner: str = "root"):
-        return self.engine.step(Copy(self._next(), pid, src, dst, perms, owner, self._fid(dst)))
+        return self._step(Copy(self._next(), pid, src, dst, perms, owner, self._fid(dst)))
 
     def create(self, pid: int, path: str, perms: str, owner: str = "root", is_dir: bool = False):
-        return self.engine.step(
+        return self._step(
             Create(self._next(), pid, path, perms, owner, is_dir, self._fid(path))
         )
 
     def write(self, pid: int, fid: int):
-        return self.engine.step(Write(self._next(), pid, fid))
+        return self._step(Write(self._next(), pid, fid))
 
     def read(self, pid: int, fid: int):
-        return self.engine.step(Read(self._next(), pid, fid))
+        return self._step(Read(self._next(), pid, fid))
 
     def ipc(self, from_pid: int, to_pid: int, channel: IpcChannel):
-        return self.engine.step(Ipc(self._next(), from_pid, to_pid, channel))
+        return self._step(Ipc(self._next(), from_pid, to_pid, channel))
 
     def priv(self, pid: int, capability: str):
-        return self.engine.step(PrivOp(self._next(), pid, capability))
+        return self._step(PrivOp(self._next(), pid, capability))
 
     # shortcuts
     def taint_via_net(self, pid: int):

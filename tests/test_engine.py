@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import (
+    ETC_DIR,
     HOSTS,
     LS,
     SH,
@@ -16,7 +17,7 @@ from conftest import (
     small_config,
 )
 from cumac.engine import Engine, EngineConfig
-from cumac.errors import ConfigError, TraceError
+from cumac.errors import ConfigError, PermsFormatError, TraceError
 from cumac.model import (
     Copy,
     Create,
@@ -40,7 +41,6 @@ class TestNewEngine:
         engine = Engine(EngineConfig(), ExceptionStore())
         assert engine.processes == {}
         assert engine.files == {}
-        assert engine.decision_log == []
 
     def test_seed_identity(self):
         config = EngineConfig(
@@ -196,7 +196,7 @@ class TestMount:
         driver.mount(1, "/mnt/usb")
         driver.unmount(1)
         assert driver.engine.tainted_entities() == set()
-        assert all(d.verdict is Verdict.ALLOW for _, d in driver.engine.decision_log)
+        assert all(d.verdict is Verdict.ALLOW for _, d in driver.log)
 
     def test_file_created_under_live_mount_is_mobile(self, driver):
         driver.mount(1, "/mnt/usb")
@@ -342,6 +342,18 @@ class TestCreate:
         with pytest.raises(TraceError, match="parent directory"):
             driver.create(1, "/opt/x", "644")
 
+    def test_exception_allowed_create_still_taints_executable(self, driver):
+        store = driver.engine.store
+        store.bit = EnvironmentBit.SECURE
+        store.record_file_exception(SH, ETC_DIR, AccessMode.WRITE)
+        store.bit = EnvironmentBit.UNSECURE
+        driver.taint_via_net(1)
+        decision = driver.create(1, "/etc/cron.hourly", "755")
+        assert decision.verdict is Verdict.ALLOW_BY_EXCEPTION
+        assert decision.exception_kind is ExceptionKind.FILE_LIST
+        fid = driver.engine._files_by_path["/etc/cron.hourly"]
+        assert decision.taint_updates == ((f"file:{fid}", NI, PI),)
+
 
 class TestWrite:
     def test_tainted_write_to_protected_binary_denied(self, driver):
@@ -471,7 +483,6 @@ def _full_state(engine: Engine):
         dict(engine._files_by_path),
         dict(engine.mounts),
         engine.store.save(),
-        len(engine.decision_log),
     )
 
 
@@ -497,6 +508,22 @@ class TestLibraryEvents:
             d.engine.step(event)
         assert _full_state(d.engine) == before
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            Create(99, 1, "/etc/new.conf", "999", "root", False, 13),
+            Copy(99, 1, USB_TOOL, "/etc/tool", "999", "root", 13),
+        ],
+    )
+    def test_bad_perms_leave_state_unchanged(self, secure_driver, event):
+        d = secure_driver
+        d.taint_via_net(1)
+        d.mount(1, "/mnt/usb")
+        before = _full_state(d.engine)
+        with pytest.raises(PermsFormatError):
+            d.engine.step(event)
+        assert _full_state(d.engine) == before
+
 
 class TestInvariants:
     def test_denials_are_inert(self, driver):
@@ -506,17 +533,12 @@ class TestInvariants:
         assert decision.verdict is Verdict.DENY
         assert _state_fingerprint(driver.engine) == before
 
-    def test_decision_log_length_tracks_events(self, driver):
-        driver.fork(1, 30)
-        driver.net(30, "127.0.0.1")
-        assert len(driver.engine.decision_log) == 2
-
     def test_taint_is_monotone_over_a_session(self, driver):
         driver.taint_via_net(1)
         driver.fork(1, 30)
         driver.ipc(30, 2, IpcChannel.SHARED_MEMORY)
         driver.copy(2, SH, "/tmp/evil", "755")
-        for _, decision in driver.engine.decision_log:
+        for _, decision in driver.log:
             for _, old, new in decision.taint_updates:
                 assert old is NI and new is PI
 
@@ -529,7 +551,7 @@ class TestInvariants:
             d.priv(2, "CAP_SYS_MODULE")
             rows = [
                 (type(ev).__name__, dec.verdict.value, dec.reason.value, dec.taint_updates)
-                for ev, dec in d.engine.decision_log
+                for ev, dec in d.log
             ]
             return json.dumps(rows, default=str)
 
