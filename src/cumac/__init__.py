@@ -19,7 +19,7 @@ from .errors import (
     TraceError,
     TraceParseError,
 )
-from .lwm import ComparisonReport, IntegrityLevel, LwmEngine, compare, run_lwm
+from .lwm import ComparisonReport, IntegrityLevel, LwmEngine, compare
 from .model import (
     Decision,
     DenyReason,
@@ -83,6 +83,5 @@ __all__ = [
     "random_trace",
     "render_trace",
     "replay",
-    "run_lwm",
     "taint_oracle",
 ]

@@ -74,7 +74,11 @@ class IntegrityLevel(IntEnum):
 
 
 class LwmEngine:
-    """Two-level low-water-mark engine driven by the shared event types."""
+    """Two-level low-water-mark engine driven by the shared event types.
+
+    An engine serves the trace it was built from: it reads that trace's
+    mounts ahead, and a Mount of a prefix the trace never mounts relabels
+    nothing."""
 
     def __init__(self, trace: Trace, config: EngineConfig | None = None):
         self.config = config or EngineConfig.from_trace(trace)
@@ -85,15 +89,16 @@ class LwmEngine:
         self._mounts: dict[int, str] = {}
 
         low_pids, mobile_prefixes = self._prescan(trace)
+        # Per prefix the trace mounts, the High files under it that its next
+        # Mount makes Low. Levels never rise, so a Mount empties its list.
+        self._high_below: dict[str, list[int]] = {prefix: [] for prefix in mobile_prefixes}
         for proc in trace.header.processes:
             level = IntegrityLevel.LOW if proc.pid in low_pids else IntegrityLevel.HIGH
             self.subject_levels[proc.pid] = level
         for f in trace.header.files:
             mobile = any(_covers(prefix, f.path) for prefix in mobile_prefixes)
-            self.object_levels[f.fid] = IntegrityLevel.LOW if mobile else IntegrityLevel.HIGH
-            self._fid_by_path[f.path] = f.fid
-            if f.is_directory:
-                self._dir_fids.add(f.fid)
+            level = IntegrityLevel.LOW if mobile else IntegrityLevel.HIGH
+            self._register(f.fid, f.path, level, f.is_directory)
         self._low_pids = low_pids
 
     def _prescan(self, trace: Trace) -> tuple[set[int], set[str]]:
@@ -137,6 +142,15 @@ class LwmEngine:
         self._fid_by_path[path] = fid
         if is_dir:
             self._dir_fids.add(fid)
+        if level is IntegrityLevel.HIGH:
+            prefix = path
+            while True:
+                high = self._high_below.get(prefix)
+                if high is not None:
+                    high.append(fid)
+                if prefix == "/":
+                    break
+                prefix = _parent_path(prefix)
 
     # -- the step rule -------------------------------------------------------------
 
@@ -194,9 +208,9 @@ class LwmEngine:
             return _DENY_PRIV if subject < IntegrityLevel.HIGH else ALLOW
         if isinstance(ev, Mount):
             self._mounts[ev.mount_id] = ev.path_prefix
-            for path, fid in self._fid_by_path.items():
-                if _covers(ev.path_prefix, path):
-                    self.object_levels[fid] = IntegrityLevel.LOW
+            high = self._high_below.get(ev.path_prefix, [])
+            self.object_levels.update(dict.fromkeys(high, IntegrityLevel.LOW))
+            high.clear()
             return ALLOW
         if isinstance(ev, Unmount):
             self._mounts.pop(ev.mount_id, None)
@@ -217,11 +231,6 @@ class LwmEngine:
         if parent_fid is None:
             raise TraceError(seq, f"parent directory of {path!r} does not exist")
         return self.object_levels[parent_fid]
-
-
-def run_lwm(trace: Trace, config: EngineConfig | None = None) -> list[tuple[Event, Decision]]:
-    engine = LwmEngine(trace, config)
-    return [(ev, engine.step(ev)) for ev in trace.events]
 
 
 # -- side-by-side comparison ----------------------------------------------------

@@ -26,7 +26,6 @@ both grow.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 from array import array
@@ -40,12 +39,12 @@ from typing import Any
 from .engine import Engine, EngineConfig
 from .model import Decision, DenyReason, Event, ExceptionKind, Verdict, entity_sort_key
 from .store import EnvironmentBit, ExceptionStore
-from .trace import EVENT_VERBS, Trace
+from .trace import _EVENTS, EVENT_VERBS, Trace
 
 # -- decision rows --------------------------------------------------------------
 #
-# A row's ``args`` are the event's fields other than ``seq`` and the ids the
-# parser resolved for created files (``new_fid``, ``dst_fid``), in sorted
+# A row's ``args`` are the event attributes its trace line fills (so not
+# ``seq``, nor the ids the parser resolved for created files), in sorted
 # order, with enum members (the IPC channel) reported by their value. The
 # JSON text of a row is fixed by its event kind and decision outcome apart
 # from a few values, so ``to_json`` renders rows from pieces prepared here
@@ -56,11 +55,8 @@ _ITEM = "\n" + " " * 4  # a row of ``decisions``
 _ROW = "\n" + " " * 6  # a key of a row
 _NESTED = "\n" + " " * 8  # a key of ``args``, an item of ``taint_updates``
 
-_HIDDEN_FIELDS = ("seq", "new_fid", "dst_fid")
-
 _EVENT_ARGS: dict[type, tuple[str, ...]] = {
-    cls: tuple(sorted(f.name for f in dataclasses.fields(cls) if f.name not in _HIDDEN_FIELDS))
-    for cls in EVENT_VERBS
+    cls: tuple(sorted(attr for attr, _ in fields.values())) for cls, fields in _EVENTS.values()
 }
 """Per event kind, the names of the arguments a row shows."""
 

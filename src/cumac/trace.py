@@ -27,6 +27,11 @@ order. Snapshot lines may not follow the first event line.
 The optional ``LABEL benign|attack`` line classifies the workload so
 comparison reports can call denials false negatives or true positives.
 
+The event line format lives in one place, the ``_EVENTS`` table, which
+parsing, ``render_event`` and the ``args`` of report rows all read. A
+line's errors come in a fixed order: malformed fields, then a missing
+field, then an unexpected one, then the value checks in line order.
+
 Files created mid-trace (CREATE, or COPY to a fresh path) receive ids from
 a monotone counter starting past the highest snapshot fid; later lines
 reference them by those ids. The parser is the one place that allocates
@@ -45,6 +50,8 @@ TraceParseError, never a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
+from typing import Any, Callable
 
 from .errors import PermsFormatError, TraceParseError
 from .model import (
@@ -73,40 +80,10 @@ FORMAT_HEADER = "cumac-trace v1"
 
 LABELS = ("benign", "attack")
 
-_EVENT_FIELDS: dict[str, tuple[str, ...]] = {
-    "FORK": ("parent", "child"),
-    "EXEC": ("pid", "fid"),
-    "NET": ("pid", "peer"),
-    "LOGIN": ("pid", "user"),
-    "MOUNT": ("id", "prefix"),
-    "UNMOUNT": ("id",),
-    "COPY": ("pid", "src", "dst", "perms", "owner"),
-    "CREATE": ("pid", "path", "perms", "owner", "dir"),
-    "WRITE": ("pid", "fid"),
-    "READ": ("pid", "fid"),
-    "IPC": ("from", "to", "chan"),
-    "PRIV": ("pid", "cap"),
-}
-
 _SNAPSHOT_FIELDS: dict[str, tuple[str, ...]] = {
     "USER": ("trusted",),  # first token is the bare name
     "FILE": ("fid", "path", "perms", "owner", "dir"),
     "PROC": ("pid", "key", "user"),
-}
-
-EVENT_VERBS: dict[type, str] = {
-    Fork: "FORK",
-    Exec: "EXEC",
-    RemoteComm: "NET",
-    Login: "LOGIN",
-    Mount: "MOUNT",
-    Unmount: "UNMOUNT",
-    Copy: "COPY",
-    Create: "CREATE",
-    Write: "WRITE",
-    Read: "READ",
-    Ipc: "IPC",
-    PrivOp: "PRIV",
 }
 
 _CHANNELS = {c.value: c for c in IpcChannel}
@@ -155,92 +132,155 @@ class _Parser:
         self.saw_event = False
         self.saw_label = False
 
-    # -- field helpers ---------------------------------------------------------
-
-    def fail(self, line: int, message: str) -> "TraceParseError":
-        return TraceParseError(line, message)
-
-    def split_fields(
-        self, line_no: int, verb: str, tokens: list[str], expected: tuple[str, ...]
-    ) -> dict[str, str]:
+    def split_fields(self, line_no: int, verb: str, tokens: list[str], expected) -> dict[str, str]:
+        """The line's ``key=value`` tokens, once each; ``expected`` holds
+        the keys the line must have, in line order."""
         fields: dict[str, str] = {}
         for token in tokens:
             key, eq, value = token.partition("=")
             if not eq:
-                raise self.fail(line_no, f"malformed field {token!r} (want key=value)")
+                raise TraceParseError(line_no, f"malformed field {token!r} (want key=value)")
             if not key:
-                raise self.fail(line_no, f"malformed field {token!r} (empty key)")
+                raise TraceParseError(line_no, f"malformed field {token!r} (empty key)")
             if key in fields:
-                raise self.fail(line_no, f"duplicate field {key!r}")
+                raise TraceParseError(line_no, f"duplicate field {key!r}")
             if not value:
-                raise self.fail(line_no, f"empty value for field {key!r}")
+                raise TraceParseError(line_no, f"empty value for field {key!r}")
             fields[key] = value
         for name in expected:
             if name not in fields:
-                raise self.fail(line_no, f"{verb} is missing field {name!r}")
-        for name in fields:
-            if name not in expected:
-                raise self.fail(line_no, f"{verb} has unexpected field {name!r}")
+                raise TraceParseError(line_no, f"{verb} is missing field {name!r}")
+        if len(fields) > len(expected):  # no key is missing, so one is unexpected
+            for name in fields:
+                if name not in expected:
+                    raise TraceParseError(line_no, f"{verb} has unexpected field {name!r}")
         return fields
 
-    def parse_uint(self, line_no: int, label: str, token: str) -> int:
-        if not token.isdigit():
-            raise self.fail(line_no, f"{label} must be an unsigned integer, got {token!r}")
+    # -- field checks: (line number, key, text, values read so far) -> value ------
+
+    def uint(self, line_no: int, key: str, token: str, values=()) -> int:
+        if not token.isdecimal():
+            raise TraceParseError(line_no, f"{key} must be an unsigned integer, got {token!r}")
         return int(token)
 
-    def parse_flag(self, line_no: int, label: str, token: str) -> bool:
-        if token not in ("0", "1"):
-            raise self.fail(line_no, f"{label} must be 0 or 1, got {token!r}")
-        return token == "1"
+    def pid(self, line_no: int, key: str, token: str, values=()) -> int:
+        pid = self.uint(line_no, key, token)
+        if pid not in self.pids:
+            raise TraceParseError(line_no, f"unknown pid {pid}")
+        return pid
 
-    def parse_path(self, line_no: int, label: str, token: str) -> str:
+    def new_pid(self, line_no: int, key: str, token: str, values=()) -> int:
+        pid = self.uint(line_no, key, token)
+        if pid in self.pids:
+            raise TraceParseError(line_no, f"pid {pid} already live")
+        if pid == 0:
+            raise TraceParseError(line_no, f"{key} pid must be positive")
+        self.pids.add(pid)
+        return pid
+
+    def other_pid(self, line_no: int, key: str, token: str, values=()) -> int:
+        """A known pid other than the line's earlier ones (IPC's ``to``)."""
+        pid = self.pid(line_no, key, token)
+        if pid in values:
+            raise TraceParseError(line_no, "ipc endpoints must differ")
+        return pid
+
+    def fid(self, line_no: int, key: str, token: str, values=()) -> int:
+        fid = self.uint(line_no, key, token)
+        if fid not in self.fids:
+            raise TraceParseError(line_no, f"unknown fid {fid}")
+        return fid
+
+    def path(self, line_no: int, key: str, token: str, values=()) -> str:
         if not token.startswith("/"):
-            raise self.fail(line_no, f"{label} must be an absolute path, got {token!r}")
+            raise TraceParseError(line_no, f"{key} must be an absolute path, got {token!r}")
         if token == "/":
             return token
         if token.endswith("/"):
-            raise self.fail(line_no, f"{label} must not end with '/', got {token!r}")
+            raise TraceParseError(line_no, f"{key} must not end with '/', got {token!r}")
         for segment in token[1:].split("/"):
             if segment in ("", ".", ".."):
-                raise self.fail(line_no, f"{label} has invalid segment in {token!r}")
+                raise TraceParseError(line_no, f"{key} has invalid segment in {token!r}")
         return token
 
-    def parse_perms(self, line_no: int, token: str) -> str:
+    def new_path(self, line_no: int, key: str, token: str, values=()) -> str:
+        path = self.path(line_no, key, token)
+        if path in self.fid_by_path:
+            raise TraceParseError(line_no, f"path {path!r} already exists")
+        return path
+
+    def perms(self, line_no: int, key: str, token: str, values=()) -> str:
         try:
             PermissionBits.parse(token)
         except PermsFormatError as exc:
-            raise self.fail(line_no, str(exc)) from None
+            raise TraceParseError(line_no, str(exc)) from None
         return token
 
-    def known_fid(self, line_no: int, label: str, token: str) -> int:
-        fid = self.parse_uint(line_no, label, token)
-        if fid not in self.fids:
-            raise self.fail(line_no, f"unknown fid {fid}")
-        return fid
+    def flag(self, line_no: int, key: str, token: str, values=()) -> bool:
+        if token not in ("0", "1"):
+            raise TraceParseError(line_no, f"{key} must be 0 or 1, got {token!r}")
+        return token == "1"
 
-    def known_pid(self, line_no: int, label: str, token: str) -> int:
-        pid = self.parse_uint(line_no, label, token)
-        if pid not in self.pids:
-            raise self.fail(line_no, f"unknown pid {pid}")
-        return pid
+    def text(self, line_no: int, key: str, token: str, values=()) -> str:
+        return token
 
-    def allocate_fid(self, is_directory: bool, path: str) -> int:
-        fid = self.next_fid
-        self.next_fid += 1
+    def user(self, line_no: int, key: str, token: str, values=()) -> str:
+        if token not in self.users:
+            raise TraceParseError(line_no, f"unknown user {token!r}")
+        return token
+
+    def new_mount(self, line_no: int, key: str, token: str, values=()) -> int:
+        mount_id = self.uint(line_no, key, token)
+        if mount_id in self.live_mounts:
+            raise TraceParseError(line_no, f"mount id {mount_id} already live")
+        self.live_mounts.add(mount_id)
+        return mount_id
+
+    def live_mount(self, line_no: int, key: str, token: str, values=()) -> int:
+        mount_id = self.uint(line_no, key, token)
+        if mount_id not in self.live_mounts:
+            raise TraceParseError(line_no, f"mount id {mount_id} not live")
+        self.live_mounts.discard(mount_id)
+        return mount_id
+
+    def channel(self, line_no: int, key: str, token: str, values=()) -> IpcChannel:
+        channel = _CHANNELS.get(token)
+        if channel is None:
+            raise TraceParseError(
+                line_no, f"unknown channel {token!r} (want {'/'.join(sorted(_CHANNELS))})"
+            )
+        return channel
+
+    def capability(self, line_no: int, key: str, token: str, values=()) -> str:
+        try:
+            return validate_capability(token)
+        except ValueError as exc:
+            raise TraceParseError(line_no, str(exc)) from None
+
+    # -- files ----------------------------------------------------------------------
+
+    def register(self, fid: int, path: str, is_directory: bool) -> None:
         self.fids.add(fid)
         self.fid_by_path[path] = fid
         if is_directory:
             self.dir_fids.add(fid)
-        return fid
+        self.next_fid = max(self.next_fid, fid + 1)
 
-    def require_parent_dir(self, line_no: int, path: str) -> None:
+    def file_at(self, line_no: int, path: str, is_directory: bool) -> int:
+        """The id of the file a CREATE or COPY line writes: the one at
+        ``path``, or a fresh id once the parent directory is found."""
+        fid = self.fid_by_path.get(path)
+        if fid is not None:
+            return fid
         head = path.rsplit("/", 1)[0]
-        parent = head if head else "/"
-        parent_fid = self.fid_by_path.get(parent)
+        parent_fid = self.fid_by_path.get(head if head else "/")
         if parent_fid is None:
-            raise self.fail(line_no, f"parent directory of {path!r} does not exist")
+            raise TraceParseError(line_no, f"parent directory of {path!r} does not exist")
         if parent_fid not in self.dir_fids:
-            raise self.fail(line_no, f"parent of {path!r} is not a directory")
+            raise TraceParseError(line_no, f"parent of {path!r} is not a directory")
+        fid = self.next_fid
+        self.register(fid, path, is_directory)
+        return fid
 
     # -- line dispatch ------------------------------------------------------------
 
@@ -250,62 +290,58 @@ class _Parser:
             return
         if not self.saw_header:
             if stripped != FORMAT_HEADER:
-                raise self.fail(
+                raise TraceParseError(
                     line_no, f"unknown format header {stripped!r} (want {FORMAT_HEADER!r})"
                 )
             self.saw_header = True
             return
         tokens = stripped.split()
         verb = tokens[0]
-        if verb == "LABEL" or verb in _SNAPSHOT_FIELDS:
-            if self.saw_event:
-                raise self.fail(line_no, f"snapshot line {verb} after first event")
-            self.snapshot_line(line_no, verb, tokens[1:])
-        elif verb in _EVENT_FIELDS:
+        if verb in _EVENTS:
             self.saw_event = True
             self.event_line(line_no, verb, tokens[1:])
+        elif verb == "LABEL" or verb in _SNAPSHOT_FIELDS:
+            if self.saw_event:
+                raise TraceParseError(line_no, f"snapshot line {verb} after first event")
+            self.snapshot_line(line_no, verb, tokens[1:])
         else:
-            raise self.fail(line_no, f"unknown verb {verb!r}")
+            raise TraceParseError(line_no, f"unknown verb {verb!r}")
 
     def snapshot_line(self, line_no: int, verb: str, tokens: list[str]) -> None:
         if verb == "LABEL":
             if self.saw_label:
-                raise self.fail(line_no, "duplicate LABEL line")
+                raise TraceParseError(line_no, "duplicate LABEL line")
             if len(tokens) != 1 or tokens[0] not in LABELS:
-                raise self.fail(line_no, f"LABEL must be one of {'/'.join(LABELS)}")
+                raise TraceParseError(line_no, f"LABEL must be one of {'/'.join(LABELS)}")
             self.header.label = tokens[0]
             self.saw_label = True
             return
         if verb == "USER":
             if len(tokens) != 2:
-                raise self.fail(line_no, "USER needs a name and trusted=<0|1>")
+                raise TraceParseError(line_no, "USER needs a name and trusted=<0|1>")
             name = tokens[0]
             if "=" in name:
-                raise self.fail(line_no, f"USER name must come first, got {name!r}")
+                raise TraceParseError(line_no, f"USER name must come first, got {name!r}")
             fields = self.split_fields(line_no, verb, tokens[1:], _SNAPSHOT_FIELDS["USER"])
             if name in self.users:
-                raise self.fail(line_no, f"duplicate user {name!r}")
+                raise TraceParseError(line_no, f"duplicate user {name!r}")
             self.users.add(name)
-            trusted = self.parse_flag(line_no, "trusted", fields["trusted"])
+            trusted = self.flag(line_no, "trusted", fields["trusted"])
             self.header.users.append(UserRecord(name, trusted))
             return
         fields = self.split_fields(line_no, verb, tokens, _SNAPSHOT_FIELDS[verb])
         if verb == "FILE":
-            fid = self.parse_uint(line_no, "fid", fields["fid"])
+            fid = self.uint(line_no, "fid", fields["fid"])
             if fid in self.fids:
-                raise self.fail(line_no, f"duplicate fid {fid}")
+                raise TraceParseError(line_no, f"duplicate fid {fid}")
             if fid == 0:
-                raise self.fail(line_no, "fid must be positive")
-            path = self.parse_path(line_no, "path", fields["path"])
+                raise TraceParseError(line_no, "fid must be positive")
+            path = self.path(line_no, "path", fields["path"])
             if path in self.fid_by_path:
-                raise self.fail(line_no, f"duplicate path {path!r}")
-            perms = self.parse_perms(line_no, fields["perms"])
-            is_dir = self.parse_flag(line_no, "dir", fields["dir"])
-            self.fids.add(fid)
-            self.fid_by_path[path] = fid
-            if is_dir:
-                self.dir_fids.add(fid)
-            self.next_fid = max(self.next_fid, fid + 1)
+                raise TraceParseError(line_no, f"duplicate path {path!r}")
+            perms = self.perms(line_no, "perms", fields["perms"])
+            is_dir = self.flag(line_no, "dir", fields["dir"])
+            self.register(fid, path, is_dir)
             self.header.files.append(
                 FileRecord(
                     fid=fid,
@@ -316,100 +352,58 @@ class _Parser:
                 )
             )
         else:  # PROC
-            pid = self.parse_uint(line_no, "pid", fields["pid"])
+            pid = self.uint(line_no, "pid", fields["pid"])
             if pid in self.pids:
-                raise self.fail(line_no, f"duplicate pid {pid}")
+                raise TraceParseError(line_no, f"duplicate pid {pid}")
             if pid == 0:
-                raise self.fail(line_no, "pid must be positive")
-            user = fields["user"]
-            if user not in self.users:
-                raise self.fail(line_no, f"unknown user {user!r}")
-            key = self.parse_uint(line_no, "key", fields["key"])
+                raise TraceParseError(line_no, "pid must be positive")
+            user = self.user(line_no, "user", fields["user"])
+            key = self.uint(line_no, "key", fields["key"])
             self.pids.add(pid)
             self.header.processes.append(ProcessRecord(pid=pid, key=key, user=user))
 
     def event_line(self, line_no: int, verb: str, tokens: list[str]) -> None:
-        fields = self.split_fields(line_no, verb, tokens, _EVENT_FIELDS[verb])
-        seq = len(self.events) + 1
-        if verb == "FORK":
-            parent = self.known_pid(line_no, "parent", fields["parent"])
-            child = self.parse_uint(line_no, "child", fields["child"])
-            if child in self.pids:
-                raise self.fail(line_no, f"pid {child} already live")
-            if child == 0:
-                raise self.fail(line_no, "child pid must be positive")
-            self.pids.add(child)
-            self.events.append(Fork(seq, parent, child))
-        elif verb == "EXEC":
-            pid = self.known_pid(line_no, "pid", fields["pid"])
-            fid = self.known_fid(line_no, "fid", fields["fid"])
-            self.events.append(Exec(seq, pid, fid))
-        elif verb == "NET":
-            pid = self.known_pid(line_no, "pid", fields["pid"])
-            self.events.append(RemoteComm(seq, pid, fields["peer"]))
-        elif verb == "LOGIN":
-            pid = self.known_pid(line_no, "pid", fields["pid"])
-            user = fields["user"]
-            if user not in self.users:
-                raise self.fail(line_no, f"unknown user {user!r}")
-            self.events.append(Login(seq, pid, user))
-        elif verb == "MOUNT":
-            mount_id = self.parse_uint(line_no, "id", fields["id"])
-            if mount_id in self.live_mounts:
-                raise self.fail(line_no, f"mount id {mount_id} already live")
-            prefix = self.parse_path(line_no, "prefix", fields["prefix"])
-            self.live_mounts.add(mount_id)
-            self.events.append(Mount(seq, mount_id, prefix))
-        elif verb == "UNMOUNT":
-            mount_id = self.parse_uint(line_no, "id", fields["id"])
-            if mount_id not in self.live_mounts:
-                raise self.fail(line_no, f"mount id {mount_id} not live")
-            self.live_mounts.discard(mount_id)
-            self.events.append(Unmount(seq, mount_id))
-        elif verb == "COPY":
-            pid = self.known_pid(line_no, "pid", fields["pid"])
-            src = self.known_fid(line_no, "src", fields["src"])
-            dst_path = self.parse_path(line_no, "dst", fields["dst"])
-            perms = self.parse_perms(line_no, fields["perms"])
-            dst_fid = self.fid_by_path.get(dst_path)
-            if dst_fid is None:
-                self.require_parent_dir(line_no, dst_path)
-                dst_fid = self.allocate_fid(src in self.dir_fids, dst_path)
-            self.events.append(Copy(seq, pid, src, dst_path, perms, fields["owner"], dst_fid))
-        elif verb == "CREATE":
-            pid = self.known_pid(line_no, "pid", fields["pid"])
-            path = self.parse_path(line_no, "path", fields["path"])
-            if path in self.fid_by_path:
-                raise self.fail(line_no, f"path {path!r} already exists")
-            perms = self.parse_perms(line_no, fields["perms"])
-            is_dir = self.parse_flag(line_no, "dir", fields["dir"])
-            self.require_parent_dir(line_no, path)
-            fid = self.allocate_fid(is_dir, path)
-            self.events.append(Create(seq, pid, path, perms, fields["owner"], is_dir, fid))
-        elif verb in ("WRITE", "READ"):
-            pid = self.known_pid(line_no, "pid", fields["pid"])
-            fid = self.known_fid(line_no, "fid", fields["fid"])
-            cls = Write if verb == "WRITE" else Read
-            self.events.append(cls(seq, pid, fid))
-        elif verb == "IPC":
-            from_pid = self.known_pid(line_no, "from", fields["from"])
-            to_pid = self.known_pid(line_no, "to", fields["to"])
-            if from_pid == to_pid:
-                raise self.fail(line_no, "ipc endpoints must differ")
-            channel = _CHANNELS.get(fields["chan"])
-            if channel is None:
-                raise self.fail(
-                    line_no,
-                    f"unknown channel {fields['chan']!r} (want {'/'.join(sorted(_CHANNELS))})",
-                )
-            self.events.append(Ipc(seq, from_pid, to_pid, channel))
-        else:  # PRIV
-            pid = self.known_pid(line_no, "pid", fields["pid"])
-            try:
-                cap = validate_capability(fields["cap"])
-            except ValueError as exc:
-                raise self.fail(line_no, str(exc)) from None
-            self.events.append(PrivOp(seq, pid, cap))
+        cls, spec = _EVENTS[verb]
+        fields = self.split_fields(line_no, verb, tokens, spec)
+        values: list[Any] = []
+        for key, (_, check) in spec.items():
+            values.append(check(self, line_no, key, fields[key], values))
+        if cls is Create:
+            _, path, _, _, is_dir = values
+            values.append(self.file_at(line_no, path, is_dir))
+        elif cls is Copy:
+            _, src, dst, _, _ = values
+            values.append(self.file_at(line_no, dst, src in self.dir_fids))
+        self.events.append(cls(len(self.events) + 1, *values))
+
+
+_EVENTS: dict[str, tuple[type[Event], dict[str, tuple[str, Callable[..., Any]]]]] = {
+    "FORK": (Fork, {"parent": ("parent_pid", _Parser.pid),
+                    "child": ("child_pid", _Parser.new_pid)}),
+    "EXEC": (Exec, {"pid": ("pid", _Parser.pid), "fid": ("fid", _Parser.fid)}),
+    "NET": (RemoteComm, {"pid": ("pid", _Parser.pid), "peer": ("peer_address", _Parser.text)}),
+    "LOGIN": (Login, {"pid": ("pid", _Parser.pid), "user": ("user", _Parser.user)}),
+    "MOUNT": (Mount, {"id": ("mount_id", _Parser.new_mount),
+                      "prefix": ("path_prefix", _Parser.path)}),
+    "UNMOUNT": (Unmount, {"id": ("mount_id", _Parser.live_mount)}),
+    "COPY": (Copy, {"pid": ("pid", _Parser.pid), "src": ("src_fid", _Parser.fid),
+                    "dst": ("dst_path", _Parser.path), "perms": ("dst_perms", _Parser.perms),
+                    "owner": ("dst_owner", _Parser.text)}),
+    "CREATE": (Create, {"pid": ("pid", _Parser.pid), "path": ("path", _Parser.new_path),
+                        "perms": ("perms", _Parser.perms), "owner": ("owner", _Parser.text),
+                        "dir": ("is_directory", _Parser.flag)}),
+    "WRITE": (Write, {"pid": ("pid", _Parser.pid), "fid": ("fid", _Parser.fid)}),
+    "READ": (Read, {"pid": ("pid", _Parser.pid), "fid": ("fid", _Parser.fid)}),
+    "IPC": (Ipc, {"from": ("from_pid", _Parser.pid), "to": ("to_pid", _Parser.other_pid),
+                  "chan": ("channel", _Parser.channel)}),
+    "PRIV": (PrivOp, {"pid": ("pid", _Parser.pid), "cap": ("capability", _Parser.capability)}),
+}
+"""Per verb, the event class and the line's fields in line order, as key
+to (event attribute, check). The event takes ``seq`` and then the checked
+values in that order; ``Create`` and ``Copy`` add the id of the file they
+write."""
+
+EVENT_VERBS: dict[type, str] = {cls: verb for verb, (cls, _) in _EVENTS.items()}
 
 
 def parse_trace(data: str | bytes) -> Trace:
@@ -431,37 +425,18 @@ def parse_trace(data: str | bytes) -> Trace:
 def render_event(ev: Event) -> str:
     """Render one event as a trace line (without its sequence number,
     which is implicit in position)."""
-    if isinstance(ev, Fork):
-        return f"FORK parent={ev.parent_pid} child={ev.child_pid}"
-    if isinstance(ev, Exec):
-        return f"EXEC pid={ev.pid} fid={ev.fid}"
-    if isinstance(ev, RemoteComm):
-        return f"NET pid={ev.pid} peer={ev.peer_address}"
-    if isinstance(ev, Login):
-        return f"LOGIN pid={ev.pid} user={ev.user}"
-    if isinstance(ev, Mount):
-        return f"MOUNT id={ev.mount_id} prefix={ev.path_prefix}"
-    if isinstance(ev, Unmount):
-        return f"UNMOUNT id={ev.mount_id}"
-    if isinstance(ev, Copy):
-        return (
-            f"COPY pid={ev.pid} src={ev.src_fid} dst={ev.dst_path}"
-            f" perms={ev.dst_perms} owner={ev.dst_owner}"
-        )
-    if isinstance(ev, Create):
-        return (
-            f"CREATE pid={ev.pid} path={ev.path} perms={ev.perms}"
-            f" owner={ev.owner} dir={int(ev.is_directory)}"
-        )
-    if isinstance(ev, Write):
-        return f"WRITE pid={ev.pid} fid={ev.fid}"
-    if isinstance(ev, Read):
-        return f"READ pid={ev.pid} fid={ev.fid}"
-    if isinstance(ev, Ipc):
-        return f"IPC from={ev.from_pid} to={ev.to_pid} chan={ev.channel.value}"
-    if isinstance(ev, PrivOp):
-        return f"PRIV pid={ev.pid} cap={ev.capability}"
-    raise TypeError(f"unknown event type {type(ev).__name__}")
+    verb = EVENT_VERBS.get(type(ev))
+    if verb is None:
+        raise TypeError(f"unknown event type {type(ev).__name__}")
+    parts = [verb]
+    for key, (attr, _) in _EVENTS[verb][1].items():
+        value = getattr(ev, attr)
+        if isinstance(value, bool):
+            value = int(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        parts.append(f"{key}={value}")
+    return " ".join(parts)
 
 
 def render_trace(trace: Trace) -> str:

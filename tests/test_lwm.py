@@ -1,7 +1,7 @@
 """Low-water-mark baseline: level dynamics and the comparison report."""
 
 from cumac import scenarios
-from cumac.lwm import IntegrityLevel, LwmEngine, compare, run_lwm
+from cumac.lwm import IntegrityLevel, LwmEngine, compare
 from cumac.model import Verdict
 from cumac.trace import parse_trace
 
@@ -91,6 +91,25 @@ class TestLevels:
                 lowest[pid] = min(level, lowest.get(pid, IntegrityLevel.HIGH))
         assert engine.subject_levels[1] is IntegrityLevel.LOW
 
+    def test_mount_lowers_high_files_created_under_its_prefix(self):
+        trace = parse_trace(
+            HEADER
+            + "CREATE pid=1 path=/mnt/usb/early perms=644 owner=root dir=0\n"  # fid 9
+            + "MOUNT id=1 prefix=/mnt/usb\n"
+            + "UNMOUNT id=1\n"
+            + "CREATE pid=1 path=/mnt/usb/late perms=644 owner=root dir=0\n"  # fid 10
+            + "CREATE pid=1 path=/var/other perms=644 owner=root dir=0\n"  # fid 11
+            + "MOUNT id=2 prefix=/mnt/usb\n"
+        )
+        engine = LwmEngine(trace)
+        for ev in trace.events[:-1]:
+            engine.step(ev)
+        assert engine.object_levels[9] is IntegrityLevel.LOW
+        assert engine.object_levels[10] is IntegrityLevel.HIGH
+        engine.step(trace.events[-1])
+        assert engine.object_levels[10] is IntegrityLevel.LOW
+        assert engine.object_levels[11] is IntegrityLevel.HIGH
+
 
 class TestCompare:
     def test_self_revocation_fixture_differs_in_exactly_one_event(self):
@@ -108,8 +127,8 @@ class TestCompare:
         assert report.cumac_only == []
 
     def test_clean_trace_with_all_high_levels_denies_nothing(self):
-        log = run_lwm(parse_trace(HEADER + "WRITE pid=1 fid=6\nREAD pid=2 fid=6\nFORK parent=1 child=3\nWRITE pid=3 fid=8\n"))
-        assert all(d.verdict is Verdict.ALLOW for _, d in log)
+        _, log = run(HEADER + "WRITE pid=1 fid=6\nREAD pid=2 fid=6\nFORK parent=1 child=3\nWRITE pid=3 fid=8\n")
+        assert all(d.verdict is Verdict.ALLOW for d in log)
 
     def test_empty_trace_empty_report(self):
         report = compare(parse_trace("cumac-trace v1\n"))

@@ -7,9 +7,10 @@ import pytest
 from cumac import scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceParseError
-from cumac.model import Copy, Create, IpcChannel, PrivOp, Verdict
-from cumac.store import ExceptionStore
-from cumac.trace import parse_trace, render_trace
+from cumac.model import Copy, Create, Event, IpcChannel, PrivOp, Verdict
+from cumac.replay import replay
+from cumac.store import EnvironmentBit, ExceptionStore
+from cumac.trace import _EVENTS, EVENT_VERBS, parse_trace, render_event, render_trace
 
 HEADER = "cumac-trace v1\n"
 
@@ -145,6 +146,51 @@ class TestEventParsing:
             parse_trace(SMALL + "CREATE pid=1 path=/tmp/../etc perms=644 owner=root dir=0\n")
 
 
+class TestCheckPrecedence:
+    """A line with two faults reports the one checked first: syntax, then a
+    missing field, then an unexpected one, then values in line order."""
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("FORK parent=1 child=2\nIPC from=1 to=1 chan=bogus\n", "line 9: ipc endpoints must differ"),
+            ("CREATE pid=1 path=/bin/sh perms=999 owner=root dir=0\n", "already exists"),
+            ("MOUNT id=1 prefix=/tmp\nMOUNT id=1 prefix=tmp\n", "line 9: mount id 1 already live"),
+            ("PROC pid=2 key=x user=ghost\n", "unknown user 'ghost'"),
+            ("FORK parent=1 child=1 bogus=2\n", "unexpected field 'bogus'"),
+        ],
+    )
+    def test_first_check_wins(self, lines, message):
+        with pytest.raises(TraceParseError, match=message):
+            parse_trace(SMALL + lines)
+
+
+def test_event_table_drives_parse_render_and_report_args():
+    # A slotted dataclass replaces its class, so each name may be listed twice.
+    kinds = sorted({cls.__name__ for cls in Event.__subclasses__()})
+    assert sorted(cls.__name__ for cls, _ in _EVENTS.values()) == kinds
+    assert len(EVENT_VERBS) == len(_EVENTS)
+    lines = [
+        "FORK parent=1 child=2",
+        "EXEC pid=2 fid=3",
+        "NET pid=2 peer=203.0.113.80",
+        "LOGIN pid=2 user=root",
+        "MOUNT id=1 prefix=/tmp",
+        "UNMOUNT id=1",
+        "COPY pid=1 src=3 dst=/tmp/sh perms=755 owner=root",
+        "CREATE pid=1 path=/tmp/d perms=700 owner=root dir=1",
+        "WRITE pid=1 fid=5",
+        "READ pid=2 fid=6",
+        "IPC from=1 to=2 chan=shm",
+        "PRIV pid=1 cap=CAP_SYS_MODULE",
+    ]
+    trace = parse_trace(SMALL + "\n".join(lines) + "\n")
+    assert sorted(EVENT_VERBS[type(ev)] for ev in trace.events) == sorted(_EVENTS)
+    assert [render_event(ev) for ev in trace.events] == lines
+    for row in replay(trace, EnvironmentBit.UNSECURE).decision_rows():
+        assert sorted(row["args"]) == sorted(attr for attr, _ in _EVENTS[row["event"]][1].values())
+
+
 class TestFidMirroring:
     def test_created_files_get_sequential_fids(self):
         text = (
@@ -222,6 +268,10 @@ class TestTotality:
     def test_non_utf8_bytes_are_positioned_errors(self):
         with pytest.raises(TraceParseError, match="UTF-8"):
             parse_trace(b"cumac-trace v1\n\xff\xfe\n")
+
+    def test_non_decimal_digits_are_positioned_errors(self):
+        with pytest.raises(TraceParseError, match="unsigned integer"):
+            parse_trace(SMALL + "FORK parent=\u00b2 child=2\n")
 
     def test_fuzzed_inputs_never_crash(self):
         rng = random.Random(20260810)
