@@ -34,7 +34,36 @@ from .replay import ReplayReport, replay
 from .store import EnvironmentBit, ExceptionStore
 from .trace import Trace, parse_trace
 
-COMMANDS = ("learn", "enforce", "compare", "graph", "oracle-check")
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "--trace": {"metavar": "P", "help": "trace file to replay"},
+    "--scenario": {
+        "metavar": "NAME",
+        "help": f"bundled scenario ({', '.join(scenarios.available())})",
+    },
+    "--store": {"metavar": "P", "help": "exception store to read"},
+    "--empty-store": {"action": "store_true", "help": "start from an empty exception store"},
+    "--trusted-users": {
+        "metavar": "P",
+        "help": "file of user names; exactly these users are trusted, overriding the trace header",
+    },
+    "--store-out": {"metavar": "P", "help": "where to write the store after learning"},
+    "--report": {"metavar": "P", "help": "write the full report here"},
+    "--format": {"choices": ("text", "structured"), "default": "text"},
+    "--events": {"type": int, "default": 1000, "metavar": "N"},
+    "--runs": {"type": int, "default": 100, "metavar": "N"},
+    "--seed": {"type": int, "default": 0, "metavar": "N"},
+}
+_REPLAY_INPUTS = ("--trace", "--scenario", "--store", "--empty-store", "--trusted-users")
+_COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
+    "learn": (*_REPLAY_INPUTS, "--store-out", "--report", "--format"),
+    "enforce": (*_REPLAY_INPUTS, "--report", "--format"),
+    "compare": (*_REPLAY_INPUTS, "--report", "--format"),
+    "graph": (*_REPLAY_INPUTS, "--report"),
+    "oracle-check": ("--events", "--runs", "--seed", "--report", "--format"),
+}
+"""Per command, exactly the options its handler reads; any other option
+is a usage error."""
+COMMANDS = tuple(_COMMAND_OPTIONS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,32 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Replay OS-event traces against the intrusion-tracing reference monitor.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, options in _COMMAND_OPTIONS.items():
         p = sub.add_parser(name)
-        p.add_argument("--trace", metavar="P", help="trace file to replay")
-        p.add_argument(
-            "--scenario",
-            metavar="NAME",
-            help=f"bundled scenario ({', '.join(scenarios.available())})",
-        )
-        p.add_argument("--store", metavar="P", help="exception store to read")
-        p.add_argument(
-            "--empty-store",
-            action="store_true",
-            help="start from an empty exception store",
-        )
-        p.add_argument("--store-out", metavar="P", help="where to write the store after learning")
-        p.add_argument("--report", metavar="P", help="write the full report here")
-        p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument(
-            "--trusted-users",
-            metavar="P",
-            help="file of user names; exactly these users are trusted, overriding the trace header",
-        )
-        if name == "oracle-check":
-            p.add_argument("--events", type=int, default=1000, metavar="N")
-            p.add_argument("--runs", type=int, default=100, metavar="N")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 

@@ -54,7 +54,7 @@ from .model import (
     _covers,
     under_live_mount,
 )
-from .store import ExceptionStore
+from .store import EnvironmentBit, ExceptionStore
 from .trace import EVENT_VERBS, Trace
 
 MAPPING_NOTES = (
@@ -304,9 +304,16 @@ def compare(
     config: EngineConfig | None = None,
 ) -> ComparisonReport:
     """Run the tracing engine (enforcing, with the supplied store) and the
-    low-water-mark baseline over the same trace and diff their denials."""
+    low-water-mark baseline over the same trace and diff their denials.
+
+    The store's environment bit is set to Unsecure, as ``replay`` sets it
+    to its mode, so a store left Secure by learning is enforced, not
+    added to. A missing store means an empty one."""
+    if store is None:
+        store = ExceptionStore()
+    store.bit = EnvironmentBit.UNSECURE
     config = config or EngineConfig.from_trace(trace)
-    cumac_engine = Engine(config, store if store is not None else ExceptionStore())
+    cumac_engine = Engine(config, store)
     lwm_engine = LwmEngine(trace, config)
     rows: list[dict[str, Any]] = []
     lwm_only: list[int] = []

@@ -20,7 +20,9 @@ On-disk format (UTF-8 text, ``#`` starts a comment line):
 capability. Saved documents are canonical: file entries sorted by
 (fid, key), privilege entries by (key, capability name). ``# key <key>
 <path>`` comments are advisory annotations for human review and survive a
-round trip; only the numbers are semantic.
+round trip; only the numbers are semantic. Numbers are ASCII decimal
+digits: an entry with any other digit is a format error, and a comment
+with one is ignored.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ class ExceptionStore:
 
     def _load_comment(self, line: str) -> None:
         parts = line[1:].split(None, 2)
-        if len(parts) == 3 and parts[0] == "key" and parts[1].isdigit():
+        if len(parts) == 3 and parts[0] == "key" and _is_uint(parts[1]):
             self.key_paths[int(parts[1])] = parts[2]
 
     def _load_entry(self, line_no: int, line: str) -> None:
@@ -267,7 +269,13 @@ class ExceptionStore:
         return hashlib.sha256(self.save().encode("utf-8")).hexdigest()
 
 
+def _is_uint(token: str) -> bool:
+    # ASCII digits only: int() also reads other scripts' digits, and
+    # str.isdigit() also passes superscripts that int() refuses.
+    return token.isascii() and token.isdecimal()
+
+
 def _load_int(line_no: int, label: str, token: str) -> int:
-    if not token.isdigit():
+    if not _is_uint(token):
         raise StoreFormatError(line_no, f"{label} must be an unsigned integer, got {token!r}")
     return int(token)

@@ -41,7 +41,8 @@ line is parsed, so a create or copy the engine later denies still takes
 one, and ids never depend on the exception store. The parser also rejects
 dangling references statically. The resolved ids are not written back by
 ``render_trace``; they follow from the lines. Paths are absolute,
-``/``-separated and contain no spaces, ``.`` or ``..`` segments.
+``/``-separated and contain no spaces, ``.`` or ``..`` segments. Numbers
+are ASCII decimal digits; ``int`` would also read other scripts' digits.
 
 Parsing is total: arbitrary bytes yield either a Trace or a positioned
 TraceParseError, never a crash.
@@ -159,7 +160,7 @@ class _Parser:
     # -- field checks: (line number, key, text, values read so far) -> value ------
 
     def uint(self, line_no: int, key: str, token: str, values=()) -> int:
-        if not token.isdecimal():
+        if not (token.isascii() and token.isdecimal()):
             raise TraceParseError(line_no, f"{key} must be an unsigned integer, got {token!r}")
         return int(token)
 

@@ -281,6 +281,32 @@ class TestUsageErrors:
         assert code == 2
         assert "format header" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-check", "--trace", "x.trace"],
+            ["oracle-check", "--store", "s.cumac"],
+            ["oracle-check", "--trusted-users", "users.txt"],
+            ["graph", "--scenario", "usb-rootkit", "--empty-store", "--format", "structured"],
+            ["enforce", "--scenario", "usb-rootkit", "--empty-store", "--seed", "3"],
+            ["compare", "--scenario", "usb-rootkit", "--store-out", "s.cumac"],
+        ],
+    )
+    def test_options_the_command_does_not_read_are_usage_errors(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    def test_non_ascii_digit_in_store_is_a_format_error(self, capsys, tmp_path):
+        store_path = tmp_path / "s.cumac"
+        store_path.write_text("cumac-exceptions v1\nF \u00b2 1 w\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "enforce", "--scenario", "usb-rootkit", "--store", str(store_path)
+        )
+        assert code == 2
+        assert "line 2" in err
+        assert "unsigned integer" in err
+
     def test_unwritable_report_path(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

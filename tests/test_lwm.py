@@ -3,6 +3,9 @@
 from cumac import scenarios
 from cumac.lwm import IntegrityLevel, LwmEngine, compare
 from cumac.model import Verdict
+from cumac.randomtrace import random_trace
+from cumac.replay import learn
+from cumac.store import ExceptionStore
 from cumac.trace import parse_trace
 
 HEADER = (
@@ -146,3 +149,12 @@ class TestCompare:
         report = compare(scenarios.load_trace("usb-rootkit"))
         doc = report.to_structured()
         assert doc["summary"]["classification"].startswith("denials are true positives")
+
+    def test_a_store_left_secure_by_learning_is_enforced(self):
+        _, learned = learn(random_trace(seed=1, events=1000))
+        saved = learned.save()
+        other = random_trace(seed=2, events=1000)
+        expected = compare(other, ExceptionStore.load(saved))
+        assert expected.cumac_deny_count > 0
+        assert compare(other, learned).to_structured() == expected.to_structured()
+        assert learned.save() == saved

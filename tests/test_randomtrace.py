@@ -1,7 +1,11 @@
 """Generated traces must be valid, reproducible, and honor suppression."""
 
-from cumac.model import Login, Mount, RemoteComm, Unmount
+import pytest
+
+from cumac.model import Copy, Create, Login, Mount, RemoteComm, Unmount, Verdict
 from cumac.randomtrace import random_trace
+from cumac.replay import learn, replay
+from cumac.store import EnvironmentBit, ExceptionStore
 from cumac.trace import parse_trace, render_trace
 
 
@@ -21,6 +25,32 @@ class TestValidity:
     def test_sequence_numbers_dense(self):
         trace = random_trace(seed=2, events=300)
         assert [ev.seq for ev in trace.events] == list(range(1, 301))
+
+
+class TestStoreIndependence:
+    """Every create and copy is allowed whatever the store holds, so one
+    trace replays in every mode with no reference left dangling."""
+
+    @staticmethod
+    def half_of(store: ExceptionStore) -> ExceptionStore:
+        half = ExceptionStore(EnvironmentBit.SECURE)
+        for fid, key, mode in list(store.iter_file_triples())[::2]:
+            half.record_file_exception(key, fid, mode)
+        for key, cap in list(store.iter_priv_pairs())[::2]:
+            half.record_priv_exception(key, cap)
+        return half
+
+    @pytest.mark.parametrize("include_entrances", [True, False])
+    def test_creates_and_copies_are_never_denied(self, include_entrances):
+        for seed in range(40):
+            trace = random_trace(seed=seed, events=500, include_entrances=include_entrances)
+            _, learned = learn(trace)
+            # A dangling reference would raise TraceError in any replay.
+            for store in (ExceptionStore(), self.half_of(learned)):
+                enforced = replay(trace, EnvironmentBit.UNSECURE, store)
+                denied = {type(ev) for ev, d in enforced.log if d.verdict is Verdict.DENY}
+                assert not denied & {Create, Copy}, seed
+            assert replay(trace, EnvironmentBit.UNSECURE, learned).deny_count == 0, seed
 
 
 class TestDeterminism:

@@ -141,6 +141,10 @@ class TestPersistence:
             ("F 77 10", "4 fields"),
             ("F 77 10 rwx", "mode vector"),
             ("F x 10 rw", "unsigned integer"),
+            ("F \u00b2 10 rw", "unsigned integer"),
+            ("F \u0661 10 rw", "unsigned integer"),
+            ("F 77 \uff11 rw", "unsigned integer"),
+            ("P \u00b2 CAP_KILL", "unsigned integer"),
             ("P 10", "3 fields"),
             ("P 10 kill", "capability"),
             ("Q 1 2", "unknown entry kind"),
@@ -150,6 +154,12 @@ class TestPersistence:
         with pytest.raises(StoreFormatError, match=phrase) as exc_info:
             ExceptionStore.load(f"cumac-exceptions v1\n{line}\n")
         assert exc_info.value.line == 2
+
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0661", "\uff11"])
+    def test_non_ascii_key_comments_are_inert(self, token):
+        store = ExceptionStore.load(f"cumac-exceptions v1\n# key {token} /x\nP 1 CAP_KILL\n")
+        assert store.key_paths == {}
+        assert store.save() == "cumac-exceptions v1\nP 1 CAP_KILL\n"
 
     def test_load_rejects_non_utf8(self):
         with pytest.raises(StoreFormatError, match="UTF-8"):

@@ -273,6 +273,14 @@ class TestTotality:
         with pytest.raises(TraceParseError, match="unsigned integer"):
             parse_trace(SMALL + "FORK parent=\u00b2 child=2\n")
 
+    @pytest.mark.parametrize("digits", ["\u0661\u0662", "\uff11\uff12", "1\u0662"])
+    def test_non_ascii_decimal_digits_are_positioned_errors(self, digits):
+        # Arabic-Indic, fullwidth and mixed digits: int() reads them, but
+        # only ASCII digits make a number.
+        with pytest.raises(TraceParseError, match="unsigned integer") as exc:
+            parse_trace(SMALL + f"FORK parent=1 child={digits}\n")
+        assert exc.value.line == SMALL.count("\n") + 1
+
     def test_fuzzed_inputs_never_crash(self):
         rng = random.Random(20260810)
         corpus = [scenarios.load(name).encode() for name in scenarios.available()]
