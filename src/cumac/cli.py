@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
 
 from . import scenarios
 from .engine import EngineConfig
@@ -124,11 +124,18 @@ def _load_config(trace: Trace, args: argparse.Namespace) -> EngineConfig:
     return EngineConfig.from_trace(trace, trusted_users=trusted)
 
 
-def _write_file(label: str, path: str, payload: str) -> None:
+def _write_stream(label: str, path: str, write: Callable[[TextIO], None]) -> None:
+    """Open ``path`` as UTF-8 text and let ``write`` write the payload into
+    it; an OSError at any point is a CumacError."""
     try:
-        Path(path).write_text(payload, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as stream:
+            write(stream)
     except OSError as exc:
         raise CumacError(f"cannot write {label} {path}: {exc}") from None
+
+
+def _write_file(label: str, path: str, payload: str) -> None:
+    _write_stream(label, path, lambda stream: stream.write(payload))
 
 
 def _emit_report(
@@ -141,6 +148,17 @@ def _emit_report(
         return
     payload = structured() if args.format == "structured" else text()
     _write_file("report", args.report, payload)
+
+
+def _emit_replay_report(args: argparse.Namespace, report: ReplayReport) -> None:
+    """:func:`_emit_report` for a replay report, whose structured form is
+    streamed into the file instead of being built first."""
+    if not args.report:
+        return
+    if args.format == "structured":
+        _write_stream("report", args.report, report.write_json)
+    else:
+        _write_file("report", args.report, report.to_text())
 
 
 def _json_payload(doc: dict[str, Any]) -> str:
@@ -173,7 +191,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     _write_file("store", args.store_out, store.save())
     _print_replay_summary(name, report)
     print(f"store written: {args.store_out}")
-    _emit_report(args, report.to_json, report.to_text)
+    _emit_replay_report(args, report)
     return 0 if report.deny_count == 0 else 1
 
 
@@ -193,7 +211,7 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
     config = _load_config(trace, args)
     report = replay(trace, EnvironmentBit.UNSECURE, store, config)
     _print_replay_summary(name, report)
-    _emit_report(args, report.to_json, report.to_text)
+    _emit_replay_report(args, report)
     return 0 if report.deny_count == 0 else 1
 
 

@@ -6,10 +6,14 @@ with learned exceptions; in Unsecure mode it is strictly read-only. The
 engine keeps no log: the replay loop collects each step's decision, and
 the report pairs the decisions with the trace's events.
 
-``ReplayReport.to_json`` writes the structured report without building it:
-its bytes equal ``json.dumps(report.to_structured(), sort_keys=True,
-indent=2) + "\n"``, but each decision row is rendered from strings
-prepared once per event kind and per decision outcome.
+``ReplayReport.write_json`` streams the structured report to a text
+stream without building it: its bytes equal
+``json.dumps(report.to_structured(), sort_keys=True, indent=2) + "\n"``,
+but each decision row is rendered from strings prepared once per event
+kind and per decision outcome, and rows are joined and written
+``_BLOCK_ROWS`` at a time. So writing a report holds one block of rows,
+not a second copy of the report, nor a third as encoded bytes.
+``to_json`` collects the same writes into one string.
 
 Timing covers the engine loop alone, on a monotonic clock.
 ``wall_seconds`` is the loop's wall time and ``events_per_second`` is the
@@ -27,6 +31,7 @@ both grow.
 from __future__ import annotations
 
 import gc
+import io
 import json
 from array import array
 from dataclasses import dataclass, field
@@ -34,7 +39,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from statistics import fmean, median
 from time import perf_counter, perf_counter_ns
-from typing import Any
+from typing import Any, Callable, TextIO
 
 from .engine import Engine, EngineConfig
 from .model import Decision, DenyReason, Event, ExceptionKind, Verdict, entity_sort_key
@@ -50,6 +55,10 @@ from .trace import _EVENTS, EVENT_VERBS, Trace
 # from a few values, so ``to_json`` renders rows from pieces prepared here
 # instead of through ``json.dumps``. The indents are those that
 # ``json.dumps(..., indent=2)`` gives a row in the report's ``decisions``.
+
+_BLOCK_ROWS = 512
+"""Decision rows that ``write_json`` joins into one write: enough that the
+writes are few, few enough that a block is small next to the report."""
 
 _ITEM = "\n" + " " * 4  # a row of ``decisions``
 _ROW = "\n" + " " * 6  # a key of a row
@@ -121,33 +130,37 @@ def _taint_updates_json(updates: tuple) -> str:
     ) + f"{_ROW}]"
 
 
-def _append_rows_json(log: list[tuple[Event, Decision]], append) -> None:
-    """Append the JSON text of the ``decisions`` list, piece by piece."""
+def _write_rows_json(log: list[tuple[Event, Decision]], write: Callable[[str], Any]) -> None:
+    """Write the JSON text of the ``decisions`` list, ``_BLOCK_ROWS`` rows
+    joined per write."""
     if not log:
-        append("[]")
+        write("[]")
         return
-    append("[")
     rows = _ROW_JSON
     fast = _ARG_JSON_BY_TYPE
     outcomes = _OUTCOME_JSON
     updates_key = f',{_ROW}"taint_updates": '
-    for index, (ev, decision) in enumerate(log):
-        if index:
-            append(",")
-        keys, args_tail = rows[type(ev)]
-        for key, name in keys:
-            value = getattr(ev, name)
-            append(key)
-            append(fast.get(type(value), _arg_json)(value))
-        append(args_tail)
-        head, tail = outcomes[decision.verdict, decision.reason, decision.exception_kind]
-        append(head)
-        append(int.__repr__(ev.seq))
-        append(updates_key)
-        updates = decision.taint_updates
-        append(_taint_updates_json(updates) if updates else "[]")
-        append(tail)
-    append("\n  ]")
+    for start in range(0, len(log), _BLOCK_ROWS):
+        parts = ["," if start else "["]
+        append = parts.append
+        for index, (ev, decision) in enumerate(log[start : start + _BLOCK_ROWS]):
+            if index:
+                append(",")
+            keys, args_tail = rows[type(ev)]
+            for key, name in keys:
+                value = getattr(ev, name)
+                append(key)
+                append(fast.get(type(value), _arg_json)(value))
+            append(args_tail)
+            head, tail = outcomes[decision.verdict, decision.reason, decision.exception_kind]
+            append(head)
+            append(int.__repr__(ev.seq))
+            append(updates_key)
+            updates = decision.taint_updates
+            append(_taint_updates_json(updates) if updates else "[]")
+            append(tail)
+        write("".join(parts))
+    write("\n  ]")
 
 
 @dataclass(slots=True)
@@ -232,20 +245,28 @@ class ReplayReport:
         }
         return doc
 
-    def to_json(self) -> str:
-        """The structured report as JSON text, byte for byte
-        ``json.dumps(self.to_structured(), sort_keys=True, indent=2) + "\\n"``."""
+    def write_json(self, stream: TextIO) -> None:
+        """Write the structured report as JSON text to ``stream``, byte for
+        byte ``json.dumps(self.to_structured(), sort_keys=True, indent=2) +
+        "\\n"``, without holding more than a block of decision rows."""
         doc = self.to_structured(include_decisions=False)
-        parts: list[str] = []
+        write = stream.write
+        opening = "{"
         for section in sorted(doc):
-            parts.append(f'{"," if parts else "{"}\n  {encode_basestring_ascii(section)}: ')
+            write(f"{opening}\n  {encode_basestring_ascii(section)}: ")
+            opening = ","
             if section == "decisions":
-                _append_rows_json(self.log, parts.append)
+                _write_rows_json(self.log, write)
             else:
                 text = json.dumps(doc[section], sort_keys=True, indent=2)
-                parts.append(text.replace("\n", "\n  "))
-        parts.append("\n}\n")
-        return "".join(parts)
+                write(text.replace("\n", "\n  "))
+        write("\n}\n")
+
+    def to_json(self) -> str:
+        """The structured report as JSON text, as :meth:`write_json` writes it."""
+        buffer = io.StringIO()
+        self.write_json(buffer)
+        return buffer.getvalue()
 
     def to_text(self) -> str:
         lines = [

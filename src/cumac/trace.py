@@ -42,7 +42,10 @@ one, and ids never depend on the exception store. The parser also rejects
 dangling references statically. The resolved ids are not written back by
 ``render_trace``; they follow from the lines. Paths are absolute,
 ``/``-separated and contain no spaces, ``.`` or ``..`` segments. Numbers
-are ASCII decimal digits; ``int`` would also read other scripts' digits.
+are ASCII decimal digits with no leading zero (``0`` itself is fine), so
+each number has one spelling; ``int`` would also read other scripts'
+digits and padded ones. The parser hands every event one shared object
+per distinct number, owner, peer, permission string and user name.
 
 Parsing is total: arbitrary bytes yield either a Trace or a positioned
 TraceParseError, never a crash.
@@ -50,6 +53,7 @@ TraceParseError, never a crash.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
@@ -122,7 +126,15 @@ class _Parser:
     def __init__(self) -> None:
         self.header = TraceHeader()
         self.events: list[Event] = []
-        self.users: set[str] = set()
+        # Tokens that passed their check, mapped to the value every event
+        # gets for them, so that equal values share one object. Only
+        # tokens that passed are kept, so a hit skips only checks the
+        # same token already passed. The keys of ``users`` are the known
+        # users.
+        self.ints: dict[str, int] = {}
+        self.texts: dict[str, str] = {}
+        self.perms_texts: dict[str, str] = {}
+        self.users: dict[str, str] = {}
         self.pids: set[int] = set()
         self.fids: set[int] = set()
         self.fid_by_path: dict[str, int] = {}
@@ -160,9 +172,14 @@ class _Parser:
     # -- field checks: (line number, key, text, values read so far) -> value ------
 
     def uint(self, line_no: int, key: str, token: str, values=()) -> int:
-        if not (token.isascii() and token.isdecimal()):
-            raise TraceParseError(line_no, f"{key} must be an unsigned integer, got {token!r}")
-        return int(token)
+        value = self.ints.get(token)
+        if value is None:
+            if not (token.isascii() and token.isdecimal()):
+                raise TraceParseError(line_no, f"{key} must be an unsigned integer, got {token!r}")
+            if token[0] == "0" and len(token) > 1:
+                raise TraceParseError(line_no, f"{key} must have no leading zero, got {token!r}")
+            value = self.ints[token] = int(token)
+        return value
 
     def pid(self, line_no: int, key: str, token: str, values=()) -> int:
         pid = self.uint(line_no, key, token)
@@ -211,11 +228,14 @@ class _Parser:
         return path
 
     def perms(self, line_no: int, key: str, token: str, values=()) -> str:
-        try:
-            PermissionBits.parse(token)
-        except PermsFormatError as exc:
-            raise TraceParseError(line_no, str(exc)) from None
-        return token
+        perms = self.perms_texts.get(token)
+        if perms is None:
+            try:
+                PermissionBits.parse(token)
+            except PermsFormatError as exc:
+                raise TraceParseError(line_no, str(exc)) from None
+            perms = self.perms_texts[token] = token
+        return perms
 
     def flag(self, line_no: int, key: str, token: str, values=()) -> bool:
         if token not in ("0", "1"):
@@ -223,12 +243,13 @@ class _Parser:
         return token == "1"
 
     def text(self, line_no: int, key: str, token: str, values=()) -> str:
-        return token
+        return self.texts.setdefault(token, token)
 
     def user(self, line_no: int, key: str, token: str, values=()) -> str:
-        if token not in self.users:
+        user = self.users.get(token)
+        if user is None:
             raise TraceParseError(line_no, f"unknown user {token!r}")
-        return token
+        return user
 
     def new_mount(self, line_no: int, key: str, token: str, values=()) -> int:
         mount_id = self.uint(line_no, key, token)
@@ -326,7 +347,7 @@ class _Parser:
             fields = self.split_fields(line_no, verb, tokens[1:], _SNAPSHOT_FIELDS["USER"])
             if name in self.users:
                 raise TraceParseError(line_no, f"duplicate user {name!r}")
-            self.users.add(name)
+            self.users[name] = name
             trusted = self.flag(line_no, "trusted", fields["trusted"])
             self.header.users.append(UserRecord(name, trusted))
             return
@@ -408,7 +429,11 @@ EVENT_VERBS: dict[type, str] = {cls: verb for verb, (cls, _) in _EVENTS.items()}
 
 
 def parse_trace(data: str | bytes) -> Trace:
-    """Parse trace text into a Trace, or raise a positioned TraceParseError."""
+    """Parse trace text into a Trace, or raise a positioned TraceParseError.
+
+    The cyclic garbage collector is paused while the lines are read and
+    then left as it was found: parsing makes no reference cycles, so
+    collections would only walk the growing event list again and again."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -416,8 +441,14 @@ def parse_trace(data: str | bytes) -> Trace:
             line = data[: exc.start].count(b"\n") + 1
             raise TraceParseError(line, f"document is not valid UTF-8 at byte {exc.start}") from None
     parser = _Parser()
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        parser.feed(line_no, line)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for line_no, line in enumerate(data.splitlines(), start=1):
+            parser.feed(line_no, line)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if not parser.saw_header:
         raise TraceParseError(0, f"missing format header {FORMAT_HEADER!r}")
     return Trace(parser.header, parser.events)

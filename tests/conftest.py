@@ -1,7 +1,10 @@
-"""Shared fixtures: a small filesystem snapshot and an event driver that
-handles sequence numbering, so tests read like short sessions."""
+"""Shared fixtures: a small filesystem snapshot, an event driver that
+handles sequence numbering, so tests read like short sessions, and the
+cyclic collector switched on or off for a test."""
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -173,3 +176,19 @@ def driver() -> Driver:
 @pytest.fixture
 def secure_driver() -> Driver:
     return make_driver(bit=EnvironmentBit.SECURE)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def collector(request):
+    """The cyclic collector enabled or disabled for the test, as the
+    parameter says, and put back as it was afterwards."""
+    was_enabled = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()

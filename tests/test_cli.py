@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, outputs, and report files."""
 
 import json
+import os
 
 import pytest
 
@@ -143,7 +144,10 @@ class TestOracleCheck:
 
 
 class TestReportFiles:
-    def test_structured_enforce_report_is_the_json_dump(self, capsys, tmp_path, monkeypatch):
+    """The structured report a replaying command streams into its file is
+    byte for byte the json.dumps of the report it replayed."""
+
+    def assert_report_is_the_json_dump(self, capsys, tmp_path, monkeypatch, argv, code):
         reports = []
         real_replay = cli.replay
 
@@ -153,14 +157,31 @@ class TestReportFiles:
 
         monkeypatch.setattr(cli, "replay", kept_replay)
         report_path = tmp_path / "report.json"
-        code, _, _ = run_cli(
-            capsys, "enforce", "--scenario", "network-rootkit", "--empty-store",
-            "--format", "structured", "--report", str(report_path),
-        )
-        assert code == 1
+        result = run_cli(capsys, *argv, "--format", "structured", "--report", str(report_path))
+        assert result[0] == code
         (report,) = reports
         expected = json.dumps(report.to_structured(), sort_keys=True, indent=2) + "\n"
-        assert report_path.read_text("utf-8") == expected
+        assert report_path.read_bytes() == expected.encode("utf-8")
+
+    def test_structured_enforce_report_is_the_json_dump(self, capsys, tmp_path, monkeypatch):
+        argv = ["enforce", "--scenario", "network-rootkit", "--empty-store"]
+        self.assert_report_is_the_json_dump(capsys, tmp_path, monkeypatch, argv, 1)
+
+    def test_structured_learn_report_is_the_json_dump(self, capsys, tmp_path, monkeypatch):
+        argv = ["learn", "--scenario", "network-rootkit", "--store-out", str(tmp_path / "s")]
+        self.assert_report_is_the_json_dump(capsys, tmp_path, monkeypatch, argv, 0)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["structured", "text"])
+    @pytest.mark.parametrize("command", ["enforce", "learn"])
+    def test_a_full_device_is_a_write_error(self, capsys, tmp_path, command, fmt):
+        store = ["--empty-store"] if command == "enforce" else ["--store-out", str(tmp_path / "s")]
+        code, _, err = run_cli(
+            capsys, command, "--scenario", "usb-rootkit", *store,
+            "--format", fmt, "--report", "/dev/full",
+        )
+        assert code == 2
+        assert "cannot write report /dev/full" in err
 
 
 # Each command with its usual exit code; {tmp} is a scratch directory.
@@ -174,6 +195,7 @@ REPORTING_COMMANDS = [
 STRUCTURED_BUILDERS = [
     (ReplayReport, "to_structured"),
     (ReplayReport, "to_json"),
+    (ReplayReport, "write_json"),
     (ComparisonReport, "to_structured"),
 ]
 TEXT_BUILDERS = [(ReplayReport, "to_text"), (ComparisonReport, "to_text")]

@@ -1,8 +1,9 @@
 """Replay driver: counters, determinism, store purity, report forms,
-the JSON encoder of reports, collector state."""
+the JSON encoder and streaming writer of reports, collector state."""
 
 import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from cumac.lwm import compare
 from cumac.model import ALLOW, Read, Verdict
 from cumac.oracle import taint_oracle
 from cumac.randomtrace import random_trace
-from cumac.replay import ReplayReport, learn, replay
+from cumac.replay import _BLOCK_ROWS, ReplayReport, learn, replay
 from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
 from cumac.trace import parse_trace
 
@@ -324,22 +325,54 @@ class TestJsonEncoder:
             report.to_json()
 
 
+class _Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text: str) -> None:
+        pass
+
+
+class _Writes(list):
+    """A text sink that keeps each write apart."""
+
+    write = list.append
+
+
+class TestStreamingWriter:
+    """write_json() streams the bytes of to_json() and joins at most a
+    block of decision rows into one write, so it holds little of the
+    report at any time."""
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS], ids=lambda n: f"{n}-rows"
+    )
+    def test_block_edges_match_the_reference(self, rows):
+        report = replay(random_trace(seed=rows, events=rows), EnvironmentBit.UNSECURE)
+        assert len(report.log) == rows
+        assert_json_is_the_reference(report)
+        writes = _Writes()
+        report.write_json(writes)
+        assert "".join(writes) == report.to_json()
+        per_write = [text.count('\n      "seq": ') for text in writes]
+        assert sum(per_write) == rows
+        assert max(per_write) <= _BLOCK_ROWS
+        assert sum(1 for count in per_write if count) == -(-rows // _BLOCK_ROWS)
+
+    def test_streaming_allocates_a_small_fraction_of_the_report(self):
+        report = replay(random_trace(seed=8, events=20_000), EnvironmentBit.UNSECURE)
+        length = len(report.to_json())
+        tracemalloc.start()
+        try:
+            report.write_json(_Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < length / 8, f"peak {peak} bytes for a {length}-character report"
+
+
 class TestCollectorState:
     """replay() pauses the cyclic collector while it runs and leaves it as
     it found it, whether the trace replays cleanly or not."""
-
-    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
-    def collector(self, request):
-        was_enabled = gc.isenabled()
-        if request.param:
-            gc.enable()
-        else:
-            gc.disable()
-        yield request.param
-        if was_enabled:
-            gc.enable()
-        else:
-            gc.disable()
 
     def test_clean_replay_restores_collector_state(self, collector, monkeypatch):
         seen_during_steps = set()

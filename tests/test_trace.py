@@ -1,5 +1,7 @@
-"""Trace parsing: positioned errors, static reference checks, totality."""
+"""Trace parsing: positioned errors, static reference checks, totality,
+collector state."""
 
+import gc
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from cumac.errors import TraceParseError
 from cumac.model import Copy, Create, Event, IpcChannel, PrivOp, Verdict
 from cumac.replay import replay
 from cumac.store import EnvironmentBit, ExceptionStore
-from cumac.trace import _EVENTS, EVENT_VERBS, parse_trace, render_event, render_trace
+from cumac.trace import _EVENTS, EVENT_VERBS, _Parser, parse_trace, render_event, render_trace
 
 HEADER = "cumac-trace v1\n"
 
@@ -281,6 +283,31 @@ class TestTotality:
             parse_trace(SMALL + f"FORK parent=1 child={digits}\n")
         assert exc.value.line == SMALL.count("\n") + 1
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "FORK parent=01 child=2",
+            "FORK parent=1 child=002",
+            "EXEC pid=1 fid=03",
+            "MOUNT id=00 prefix=/mnt",
+        ],
+    )
+    def test_leading_zeros_are_positioned_errors(self, line):
+        # The line before makes "1" and "3" numbers that passed, so a
+        # zero-padded spelling of either must not be taken as them.
+        with pytest.raises(TraceParseError, match="leading zero") as exc:
+            parse_trace(SMALL + "EXEC pid=1 fid=3\n" + line + "\n")
+        assert exc.value.line == SMALL.count("\n") + 2
+
+    def test_leading_zero_in_a_snapshot_line_is_a_positioned_error(self):
+        with pytest.raises(TraceParseError, match="leading zero") as exc:
+            parse_trace(SMALL + "PROC pid=2 key=07 user=root\n")
+        assert exc.value.line == SMALL.count("\n") + 1
+
+    def test_zero_itself_is_a_number(self):
+        trace = parse_trace(SMALL + "MOUNT id=0 prefix=/mnt\nUNMOUNT id=0\n")
+        assert [ev.mount_id for ev in trace.events] == [0, 0]
+
     def test_fuzzed_inputs_never_crash(self):
         rng = random.Random(20260810)
         corpus = [scenarios.load(name).encode() for name in scenarios.available()]
@@ -309,6 +336,30 @@ class TestTotality:
                 assert exc.line >= 0
                 errors += 1
         assert ok + errors == 3000
+
+
+class TestCollectorState:
+    """parse_trace() pauses the cyclic collector while it reads the lines
+    and leaves it as it found it, whether the text parses or not."""
+
+    def test_clean_parse_restores_collector_state(self, collector, monkeypatch):
+        seen_during_lines = set()
+        feed = _Parser.feed
+
+        def observed_feed(parser, line_no, line):
+            seen_during_lines.add(gc.isenabled())
+            return feed(parser, line_no, line)
+
+        monkeypatch.setattr(_Parser, "feed", observed_feed)
+        trace = parse_trace(SMALL + "FORK parent=1 child=2\n")
+        assert len(trace.events) == 1
+        assert seen_during_lines == {False}
+        assert gc.isenabled() is collector
+
+    def test_parse_error_restores_collector_state(self, collector):
+        with pytest.raises(TraceParseError, match="unknown pid 9"):
+            parse_trace(SMALL + "FORK parent=9 child=2\n")
+        assert gc.isenabled() is collector
 
 
 class TestChannelValues:
