@@ -116,7 +116,7 @@ def _load_config(trace: Trace, args: argparse.Namespace) -> EngineConfig:
         path = Path(args.trusted_users)
         try:
             lines = path.read_text("utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CumacError(f"cannot read trusted-users file {path}: {exc}") from None
         trusted = {
             line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
@@ -244,6 +244,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.runs < 0 or args.events < 0:
+        raise CumacError("--runs and --events must not be negative")
     runs = []
     mismatches = 0
     for index in range(args.runs):

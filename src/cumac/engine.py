@@ -221,14 +221,12 @@ class Engine:
         return tainted
 
     def file_on_mobile_mount(self, f: FileRecord) -> bool:
-        """Whether a file counts as mobile-storage content right now; the
-        observation is memoized on the record."""
-        if f.on_mobile_mount:
-            return True
-        if self.mounts and under_live_mount(self.mounts, f.path):
-            f.on_mobile_mount = True
-            return True
-        return False
+        """Whether a file counts as mobile-storage content right now: seen
+        mobile before, or under a live mount. The caller memoizes the
+        observation once its event is allowed."""
+        return f.on_mobile_mount or (
+            bool(self.mounts) and under_live_mount(self.mounts, f.path)
+        )
 
     # -- lookups -------------------------------------------------------------
 
@@ -327,6 +325,7 @@ class Engine:
         proc.key = f.fid
         if self.file_on_mobile_mount(f):
             # The mobile executable is the entrance entity itself.
+            f.on_mobile_mount = True
             return _tainting(ALLOW, f, proc)
         return _tainting(ALLOW, proc) if f.taint is _PI else ALLOW
 
@@ -366,9 +365,7 @@ class Engine:
         src = self._need_file(ev.seq, ev.src_fid)
         # Pre-state mobility; memoized further down only if the copy is
         # allowed (denied events must leave no mark anywhere).
-        src_mobile = src.on_mobile_mount or (
-            bool(self.mounts) and under_live_mount(self.mounts, src.path)
-        )
+        src_mobile = self.file_on_mobile_mount(src)
         taints = src_mobile or src.taint is _PI or proc.taint is _PI
         dst = self.files.get(ev.dst_fid)
         if dst is None:

@@ -222,8 +222,6 @@ class LwmEngine:
             self._need_subject(ev.seq, ev.from_pid)
             self._need_subject(ev.seq, ev.to_pid)
             return ALLOW
-        if isinstance(ev, Event):
-            return ALLOW
         raise TraceError(getattr(ev, "seq", 0), f"unknown event kind {type(ev).__name__}")
 
     def _parent_level(self, seq: int, path: str) -> IntegrityLevel:

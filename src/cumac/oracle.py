@@ -2,10 +2,12 @@
 
 The oracle recomputes which entities end up tainted by breadth-first
 reachability over a time-expanded information-flow graph built straight
-from the trace, consuming only the engine's verdict sequence (denied
-events contribute no edges) and never its taint bookkeeping. Nodes are
-(entity, step) pairs so that taint acquired late cannot flow backwards
-through earlier events.
+from the trace in one pass. It runs no engine code: the caller passes the
+verdict sequence under test (denied events contribute no edges), and the
+structure the edges need (which files exist, which are executable, which
+sit on a mobile mount) is kept locally in that pass. Nodes are (entity,
+step) pairs so that taint acquired late cannot flow backwards through
+earlier events.
 
 Flow edges per allowed event:
 
@@ -30,12 +32,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .engine import Engine, EngineConfig
+from .engine import EngineConfig
 from .model import (
     LOOPBACK_PREFIXES,
     Copy,
     Create,
-    Event,
     Exec,
     Fork,
     Ipc,
@@ -54,7 +55,6 @@ from .model import (
     proc_entity,
     under_live_mount,
 )
-from .store import ExceptionStore
 from .trace import EVENT_VERBS, Trace
 
 if TYPE_CHECKING:
@@ -65,94 +65,51 @@ if TYPE_CHECKING:
 class _FileFacts:
     """Structural facts about a file the oracle needs: taint-free."""
 
-    fid: int
     path: str
     is_executable: bool
     is_directory: bool
     mobile: bool
 
 
-class StructureMirror:
-    """Replays the structural side of a trace (which files exist, what is
-    executable, what sits on a mobile mount) without any policy logic.
-
-    Created files take the ids their events carry, which the trace parser
-    resolved; the mirror counts none.
-    """
-
-    def __init__(self, trace: Trace, config: EngineConfig | None = None):
-        self.config = config or EngineConfig.from_trace(trace)
-        self.files: dict[int, _FileFacts] = {}
-        self.mounts: dict[int, str] = {}
-        for f in trace.header.files:
-            facts = _FileFacts(f.fid, f.path, f.perms.any_exec and not f.is_directory, f.is_directory, False)
-            self.files[f.fid] = facts
-
-    def observe_mobile(self, facts: _FileFacts) -> bool:
-        """Same lazy rule as the engine: a file counts as mobile when used
-        under a live mount, and the observation is memoized."""
-        if facts.mobile:
-            return True
-        if self.mounts and under_live_mount(self.mounts, facts.path):
-            facts.mobile = True
-            return True
-        return False
-
-    def is_remote(self, peer: str) -> bool:
-        return not peer.startswith(LOOPBACK_PREFIXES)
-
-    def is_untrusted(self, user: str) -> bool:
-        record = self.config.users.get(user)
-        return record is None or not record.trusted
-
-    def register(self, fid: int, path: str, perms: str, is_directory: bool) -> None:
-        bits = PermissionBits.parse(perms)
-        self.files[fid] = _FileFacts(
-            fid,
-            path,
-            bits.any_exec and not is_directory,
-            is_directory,
-            under_live_mount(self.mounts, path),
-        )
-
-    def apply(self, ev: Event) -> None:
-        """Advance structural state past one allowed event (edges are the
-        caller's job); a denied event changes nothing, so callers skip it."""
-        if isinstance(ev, Mount):
-            self.mounts[ev.mount_id] = ev.path_prefix
-        elif isinstance(ev, Unmount):
-            self.mounts.pop(ev.mount_id, None)
-        elif isinstance(ev, Create):
-            self.register(ev.new_fid, ev.path, ev.perms, ev.is_directory)
-        elif isinstance(ev, Copy):
-            if ev.dst_fid not in self.files:
-                src = self.files[ev.src_fid]
-                self.register(ev.dst_fid, ev.dst_path, ev.dst_perms, src.is_directory)
-
-
-def engine_verdicts(trace: Trace, config: EngineConfig | None = None) -> list[Verdict]:
-    """The verdict sequence of an enforcement run over an empty store."""
-    engine = Engine(config or EngineConfig.from_trace(trace), ExceptionStore())
-    return [engine.step(ev).verdict for ev in trace.events]
-
-
 def taint_oracle(
     trace: Trace,
-    verdicts: Sequence[Verdict] | None = None,
+    verdicts: Sequence[Verdict],
     config: EngineConfig | None = None,
 ) -> set[str]:
     """Recompute the final tainted-entity set by graph reachability.
 
-    ``verdicts`` defaults to an enforcement run over an empty store; pass
-    the verdict sequence of the run under test to check any other mode.
+    ``verdicts`` is the verdict sequence of the run under test, one per
+    event; ``config`` supplies only the users' trust flags.
     """
-    config = config or EngineConfig.from_trace(trace)
-    if verdicts is None:
-        verdicts = engine_verdicts(trace, config)
     if len(verdicts) != len(trace.events):
         raise ValueError("one verdict per event is required")
+    users = (config or EngineConfig.from_trace(trace)).users
 
-    mirror = StructureMirror(trace, config)
+    # Structure: which files exist, what is executable, what sits on a
+    # mobile mount. Created files take the ids their events carry.
+    files = {
+        f.fid: _FileFacts(f.path, f.perms.any_exec and not f.is_directory, f.is_directory, False)
+        for f in trace.header.files
+    }
+    mounts: dict[int, str] = {}
+
+    def register(fid: int, path: str, perms: str, is_directory: bool) -> _FileFacts:
+        facts = _FileFacts(
+            path,
+            PermissionBits.parse(perms).any_exec and not is_directory,
+            is_directory,
+            under_live_mount(mounts, path),
+        )
+        files[fid] = facts
+        return facts
+
+    def observe_mobile(facts: _FileFacts) -> bool:
+        # Same lazy rule as the engine: a file counts as mobile when used
+        # under a live mount, and the observation is memoized.
+        if not facts.mobile and mounts and under_live_mount(mounts, facts.path):
+            facts.mobile = True
+        return facts.mobile
+
     adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
     last_node: dict[str, tuple[str, int]] = {}
     sources: list[tuple[str, int]] = []
@@ -176,16 +133,16 @@ def taint_oracle(
         if isinstance(ev, Fork):
             edge(node(proc_entity(ev.parent_pid), step), node(proc_entity(ev.child_pid), step))
         elif isinstance(ev, Exec):
-            facts = mirror.files[ev.fid]
             file_node = node(file_entity(ev.fid), step)
-            if mirror.observe_mobile(facts):
+            if observe_mobile(files[ev.fid]):
                 sources.append(file_node)
             edge(file_node, node(proc_entity(ev.pid), step))
         elif isinstance(ev, RemoteComm):
-            if mirror.is_remote(ev.peer_address):
+            if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
                 sources.append(node(proc_entity(ev.pid), step))
         elif isinstance(ev, Login):
-            if mirror.is_untrusted(ev.user):
+            user = users.get(ev.user)
+            if user is None or not user.trusted:
                 sources.append(node(proc_entity(ev.pid), step))
         elif isinstance(ev, Ipc):
             a = node(proc_entity(ev.from_pid), step)
@@ -194,26 +151,27 @@ def taint_oracle(
             if ev.channel is IpcChannel.SHARED_MEMORY:
                 edge(b, a)
         elif isinstance(ev, Write):
-            if mirror.files[ev.fid].is_executable:
+            if files[ev.fid].is_executable:
                 edge(node(proc_entity(ev.pid), step), node(file_entity(ev.fid), step))
         elif isinstance(ev, Create):
-            mirror.apply(ev)
-            facts = mirror.files[ev.new_fid]
-            if facts.is_executable:
-                edge(node(proc_entity(ev.pid), step), node(file_entity(facts.fid), step))
+            if register(ev.new_fid, ev.path, ev.perms, ev.is_directory).is_executable:
+                edge(node(proc_entity(ev.pid), step), node(file_entity(ev.new_fid), step))
         elif isinstance(ev, Copy):
-            src_facts = mirror.files[ev.src_fid]
-            src_mobile = mirror.observe_mobile(src_facts)
-            mirror.apply(ev)
-            dst_facts = mirror.files[ev.dst_fid]
-            if dst_facts.is_executable:
-                dst_node = node(file_entity(dst_facts.fid), step)
+            src = files[ev.src_fid]
+            src_mobile = observe_mobile(src)
+            dst = files.get(ev.dst_fid)
+            if dst is None:
+                dst = register(ev.dst_fid, ev.dst_path, ev.dst_perms, src.is_directory)
+            if dst.is_executable:
+                dst_node = node(file_entity(ev.dst_fid), step)
                 edge(node(proc_entity(ev.pid), step), dst_node)
-                edge(node(file_entity(src_facts.fid), step), dst_node)
+                edge(node(file_entity(ev.src_fid), step), dst_node)
                 if src_mobile:
                     sources.append(dst_node)
-        elif isinstance(ev, (Mount, Unmount)):
-            mirror.apply(ev)
+        elif isinstance(ev, Mount):
+            mounts[ev.mount_id] = ev.path_prefix
+        elif isinstance(ev, Unmount):
+            mounts.pop(ev.mount_id, None)
         # Read and PrivOp propagate nothing.
 
     reached: set[tuple[str, int]] = set()

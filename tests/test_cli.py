@@ -319,6 +319,36 @@ class TestUsageErrors:
         assert code == 2
         assert "unrecognized arguments" in err
 
+    def test_non_utf8_trusted_users_file(self, capsys, tmp_path):
+        trusted = tmp_path / "trusted.txt"
+        trusted.write_bytes(b"root\n\xff\xfe\n")
+        code, _, err = run_cli(
+            capsys,
+            "enforce",
+            "--scenario",
+            "usb-rootkit",
+            "--empty-store",
+            "--trusted-users",
+            str(trusted),
+        )
+        assert code == 2
+        assert "cannot read trusted-users file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--runs", "-3"],
+            ["--events", "-10", "--runs", "1"],
+            ["--runs", "-1", "--events", "-1"],
+        ],
+    )
+    def test_negative_oracle_check_counts_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "oracle-check", *argv)
+        assert code == 2
+        assert "must not be negative" in err
+        assert out == ""
+
     def test_non_ascii_digit_in_store_is_a_format_error(self, capsys, tmp_path):
         store_path = tmp_path / "s.cumac"
         store_path.write_text("cumac-exceptions v1\nF \u00b2 1 w\n", encoding="utf-8")

@@ -1,8 +1,12 @@
 """Low-water-mark baseline: level dynamics and the comparison report."""
 
+import pytest
+
 from cumac import scenarios
+from cumac.engine import Engine, EngineConfig
+from cumac.errors import TraceError
 from cumac.lwm import IntegrityLevel, LwmEngine, compare
-from cumac.model import Verdict
+from cumac.model import Event, Verdict
 from cumac.randomtrace import random_trace
 from cumac.replay import learn
 from cumac.store import ExceptionStore
@@ -112,6 +116,18 @@ class TestLevels:
         engine.step(trace.events[-1])
         assert engine.object_levels[10] is IntegrityLevel.LOW
         assert engine.object_levels[11] is IntegrityLevel.HIGH
+
+
+class TestUnknownEventKind:
+    def test_both_engines_refuse_an_event_kind_they_do_not_know(self):
+        class Reboot(Event):
+            pass
+
+        trace = parse_trace(HEADER)
+        engines = (Engine(EngineConfig.from_trace(trace), ExceptionStore()), LwmEngine(trace))
+        for engine in engines:
+            with pytest.raises(TraceError, match="unknown event kind Reboot"):
+                engine.step(Reboot(1))
 
 
 class TestCompare:
