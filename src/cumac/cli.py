@@ -18,7 +18,7 @@ oracle mismatch), 2 = usage, parse or configuration error.
 from __future__ import annotations
 
 import argparse
-import json
+import json  # noqa: F401  (unused here; perfbench/tracer.py times cli.json.dumps)
 import sys
 from pathlib import Path
 from typing import Any, Callable, TextIO
@@ -30,7 +30,7 @@ from .lwm import compare
 from .model import entity_sort_key
 from .oracle import export_taint_graph, taint_oracle
 from .randomtrace import random_trace
-from .replay import ReplayReport, replay
+from .replay import ReplayReport, replay, write_document
 from .store import EnvironmentBit, ExceptionStore
 from .trace import Trace, parse_trace
 
@@ -115,7 +115,7 @@ def _load_config(trace: Trace, args: argparse.Namespace) -> EngineConfig:
     if args.trusted_users:
         path = Path(args.trusted_users)
         try:
-            lines = path.read_text("utf-8").splitlines()
+            lines = path.read_bytes().decode("utf-8").split("\n")
         except (OSError, UnicodeDecodeError) as exc:
             raise CumacError(f"cannot read trusted-users file {path}: {exc}") from None
         trusted = {
@@ -139,30 +139,17 @@ def _write_file(label: str, path: str, payload: str) -> None:
 
 
 def _emit_report(
-    args: argparse.Namespace, structured: Callable[[], str], text: Callable[[], str]
+    args: argparse.Namespace, write_json: Callable[[TextIO], None], text: Callable[[], str]
 ) -> None:
-    """Write the report in the requested format when --report is given.
-    The two callables build the structured and the text payload; only the
-    one that is written gets called."""
-    if not args.report:
-        return
-    payload = structured() if args.format == "structured" else text()
-    _write_file("report", args.report, payload)
-
-
-def _emit_replay_report(args: argparse.Namespace, report: ReplayReport) -> None:
-    """:func:`_emit_report` for a replay report, whose structured form is
-    streamed into the file instead of being built first."""
+    """Write the report in the requested format when --report is given:
+    ``write_json`` streams the structured form into the open file, ``text``
+    builds the text form, and only the one that is written gets called."""
     if not args.report:
         return
     if args.format == "structured":
-        _write_stream("report", args.report, report.write_json)
+        _write_stream("report", args.report, write_json)
     else:
-        _write_file("report", args.report, report.to_text())
-
-
-def _json_payload(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        _write_file("report", args.report, text())
 
 
 def _print_replay_summary(name: str, report: ReplayReport) -> None:
@@ -191,7 +178,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     _write_file("store", args.store_out, store.save())
     _print_replay_summary(name, report)
     print(f"store written: {args.store_out}")
-    _emit_replay_report(args, report)
+    _emit_report(args, report.write_json, report.to_text)
     return 0 if report.deny_count == 0 else 1
 
 
@@ -211,7 +198,7 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
     config = _load_config(trace, args)
     report = replay(trace, EnvironmentBit.UNSECURE, store, config)
     _print_replay_summary(name, report)
-    _emit_replay_report(args, report)
+    _emit_report(args, report.write_json, report.to_text)
     return 0 if report.deny_count == 0 else 1
 
 
@@ -225,7 +212,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"denied by lwm only: {result.lwm_only or 'none'}")
     print(f"denied by both: {result.both or 'none'}")
     print(f"denied by cumac only: {result.cumac_only or 'none'}")
-    _emit_report(args, lambda: _json_payload(result.to_structured()), result.to_text)
+    _emit_report(args, result.write_json, result.to_text)
     return 0 if result.cumac_deny_count == 0 else 1
 
 
@@ -284,7 +271,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         "runs": runs,
     }
     text = f"{matched}/{args.runs} matched\n"
-    _emit_report(args, lambda: _json_payload(doc), lambda: text)
+    _emit_report(args, lambda stream: write_document(stream, doc), lambda: text)
     return 0 if mismatches == 0 else 1
 
 

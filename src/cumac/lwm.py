@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any
+from functools import partial
+from typing import Any, TextIO
 
 from .engine import Engine, EngineConfig, _parent_path
 from .errors import TraceError
@@ -54,8 +55,9 @@ from .model import (
     _covers,
     under_live_mount,
 )
+from .replay import StructuredReport, _write_verdict_rows_json, write_document
 from .store import EnvironmentBit, ExceptionStore
-from .trace import EVENT_VERBS, Trace
+from .trace import Trace
 
 MAPPING_NOTES = (
     "low-water-mark mapping: initial levels mirror intrusion entrances"
@@ -235,7 +237,7 @@ class LwmEngine:
 
 
 @dataclass(slots=True)
-class ComparisonReport:
+class ComparisonReport(StructuredReport):
     """Per-event verdicts of both engines plus the denial-set difference.
 
     On a benign-labelled trace every denial is a false negative (a benign
@@ -244,12 +246,17 @@ class ComparisonReport:
     """
 
     label: str
-    event_count: int
-    rows: list[dict[str, Any]]
+    events: list[Event]
+    verdicts: list[tuple[Verdict, Verdict]]
+    """Per event, the tracing engine's verdict and the baseline's."""
     lwm_only: list[int] = field(default_factory=list)
     both: list[int] = field(default_factory=list)
     cumac_only: list[int] = field(default_factory=list)
     notes: str = MAPPING_NOTES
+
+    @property
+    def event_count(self) -> int:
+        return len(self.events)
 
     @property
     def cumac_deny_count(self) -> int:
@@ -260,6 +267,7 @@ class ComparisonReport:
         return len(self.both) + len(self.lwm_only)
 
     def to_structured(self) -> dict[str, Any]:
+        """The report's sections but its per-event rows."""
         classification = (
             "denials are false negatives (benign work refused)"
             if self.label == "benign"
@@ -278,9 +286,14 @@ class ComparisonReport:
                 "both": list(self.both),
                 "cumac_only": list(self.cumac_only),
             },
-            "rows": self.rows,
             "notes": self.notes,
         }
+
+    def write_json(self, stream: TextIO) -> None:
+        """Stream the structured report into ``stream``, a ``rows`` entry
+        of ``seq``, ``event``, ``cumac`` and ``lwm`` verdict per event."""
+        rows = partial(_write_verdict_rows_json, self.events, self.verdicts)
+        write_document(stream, {**self.to_structured(), "rows": rows})
 
     def to_text(self) -> str:
         lines = [
@@ -313,23 +326,16 @@ def compare(
     config = config or EngineConfig.from_trace(trace)
     cumac_engine = Engine(config, store)
     lwm_engine = LwmEngine(trace, config)
-    rows: list[dict[str, Any]] = []
+    verdicts: list[tuple[Verdict, Verdict]] = []
     lwm_only: list[int] = []
     both: list[int] = []
     cumac_only: list[int] = []
     for ev in trace.events:
-        cumac_decision = cumac_engine.step(ev)
-        lwm_decision = lwm_engine.step(ev)
-        cumac_denied = cumac_decision.verdict is Verdict.DENY
-        lwm_denied = lwm_decision.verdict is Verdict.DENY
-        rows.append(
-            {
-                "seq": ev.seq,
-                "event": EVENT_VERBS[type(ev)],
-                "cumac": cumac_decision.verdict.value,
-                "lwm": lwm_decision.verdict.value,
-            }
-        )
+        cumac_verdict = cumac_engine.step(ev).verdict
+        lwm_verdict = lwm_engine.step(ev).verdict
+        verdicts.append((cumac_verdict, lwm_verdict))
+        cumac_denied = cumac_verdict is Verdict.DENY
+        lwm_denied = lwm_verdict is Verdict.DENY
         if cumac_denied and lwm_denied:
             both.append(ev.seq)
         elif lwm_denied:
@@ -338,8 +344,8 @@ def compare(
             cumac_only.append(ev.seq)
     return ComparisonReport(
         label=trace.header.label,
-        event_count=len(trace.events),
-        rows=rows,
+        events=trace.events,
+        verdicts=verdicts,
         lwm_only=lwm_only,
         both=both,
         cumac_only=cumac_only,

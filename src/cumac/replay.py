@@ -6,14 +6,14 @@ with learned exceptions; in Unsecure mode it is strictly read-only. The
 engine keeps no log: the replay loop collects each step's decision, and
 the report pairs the decisions with the trace's events.
 
-``ReplayReport.write_json`` streams the structured report to a text
-stream without building it: its bytes equal
-``json.dumps(report.to_structured(), sort_keys=True, indent=2) + "\n"``,
-but each decision row is rendered from strings prepared once per event
-kind and per decision outcome, and rows are joined and written
+``write_document`` streams a structured report, small sections and one
+row section, to a text stream without building it: its bytes equal
+``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, but each small
+section goes through ``json.dumps`` alone, and the rows are rendered from
+strings prepared once per event kind and outcome and written
 ``_BLOCK_ROWS`` at a time. So writing a report holds one block of rows,
-not a second copy of the report, nor a third as encoded bytes.
-``to_json`` collects the same writes into one string.
+not a second copy of the report, nor a third as encoded bytes. The replay
+report here and the comparison report in ``lwm`` share this writer.
 
 Timing covers the engine loop alone, on a monotonic clock.
 ``wall_seconds`` is the loop's wall time and ``events_per_second`` is the
@@ -22,20 +22,20 @@ throughput. ``median_us``, ``mean_us`` and ``max_us`` summarise the time of
 each ``Engine.step`` call; only the median resists a stray slow event.
 
 The cyclic garbage collector is paused for the whole replay, the loop and
-the assembly of the report, and then restored to its prior state. A replay
-makes no reference cycles, so collections there would reclaim nothing; they
-would only walk the trace and the collected decisions, again and again as
-both grow.
+the assembly of the report, and then restored to its prior state
+(``trace.collector_paused``). A replay makes no reference cycles, so
+collections there would reclaim nothing; they would only walk the trace
+and the collected decisions, again and again as both grow.
 """
 
 from __future__ import annotations
 
-import gc
 import io
 import json
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from statistics import fmean, median
 from time import perf_counter, perf_counter_ns
@@ -44,7 +44,7 @@ from typing import Any, Callable, TextIO
 from .engine import Engine, EngineConfig
 from .model import Decision, DenyReason, Event, ExceptionKind, Verdict, entity_sort_key
 from .store import EnvironmentBit, ExceptionStore
-from .trace import _EVENTS, EVENT_VERBS, Trace
+from .trace import _EVENTS, EVENT_VERBS, Trace, collector_paused
 
 # -- decision rows --------------------------------------------------------------
 #
@@ -52,7 +52,7 @@ from .trace import _EVENTS, EVENT_VERBS, Trace
 # ``seq``, nor the ids the parser resolved for created files), in sorted
 # order, with enum members (the IPC channel) reported by their value. The
 # JSON text of a row is fixed by its event kind and decision outcome apart
-# from a few values, so ``to_json`` renders rows from pieces prepared here
+# from a few values, so ``write_json`` renders rows from pieces prepared here
 # instead of through ``json.dumps``. The indents are those that
 # ``json.dumps(..., indent=2)`` gives a row in the report's ``decisions``.
 
@@ -64,35 +64,26 @@ _ITEM = "\n" + " " * 4  # a row of ``decisions``
 _ROW = "\n" + " " * 6  # a key of a row
 _NESTED = "\n" + " " * 8  # a key of ``args``, an item of ``taint_updates``
 
-_EVENT_ARGS: dict[type, tuple[str, ...]] = {
-    cls: tuple(sorted(attr for attr, _ in fields.values())) for cls, fields in _EVENTS.values()
-}
-"""Per event kind, the names of the arguments a row shows."""
-
-
-def _row_json(names: tuple[str, ...], verb: str) -> tuple[tuple[tuple[str, str], ...], str]:
+def _row_json(verb: str, fields: dict) -> tuple[tuple[tuple[str, str], ...], str]:
+    names = sorted(attr for attr, _ in fields.values())
     keys = [f'{_NESTED}"{name}": ' for name in names]
     keys = [f'{_ITEM}{{{_ROW}"args": {{{keys[0]}', *("," + key for key in keys[1:])]
     return tuple(zip(keys, names)), f'{_ROW}}},{_ROW}"event": {encode_basestring_ascii(verb)},'
 
 
-_ROW_JSON = {cls: _row_json(_EVENT_ARGS[cls], verb) for cls, verb in EVENT_VERBS.items()}
+_ROW_JSON = {cls: _row_json(verb, fields) for verb, (cls, fields) in _EVENTS.items()}
 """Per event kind, the JSON text before each argument value (the opening
 of the row and of ``args`` before the first, a comma before the others,
 then the key) paired with the argument's name, and the JSON text from the
 last argument value to the ``event`` entry."""
 
 
-def _plain(value: Any) -> Any:
-    """An argument value as a report shows it."""
-    return value.value if isinstance(value, Enum) else value
-
-
 def _arg_json(value: Any) -> str:
-    """The JSON text of an argument value. Any other type is refused, so
-    that a new kind of field fails loudly instead of being written
-    differently from ``json.dumps``."""
-    value = _plain(value)
+    """The JSON text of an argument value, an enum member by its value.
+    Any other type is refused, so that a new kind of field fails loudly
+    instead of being written differently from ``json.dumps``."""
+    if isinstance(value, Enum):
+        value = value.value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -163,6 +154,62 @@ def _write_rows_json(log: list[tuple[Event, Decision]], write: Callable[[str], A
     write("\n  ]")
 
 
+_VERDICT_ROW_JSON: dict[tuple[type, Verdict, Verdict], str] = {
+    (cls, cumac, lwm): f'{_ITEM}{{{_ROW}"cumac": {encode_basestring_ascii(cumac.value)},'
+    f'{_ROW}"event": {encode_basestring_ascii(verb)},'
+    f'{_ROW}"lwm": {encode_basestring_ascii(lwm.value)},{_ROW}"seq": '
+    for cls, verb in EVENT_VERBS.items()
+    for cumac in Verdict
+    for lwm in Verdict
+}
+"""Per event kind and verdict pair, the JSON text of a comparison row up
+to the value of ``seq``."""
+
+
+def _write_verdict_rows_json(
+    events: list[Event], verdicts: list[tuple[Verdict, Verdict]], write: Callable[[str], Any]
+) -> None:
+    """Write the JSON text of a comparison's ``rows`` list, ``_BLOCK_ROWS``
+    rows joined per write."""
+    heads, tail = _VERDICT_ROW_JSON, _ITEM + "}"
+    for start in range(0, len(events), _BLOCK_ROWS):
+        block = zip(events[start : start + _BLOCK_ROWS], verdicts[start : start + _BLOCK_ROWS])
+        write(("," if start else "[") + ",".join(
+            f"{heads[type(ev), cumac, lwm]}{ev.seq}{tail}" for ev, (cumac, lwm) in block
+        ))
+    write("\n  ]" if events else "[]")
+
+
+def write_document(stream: TextIO, sections: dict[str, Any]) -> None:
+    """Write ``sections`` as a JSON document to ``stream``, byte for byte
+    ``json.dumps(sections, sort_keys=True, indent=2) + "\n"``. A section
+    whose value is callable is a row section: it is handed
+    ``stream.write`` and writes its JSON list itself."""
+    write = stream.write
+    opening = "{"
+    for name in sorted(sections):
+        write(f"{opening}\n  {encode_basestring_ascii(name)}: ")
+        opening = ","
+        section = sections[name]
+        if callable(section):
+            section(write)
+        else:
+            write(json.dumps(section, sort_keys=True, indent=2).replace("\n", "\n  "))
+    write("\n}\n")
+
+
+class StructuredReport:
+    """A report whose ``write_json`` streams its structured form."""
+
+    __slots__ = ()
+
+    def to_json(self) -> str:
+        """The structured report as JSON text, as :meth:`write_json` writes it."""
+        buffer = io.StringIO()
+        self.write_json(buffer)
+        return buffer.getvalue()
+
+
 @dataclass(slots=True)
 class TimingStats:
     wall_seconds: float = 0.0
@@ -182,7 +229,7 @@ class TimingStats:
 
 
 @dataclass(slots=True)
-class ReplayReport:
+class ReplayReport(StructuredReport):
     """Everything one replay produced: the decision log, final taint set,
     counters and timing. Counter totals always equal the event count."""
 
@@ -204,31 +251,9 @@ class ReplayReport:
     def denials(self) -> list[tuple[Event, Decision]]:
         return [(ev, d) for ev, d in self.log if d.verdict is Verdict.DENY]
 
-    def decision_rows(self) -> list[dict[str, Any]]:
-        """The decision log in serializable, deterministic form."""
-        rows = []
-        for ev, decision in self.log:
-            rows.append(
-                {
-                    "seq": ev.seq,
-                    "event": EVENT_VERBS[type(ev)],
-                    "args": {
-                        name: _plain(getattr(ev, name))
-                        for name in _EVENT_ARGS[type(ev)]
-                    },
-                    "verdict": decision.verdict.value,
-                    "reason": decision.reason.value,
-                    "exception_kind": decision.exception_kind.value,
-                    "taint_updates": [
-                        [entity, old.value, new.value]
-                        for entity, old, new in decision.taint_updates
-                    ],
-                }
-            )
-        return rows
-
-    def to_structured(self, include_decisions: bool = True) -> dict[str, Any]:
-        doc: dict[str, Any] = {
+    def to_structured(self) -> dict[str, Any]:
+        """The report's sections but its decision rows."""
+        return {
             "summary": {
                 "mode": self.mode.value,
                 "label": self.label,
@@ -239,34 +264,15 @@ class ReplayReport:
                 "exception_allows": self.exception_allows,
                 "learned_exceptions": self.learned_exceptions,
             },
-            "decisions": self.decision_rows() if include_decisions else [],
             "taint": list(self.final_taint),
             "timing": self.timing.to_dict(),
         }
-        return doc
 
     def write_json(self, stream: TextIO) -> None:
-        """Write the structured report as JSON text to ``stream``, byte for
-        byte ``json.dumps(self.to_structured(), sort_keys=True, indent=2) +
-        "\\n"``, without holding more than a block of decision rows."""
-        doc = self.to_structured(include_decisions=False)
-        write = stream.write
-        opening = "{"
-        for section in sorted(doc):
-            write(f"{opening}\n  {encode_basestring_ascii(section)}: ")
-            opening = ","
-            if section == "decisions":
-                _write_rows_json(self.log, write)
-            else:
-                text = json.dumps(doc[section], sort_keys=True, indent=2)
-                write(text.replace("\n", "\n  "))
-        write("\n}\n")
-
-    def to_json(self) -> str:
-        """The structured report as JSON text, as :meth:`write_json` writes it."""
-        buffer = io.StringIO()
-        self.write_json(buffer)
-        return buffer.getvalue()
+        """Stream the structured report into ``stream``, decisions and all,
+        holding no more than a block of decision rows."""
+        rows = partial(_write_rows_json, self.log)
+        write_document(stream, {**self.to_structured(), "decisions": rows})
 
     def to_text(self) -> str:
         lines = [
@@ -318,9 +324,7 @@ def replay(
         store = ExceptionStore()
     store.bit = mode
     config = config or EngineConfig.from_trace(trace)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         engine = Engine(config, store)
         learned_before = store.triple_count()
 
@@ -370,9 +374,6 @@ def replay(
             learned_exceptions=store.triple_count() - learned_before,
             timing=timing,
         )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def learn(trace: Trace, store: ExceptionStore | None = None, config: EngineConfig | None = None) -> tuple[ReplayReport, ExceptionStore]:

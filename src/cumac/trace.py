@@ -1,7 +1,8 @@
 """Line-oriented trace files: parsing, validation and rendering.
 
-A trace is UTF-8 text. ``#`` starts a comment line, blank lines are
-ignored, and the first significant line must be the header
+A trace is UTF-8 text. Lines end at ``\n`` alone (a ``\r`` before it is
+stripped like other surrounding whitespace), ``#`` starts a comment line,
+blank lines are ignored, and the first significant line must be the header
 ``cumac-trace v1``. A snapshot section declares the initial world, then
 event lines replay against it; sequence numbers are implicit in event
 order. Snapshot lines may not follow the first event line.
@@ -54,9 +55,10 @@ TraceParseError, never a crash.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .errors import PermsFormatError, TraceParseError
 from .model import (
@@ -428,6 +430,19 @@ write."""
 EVENT_VERBS: dict[type, str] = {cls: verb for verb, (cls, _) in _EVENTS.items()}
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then leave it as
+    it was found, however the block ends."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def parse_trace(data: str | bytes) -> Trace:
     """Parse trace text into a Trace, or raise a positioned TraceParseError.
 
@@ -441,14 +456,9 @@ def parse_trace(data: str | bytes) -> Trace:
             line = data[: exc.start].count(b"\n") + 1
             raise TraceParseError(line, f"document is not valid UTF-8 at byte {exc.start}") from None
     parser = _Parser()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for line_no, line in enumerate(data.splitlines(), start=1):
+    with collector_paused():
+        for line_no, line in enumerate(data.split("\n"), start=1):
             parser.feed(line_no, line)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     if not parser.saw_header:
         raise TraceParseError(0, f"missing format header {FORMAT_HEADER!r}")
     return Trace(parser.header, parser.events)

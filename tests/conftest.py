@@ -1,14 +1,19 @@
 """Shared fixtures: a small filesystem snapshot, an event driver that
-handles sequence numbering, so tests read like short sessions, and the
-cyclic collector switched on or off for a test."""
+handles sequence numbering, so tests read like short sessions, the
+cyclic collector switched on or off for a test, and the ``json.dumps``
+reference that the streamed structured reports are checked against."""
 
 from __future__ import annotations
 
 import gc
+import json
+from enum import Enum
+from typing import Any
 
 import pytest
 
 from cumac.engine import Engine, EngineConfig
+from cumac.lwm import ComparisonReport
 from cumac.model import (
     Copy,
     Create,
@@ -28,7 +33,9 @@ from cumac.model import (
     UserRecord,
     Write,
 )
+from cumac.replay import ReplayReport
 from cumac.store import EnvironmentBit, ExceptionStore
+from cumac.trace import _EVENTS, EVENT_VERBS
 
 # Fixed fids for the small world, used throughout the engine tests.
 ROOT_DIR = 1
@@ -192,3 +199,61 @@ def collector(request):
         gc.enable()
     else:
         gc.disable()
+
+
+# -- the reference for structured reports ----------------------------------------
+
+
+def decision_rows(report: ReplayReport) -> list[dict[str, Any]]:
+    """A replay's decision log as the dict rows of its report: per event,
+    the arguments its trace line fills, enum members by their value."""
+    rows = []
+    for ev, decision in report.log:
+        verb = EVENT_VERBS[type(ev)]
+        args = {}
+        for attr, _ in _EVENTS[verb][1].values():
+            value = getattr(ev, attr)
+            args[attr] = value.value if isinstance(value, Enum) else value
+        rows.append(
+            {
+                "seq": ev.seq,
+                "event": verb,
+                "args": args,
+                "verdict": decision.verdict.value,
+                "reason": decision.reason.value,
+                "exception_kind": decision.exception_kind.value,
+                "taint_updates": [
+                    [entity, old.value, new.value] for entity, old, new in decision.taint_updates
+                ],
+            }
+        )
+    return rows
+
+
+def comparison_rows(report: ComparisonReport) -> list[dict[str, Any]]:
+    """A comparison's verdict pairs as the dict rows of its report."""
+    return [
+        {"seq": ev.seq, "event": EVENT_VERBS[type(ev)], "cumac": cumac.value, "lwm": lwm.value}
+        for ev, (cumac, lwm) in zip(report.events, report.verdicts, strict=True)
+    ]
+
+
+def structured_document(report: ReplayReport | ComparisonReport) -> dict[str, Any]:
+    """The whole structured document of a report, rows and all, as dicts."""
+    doc = report.to_structured()
+    if isinstance(report, ReplayReport):
+        doc["decisions"] = decision_rows(report)
+    else:
+        doc["rows"] = comparison_rows(report)
+    return doc
+
+
+class Writes(list):
+    """A text sink that keeps each write apart."""
+
+    write = list.append
+
+
+def reference_json(report: ReplayReport | ComparisonReport) -> str:
+    """The text ``write_json`` must write: ``json.dumps`` of the document."""
+    return json.dumps(structured_document(report), sort_keys=True, indent=2) + "\n"

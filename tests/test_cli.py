@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from conftest import reference_json
 
 from cumac import cli
 from cumac.cli import main
@@ -144,24 +145,25 @@ class TestOracleCheck:
 
 
 class TestReportFiles:
-    """The structured report a replaying command streams into its file is
-    byte for byte the json.dumps of the report it replayed."""
+    """The structured report a command streams into its file is byte for
+    byte the json.dumps of the document of the report it made."""
 
-    def assert_report_is_the_json_dump(self, capsys, tmp_path, monkeypatch, argv, code):
+    def assert_report_is_the_json_dump(
+        self, capsys, tmp_path, monkeypatch, argv, code, maker="replay"
+    ):
         reports = []
-        real_replay = cli.replay
+        real_maker = getattr(cli, maker)
 
-        def kept_replay(*args, **kwargs):
-            reports.append(real_replay(*args, **kwargs))
+        def kept_maker(*args, **kwargs):
+            reports.append(real_maker(*args, **kwargs))
             return reports[-1]
 
-        monkeypatch.setattr(cli, "replay", kept_replay)
+        monkeypatch.setattr(cli, maker, kept_maker)
         report_path = tmp_path / "report.json"
         result = run_cli(capsys, *argv, "--format", "structured", "--report", str(report_path))
         assert result[0] == code
         (report,) = reports
-        expected = json.dumps(report.to_structured(), sort_keys=True, indent=2) + "\n"
-        assert report_path.read_bytes() == expected.encode("utf-8")
+        assert report_path.read_bytes() == reference_json(report).encode("utf-8")
 
     def test_structured_enforce_report_is_the_json_dump(self, capsys, tmp_path, monkeypatch):
         argv = ["enforce", "--scenario", "network-rootkit", "--empty-store"]
@@ -171,11 +173,27 @@ class TestReportFiles:
         argv = ["learn", "--scenario", "network-rootkit", "--store-out", str(tmp_path / "s")]
         self.assert_report_is_the_json_dump(capsys, tmp_path, monkeypatch, argv, 0)
 
+    @pytest.mark.parametrize("name, code", [("usb-rootkit", 1), ("self-revocation", 0)])
+    def test_structured_compare_report_is_the_json_dump(
+        self, capsys, tmp_path, monkeypatch, name, code
+    ):
+        argv = ["compare", "--scenario", name]
+        self.assert_report_is_the_json_dump(capsys, tmp_path, monkeypatch, argv, code, "compare")
+
+    def test_structured_oracle_check_report_is_canonical(self, capsys, tmp_path):
+        report_path = tmp_path / "oracle.json"
+        argv = ["oracle-check", "--runs", "3", "--events", "50", "--seed", "4"]
+        code, _, _ = run_cli(capsys, *argv, "--format", "structured", "--report", str(report_path))
+        assert code == 0
+        text = report_path.read_text("utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert list(json.loads(text)) == ["runs", "summary"]
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("fmt", ["structured", "text"])
-    @pytest.mark.parametrize("command", ["enforce", "learn"])
+    @pytest.mark.parametrize("command", ["enforce", "learn", "compare"])
     def test_a_full_device_is_a_write_error(self, capsys, tmp_path, command, fmt):
-        store = ["--empty-store"] if command == "enforce" else ["--store-out", str(tmp_path / "s")]
+        store = ["--store-out", str(tmp_path / "s")] if command == "learn" else ["--empty-store"]
         code, _, err = run_cli(
             capsys, command, "--scenario", "usb-rootkit", *store,
             "--format", fmt, "--report", "/dev/full",
@@ -197,6 +215,7 @@ STRUCTURED_BUILDERS = [
     (ReplayReport, "to_json"),
     (ReplayReport, "write_json"),
     (ComparisonReport, "to_structured"),
+    (ComparisonReport, "write_json"),
 ]
 TEXT_BUILDERS = [(ReplayReport, "to_text"), (ComparisonReport, "to_text")]
 
@@ -390,6 +409,24 @@ class TestTrustedUsersOverride:
         )
         assert code == 0
         assert "0 denied" in out
+
+    @pytest.mark.parametrize("brk", [b"\x0c", b"\x0b", b"\xc2\x85", b"\xe2\x80\xa8"])
+    def test_only_a_newline_ends_a_line(self, capsys, tmp_path, brk):
+        # mallory is inside a comment line, so stays untrusted: the ptrace
+        # scenario keeps its entrance and its denial.
+        trusted = tmp_path / "trusted.txt"
+        trusted.write_bytes(b"root\r\n# retired: " + brk + b"mallory\n")
+        code, out, _ = run_cli(
+            capsys,
+            "enforce",
+            "--scenario",
+            "local-ptrace",
+            "--empty-store",
+            "--trusted-users",
+            str(trusted),
+        )
+        assert code == 1
+        assert "0 denied" not in out
 
     def test_omitting_a_header_user_untrusts_them(self, capsys, tmp_path):
         trusted = tmp_path / "trusted.txt"

@@ -118,7 +118,7 @@ def output_digests(trace: Trace) -> dict[str, str]:
         outputs[f"{name}.dot"] = export_taint_graph(report, trace)
         outputs[f"{name}.oracle"] = "\n".join(oracle)
     for name, store in (("empty", ExceptionStore()), ("learned", ExceptionStore.load(saved))):
-        structured = compare(trace, store).to_structured()
+        structured = json.loads(compare(trace, store).to_json())
         outputs[f"compare-{name}"] = json.dumps(structured, sort_keys=True)
     return {
         name: hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -1,6 +1,9 @@
 """Low-water-mark baseline: level dynamics and the comparison report."""
 
+import json
+
 import pytest
+from conftest import Writes, reference_json
 
 from cumac import scenarios
 from cumac.engine import Engine, EngineConfig
@@ -8,7 +11,7 @@ from cumac.errors import TraceError
 from cumac.lwm import IntegrityLevel, LwmEngine, compare
 from cumac.model import Event, Verdict
 from cumac.randomtrace import random_trace
-from cumac.replay import learn
+from cumac.replay import _BLOCK_ROWS, learn
 from cumac.store import ExceptionStore
 from cumac.trace import parse_trace
 
@@ -152,8 +155,10 @@ class TestCompare:
     def test_empty_trace_empty_report(self):
         report = compare(parse_trace("cumac-trace v1\n"))
         assert report.event_count == 0
-        assert report.rows == []
+        assert report.verdicts == []
         assert report.lwm_only == report.both == report.cumac_only == []
+        assert report.to_json() == reference_json(report)
+        assert json.loads(report.to_json())["rows"] == []
 
     def test_report_discloses_the_mapping(self):
         report = compare(scenarios.load_trace("self-revocation"))
@@ -172,5 +177,48 @@ class TestCompare:
         other = random_trace(seed=2, events=1000)
         expected = compare(other, ExceptionStore.load(saved))
         assert expected.cumac_deny_count > 0
-        assert compare(other, learned).to_structured() == expected.to_structured()
+        assert compare(other, learned).to_json() == expected.to_json()
         assert learned.save() == saved
+
+
+class TestStructuredReport:
+    """write_json() streams the bytes json.dumps writes for the whole
+    comparison document, joining at most a block of rows into one write."""
+
+    @staticmethod
+    def assert_json_is_the_reference(report) -> None:
+        # Lines are compared, so a failure names the first differing line.
+        assert report.to_json().splitlines(True) == reference_json(report).splitlines(True)
+
+    @pytest.mark.parametrize("name", scenarios.available())
+    def test_scenarios_match_the_reference(self, name):
+        trace = scenarios.load_trace(name)
+        self.assert_json_is_the_reference(compare(trace))
+        self.assert_json_is_the_reference(compare(trace, learn(trace)[1]))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_traces_match_the_reference(self, seed):
+        trace = random_trace(seed=seed, events=400)
+        learned = learn(trace)[1]
+        for store in (ExceptionStore(), learned):
+            report = compare(trace, store)
+            assert {cumac for cumac, _ in report.verdicts} == (
+                {Verdict.ALLOW, Verdict.ALLOW_BY_EXCEPTION} if store is learned
+                else {Verdict.ALLOW, Verdict.DENY}
+            )
+            self.assert_json_is_the_reference(report)
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1], ids=lambda n: f"{n}-rows"
+    )
+    def test_block_edges_match_the_reference(self, rows):
+        report = compare(random_trace(seed=rows, events=rows))
+        assert len(report.verdicts) == rows
+        self.assert_json_is_the_reference(report)
+        writes = Writes()
+        report.write_json(writes)
+        assert "".join(writes) == report.to_json()
+        per_write = [text.count('\n      "seq": ') for text in writes]
+        assert sum(per_write) == rows
+        assert max(per_write) <= _BLOCK_ROWS
+        assert sum(1 for count in per_write if count) == -(-rows // _BLOCK_ROWS)

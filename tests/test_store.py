@@ -161,6 +161,14 @@ class TestPersistence:
         assert store.key_paths == {}
         assert store.save() == "cumac-exceptions v1\nP 1 CAP_KILL\n"
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_only_a_newline_ends_a_line(self, brk):
+        # A comment runs to the next "\n", whatever other line breaks it holds.
+        store = ExceptionStore.load(f"cumac-exceptions v1\r\n# key 4 /a{brk}b\r\nP 4 CAP_KILL\n")
+        assert store.key_paths == {4: f"/a{brk}b"}
+        assert store.check_priv_exception(4, "CAP_KILL")
+        assert ExceptionStore.load(store.save()).save() == store.save()
+
     def test_load_rejects_non_utf8(self):
         with pytest.raises(StoreFormatError, match="UTF-8"):
             ExceptionStore.load(b"cumac-exceptions v1\n\xff\xfe\n")

@@ -2,6 +2,7 @@
 collector state."""
 
 import gc
+import json
 import random
 
 import pytest
@@ -189,7 +190,7 @@ def test_event_table_drives_parse_render_and_report_args():
     trace = parse_trace(SMALL + "\n".join(lines) + "\n")
     assert sorted(EVENT_VERBS[type(ev)] for ev in trace.events) == sorted(_EVENTS)
     assert [render_event(ev) for ev in trace.events] == lines
-    for row in replay(trace, EnvironmentBit.UNSECURE).decision_rows():
+    for row in json.loads(replay(trace, EnvironmentBit.UNSECURE).to_json())["decisions"]:
         assert sorted(row["args"]) == sorted(attr for attr, _ in _EVENTS[row["event"]][1].values())
 
 
@@ -336,6 +337,31 @@ class TestTotality:
                 assert exc.line >= 0
                 errors += 1
         assert ok + errors == 3000
+
+
+class TestLineEnds:
+    """A line ends at "\n" alone; other characters that str.splitlines()
+    breaks at are whitespace inside a line, and a "\r" before the "\n" is
+    stripped."""
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_a_comment_runs_to_the_newline(self, brk):
+        trace = parse_trace(SMALL + f"# note{brk}more\nFORK parent=1 child=2\n")
+        assert [render_event(ev) for ev in trace.events] == ["FORK parent=1 child=2"]
+
+    def test_crlf_lines_parse(self):
+        text = SMALL + "FORK parent=1 child=2\n"
+        assert parse_trace(text.replace("\n", "\r\n")) == parse_trace(text)
+
+    def test_error_lines_count_newlines_only(self):
+        comment = "# a\x0c\x0cb\u2028c\n"
+        bad_line = SMALL.count("\n") + 2
+        with pytest.raises(TraceParseError, match="unknown verb 'BOGUS'") as text_error:
+            parse_trace(SMALL + comment + "BOGUS\n")
+        assert text_error.value.line == bad_line
+        with pytest.raises(TraceParseError, match="not valid UTF-8") as bytes_error:
+            parse_trace((SMALL + comment).encode() + b"\xff\n")
+        assert bytes_error.value.line == bad_line
 
 
 class TestCollectorState:
