@@ -87,7 +87,6 @@ class LwmEngine:
         self.subject_levels: dict[int, IntegrityLevel] = {}
         self.object_levels: dict[int, IntegrityLevel] = {}
         self._fid_by_path: dict[str, int] = {}
-        self._dir_fids: set[int] = set()
         self._mounts: dict[int, str] = {}
 
         low_pids, mobile_prefixes = self._prescan(trace)
@@ -100,7 +99,7 @@ class LwmEngine:
         for f in trace.header.files:
             mobile = any(_covers(prefix, f.path) for prefix in mobile_prefixes)
             level = IntegrityLevel.LOW if mobile else IntegrityLevel.HIGH
-            self._register(f.fid, f.path, level, f.is_directory)
+            self._register(f.fid, f.path, level)
         self._low_pids = low_pids
 
     def _prescan(self, trace: Trace) -> tuple[set[int], set[str]]:
@@ -139,11 +138,9 @@ class LwmEngine:
             return IntegrityLevel.LOW
         return subject
 
-    def _register(self, fid: int, path: str, level: IntegrityLevel, is_dir: bool) -> None:
+    def _register(self, fid: int, path: str, level: IntegrityLevel) -> None:
         self.object_levels[fid] = level
         self._fid_by_path[path] = fid
-        if is_dir:
-            self._dir_fids.add(fid)
         if level is IntegrityLevel.HIGH:
             prefix = path
             while True:
@@ -173,9 +170,7 @@ class LwmEngine:
             parent = self._parent_level(ev.seq, ev.path)
             denied = subject < parent
             # Register the object either way so later references resolve.
-            self._register(
-                ev.new_fid, ev.path, self._birth_level(subject, ev.path), ev.is_directory
-            )
+            self._register(ev.new_fid, ev.path, self._birth_level(subject, ev.path))
             return _DENY_WRITE if denied else ALLOW
         if isinstance(ev, Copy):
             subject = self._need_subject(ev.seq, ev.pid)
@@ -184,12 +179,7 @@ class LwmEngine:
             dst = self.object_levels.get(ev.dst_fid)
             if dst is None:
                 denied = dropped < self._parent_level(ev.seq, ev.dst_path)
-                self._register(
-                    ev.dst_fid,
-                    ev.dst_path,
-                    self._birth_level(dropped, ev.dst_path),
-                    ev.src_fid in self._dir_fids,
-                )
+                self._register(ev.dst_fid, ev.dst_path, self._birth_level(dropped, ev.dst_path))
             else:
                 denied = dropped < dst
             if denied:

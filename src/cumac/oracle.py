@@ -48,6 +48,7 @@ from .model import (
     Read,
     RemoteComm,
     Unmount,
+    UserRecord,
     Verdict,
     Write,
     entity_sort_key,
@@ -55,7 +56,7 @@ from .model import (
     proc_entity,
     under_live_mount,
 )
-from .trace import EVENT_VERBS, Trace
+from .trace import EVENT_VERBS, Trace, collector_paused
 
 if TYPE_CHECKING:
     from .replay import ReplayReport
@@ -79,12 +80,22 @@ def taint_oracle(
     """Recompute the final tainted-entity set by graph reachability.
 
     ``verdicts`` is the verdict sequence of the run under test, one per
-    event; ``config`` supplies only the users' trust flags.
+    event; ``config`` supplies only the users' trust flags. The cyclic
+    garbage collector is paused while the graph is built and searched,
+    then left as it was found: the graph holds no reference cycles, so
+    collections would only walk it again and again as it grows. It is
+    built in its own frame, so it is freed before the collector resumes.
     """
     if len(verdicts) != len(trace.events):
         raise ValueError("one verdict per event is required")
     users = (config or EngineConfig.from_trace(trace)).users
+    with collector_paused():
+        return _reached_entities(trace, verdicts, users)
 
+
+def _reached_entities(
+    trace: Trace, verdicts: Sequence[Verdict], users: dict[str, UserRecord]
+) -> set[str]:
     # Structure: which files exist, what is executable, what sits on a
     # mobile mount. Created files take the ids their events carry.
     files = {

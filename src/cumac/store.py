@@ -1,12 +1,13 @@
-"""Exceptional-access lists and the system-wide environment bit.
+"""Exceptional-access grants and the system-wide environment bit.
 
-Each application (identified by its key, the inode of its executable) can
-hold per-file access-mode grants and a set of privilege grants. While the
-environment bit says Secure, the engine records every access it would
-otherwise refuse; while it says Unsecure, those records authorize the same
-accesses and nothing new may be recorded. A file has an exception list
-only once it holds a grant; the engine looks grants up by file id and
-keeps no list of its own.
+A grant is a (file id, application key, access mode) triple or an
+(application key, capability) pair, where an application's key is the
+inode of its executable. While the environment bit says Secure, the engine
+records every access it would otherwise refuse; while it says Unsecure,
+those records authorize the same accesses and nothing new may be recorded.
+The store holds the grants as two sets, and the engine keeps none of its
+own. Iteration is sorted whatever the hash seed: file triples by (fid, key,
+mode) with ``r`` before ``w``, privilege pairs by (key, capability name).
 
 On-disk format (UTF-8 text, lines end at ``\n``, ``#`` starts a comment line):
 
@@ -27,7 +28,6 @@ with one is ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -50,79 +50,41 @@ class AccessMode(Enum):
     WRITE = "w"
 
 
-@dataclass(slots=True)
-class AccessModeVector:
-    """Permitted access modes for one (file, key) pair; a stored vector
-    always has at least one bit set."""
-
-    read: bool = False
-    write: bool = False
-
-    def has(self, mode: AccessMode) -> bool:
-        return self.read if mode is AccessMode.READ else self.write
-
-    def set(self, mode: AccessMode) -> bool:
-        """Set one mode bit; returns True if it was newly set."""
-        if mode is AccessMode.READ:
-            was = self.read
-            self.read = True
-        else:
-            was = self.write
-            self.write = True
-        return not was
-
-    def render(self) -> str:
-        return ("r" if self.read else "") + ("w" if self.write else "")
-
-
-@dataclass(slots=True)
-class FileExceptionEntry:
-    """One item of a file's exceptional-access list: which application may
-    access the file, and how."""
-
-    key: Key
-    modes: AccessModeVector
-
-
 class ExceptionStore:
-    """Central store for both exceptional-access lists.
+    """Central store for both kinds of exceptional-access grant.
 
-    Lists are keyed by file id and application key here rather than being
-    scattered through file records. A file has a list only once it holds
-    a grant, so a lookup for any other file misses at once.
+    It holds exactly two sets: (fid, key, mode) file grants and (key,
+    capability) privilege grants. ``iter_file_triples`` and
+    ``iter_priv_pairs`` yield them in the sorted order the module
+    docstring gives.
     """
 
     def __init__(self, bit: EnvironmentBit = EnvironmentBit.UNSECURE):
         self.bit = bit
-        self._file_lists: dict[int, list[FileExceptionEntry]] = {}
-        self._priv_lists: dict[Key, set[str]] = {}
+        self._file_grants: set[tuple[int, Key, AccessMode]] = set()
+        self._priv_grants: set[tuple[Key, str]] = set()
         self.key_paths: dict[Key, str] = {}
 
     # -- views ----------------------------------------------------------------
 
-    def file_entries(self, fid: int) -> list[FileExceptionEntry]:
-        """The exception list of a file, mutated in place; made, empty, on
-        the first call for that file, which only recording and loading do."""
-        return self._file_lists.setdefault(fid, [])
+    def file_entries(self, fid: int) -> list[tuple[Key, AccessMode]]:
+        """One file's (key, mode) grants, sorted; a copy, not a view.
+
+        Nothing in the package calls this. It is kept because the benchmark
+        tracer (``perfbench/tracer.py``) looks it up by name when it installs
+        its counters and fails without it."""
+        return [(key, mode) for f, key, mode in self.iter_file_triples() if f == fid]
 
     def iter_file_triples(self) -> Iterator[tuple[int, Key, AccessMode]]:
-        for fid, entries in self._file_lists.items():
-            for entry in entries:
-                if entry.modes.read:
-                    yield (fid, entry.key, AccessMode.READ)
-                if entry.modes.write:
-                    yield (fid, entry.key, AccessMode.WRITE)
+        return iter(sorted(self._file_grants, key=lambda g: (g[0], g[1], g[2].value)))
 
     def iter_priv_pairs(self) -> Iterator[tuple[Key, str]]:
-        for key, caps in self._priv_lists.items():
-            for cap in caps:
-                yield (key, cap)
+        return iter(sorted(self._priv_grants))
 
     def triple_count(self) -> int:
         """Number of distinct recorded grants (file mode bits plus
         capabilities); learning counters are derived from its delta."""
-        n = sum(1 for _ in self.iter_file_triples())
-        return n + sum(len(caps) for caps in self._priv_lists.values())
+        return len(self._file_grants) + len(self._priv_grants)
 
     # -- recording (Secure only) ------------------------------------------------
 
@@ -134,41 +96,24 @@ class ExceptionStore:
 
     def record_file_exception(self, key: Key, fid: int, mode: AccessMode) -> bool:
         """Record a (key, fid, mode) grant; idempotent. Returns True when
-        the mode bit was newly set."""
+        the grant is new."""
         self._require_secure()
-        entries = self.file_entries(fid)
-        for entry in entries:
-            if entry.key == key:
-                return entry.modes.set(mode)
-        vec = AccessModeVector()
-        vec.set(mode)
-        entries.append(FileExceptionEntry(key, vec))
-        return True
+        return _add(self._file_grants, (fid, key, mode))
 
     def record_priv_exception(self, key: Key, capability: str) -> bool:
-        """Record a capability grant for an application; idempotent."""
+        """Record a capability grant for an application; idempotent.
+        Returns True when the grant is new."""
         self._require_secure()
         validate_capability(capability)
-        caps = self._priv_lists.setdefault(key, set())
-        if capability in caps:
-            return False
-        caps.add(capability)
-        return True
+        return _add(self._priv_grants, (key, capability))
 
     # -- lookup (any mode) --------------------------------------------------------
 
     def check_file_exception(self, key: Key, fid: int, mode: AccessMode) -> bool:
-        entries = self._file_lists.get(fid)
-        if not entries:
-            return False
-        for entry in entries:
-            if entry.key == key:
-                return entry.modes.has(mode)
-        return False
+        return (fid, key, mode) in self._file_grants
 
     def check_priv_exception(self, key: Key, capability: str) -> bool:
-        caps = self._priv_lists.get(key)
-        return bool(caps) and capability in caps
+        return (key, capability) in self._priv_grants
 
     # -- persistence ---------------------------------------------------------------
 
@@ -177,18 +122,13 @@ class ExceptionStore:
         lines = [FORMAT_HEADER]
         for key in sorted(self.key_paths):
             lines.append(f"# key {key} {self.key_paths[key]}")
-        file_rows = []
-        for fid, entries in self._file_lists.items():
-            for entry in entries:
-                modes = entry.modes.render()
-                if modes:
-                    file_rows.append((fid, entry.key, modes))
-        for fid, key, modes in sorted(file_rows):
-            lines.append(f"F {fid} {key} {modes}")
-        priv_rows = []
-        for key, caps in self._priv_lists.items():
-            priv_rows.extend((key, cap) for cap in caps)
-        for key, cap in sorted(priv_rows):
+        # Sorted triples put a pair's r before its w, so this joins to r, w or rw.
+        modes: dict[tuple[int, Key], str] = {}
+        for fid, key, mode in self.iter_file_triples():
+            modes[fid, key] = modes.get((fid, key), "") + mode.value
+        for (fid, key), letters in modes.items():
+            lines.append(f"F {fid} {key} {letters}")
+        for key, cap in self.iter_priv_pairs():
             lines.append(f"P {key} {cap}")
         return "\n".join(lines) + "\n"
 
@@ -238,16 +178,8 @@ class ExceptionStore:
             key = _load_int(line_no, "key", parts[2])
             if parts[3] not in ("r", "w", "rw"):
                 raise StoreFormatError(line_no, f"invalid mode vector {parts[3]!r}")
-            entries = self.file_entries(fid)
-            for entry in entries:
-                if entry.key == key:
-                    vec = entry.modes
-                    break
-            else:
-                vec = AccessModeVector()
-                entries.append(FileExceptionEntry(key, vec))
-            vec.read = vec.read or "r" in parts[3]
-            vec.write = vec.write or "w" in parts[3]
+            for letter in parts[3]:
+                self._file_grants.add((fid, key, AccessMode(letter)))
         elif kind == "P":
             if len(parts) != 3:
                 raise StoreFormatError(
@@ -258,9 +190,17 @@ class ExceptionStore:
                 validate_capability(parts[2])
             except ValueError as exc:
                 raise StoreFormatError(line_no, str(exc)) from None
-            self._priv_lists.setdefault(key, set()).add(parts[2])
+            self._priv_grants.add((key, parts[2]))
         else:
             raise StoreFormatError(line_no, f"unknown entry kind {kind!r}")
+
+
+def _add(grants: set, grant: tuple) -> bool:
+    """Add one grant; True when it was not held yet."""
+    if grant in grants:
+        return False
+    grants.add(grant)
+    return True
 
 
 def _is_uint(token: str) -> bool:

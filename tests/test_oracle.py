@@ -1,6 +1,11 @@
 """The reachability oracle: hand-walked cases, temporal ordering, denied-edge
 exclusion, and randomized agreement with the engine."""
 
+import gc
+
+import pytest
+
+from cumac import oracle as oracle_module
 from cumac import scenarios
 from cumac.engine import EngineConfig
 from cumac.model import entity_sort_key
@@ -190,6 +195,38 @@ class TestRandomizedEquivalence:
             verdicts = [d.verdict for _, d in report.log]
             oracle = sorted(taint_oracle(trace, verdicts, config), key=entity_sort_key)
             assert oracle == report.final_taint, f"seed {seed}"
+
+
+class TestCollectorState:
+    """taint_oracle() pauses the cyclic collector while it builds the graph
+    and searches it, and leaves it as it found it, whether it returns or
+    refuses its verdicts."""
+
+    def test_clean_pass_restores_collector_state(self, collector, monkeypatch):
+        seen_during_pass = set()
+        proc_entity, deque = oracle_module.proc_entity, oracle_module.deque
+
+        def observed(original):
+            def call(*args):
+                seen_during_pass.add(gc.isenabled())
+                return original(*args)
+            return call
+
+        # proc_entity names nodes while the graph is built; deque starts the search.
+        monkeypatch.setattr(oracle_module, "proc_entity", observed(proc_entity))
+        monkeypatch.setattr(oracle_module, "deque", observed(deque))
+        trace = scenarios.load_trace("usb-rootkit")
+        report = replay(trace, EnvironmentBit.UNSECURE)
+        tainted = taint_oracle(trace, [d.verdict for _, d in report.log])
+        assert sorted(tainted, key=entity_sort_key) == report.final_taint
+        assert seen_during_pass == {False}
+        assert gc.isenabled() is collector
+
+    def test_wrong_verdict_count_restores_collector_state(self, collector):
+        trace = scenarios.load_trace("usb-rootkit")
+        with pytest.raises(ValueError, match="one verdict per event"):
+            taint_oracle(trace, [])
+        assert gc.isenabled() is collector
 
 
 class TestGraphExport:

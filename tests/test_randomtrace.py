@@ -1,5 +1,10 @@
 """Generated traces must be valid, reproducible, and honor suppression."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cumac.model import Copy, Create, Login, Mount, RemoteComm, Unmount, Verdict
@@ -51,6 +56,32 @@ class TestStoreIndependence:
                 denied = {type(ev) for ev, d in enforced.log if d.verdict is Verdict.DENY}
                 assert not denied & {Create, Copy}, seed
             assert replay(trace, EnvironmentBit.UNSECURE, learned).deny_count == 0, seed
+
+    def test_half_is_the_same_under_any_hash_seed(self):
+        # Grant iteration must not follow set hashing, so every process
+        # halves a learned store the same way.
+        tests = Path(__file__).resolve().parent
+        code = (
+            "from cumac.randomtrace import random_trace\n"
+            "from cumac.replay import learn\n"
+            "from test_randomtrace import TestStoreIndependence\n"
+            "_, learned = learn(random_trace(seed=5, events=2000))\n"
+            "print(TestStoreIndependence.half_of(learned).save(), end='')\n"
+        )
+        saved = []
+        for hash_seed in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+            }
+            run = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            saved.append(run.stdout)
+        assert "\nF " in saved[0] and "\nP " in saved[0]
+        assert saved[0] == saved[1]
 
 
 class TestDeterminism:

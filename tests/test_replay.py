@@ -195,7 +195,8 @@ class TestPurity:
         store = ExceptionStore()
         report = replay(random_trace(seed=7, events=2000), EnvironmentBit.UNSECURE, store)
         assert report.deny_count > 0
-        assert store._file_lists == {}
+        assert store.triple_count() == 0
+        assert store.save() == ExceptionStore().save()
 
 
 class TestIdsDoNotDependOnTheStore:

@@ -22,15 +22,14 @@ class TestRecordFile:
         store = secure_store()
         assert store.record_file_exception(10, 77, AccessMode.WRITE) is True
         assert store.record_file_exception(10, 77, AccessMode.WRITE) is False
-        assert len(store.file_entries(77)) == 1
-        assert store.file_entries(77)[0].modes.write is True
+        assert list(store.iter_file_triples()) == [(77, 10, AccessMode.WRITE)]
 
     def test_read_and_write_merge_into_one_entry(self):
         store = secure_store()
         store.record_file_exception(10, 77, AccessMode.READ)
         store.record_file_exception(10, 77, AccessMode.WRITE)
-        (entry,) = store.file_entries(77)
-        assert entry.modes.read and entry.modes.write
+        file_lines = [line for line in store.save().splitlines() if line.startswith("F ")]
+        assert file_lines == ["F 77 10 rw"]
 
     def test_recording_in_unsecure_mode_is_a_logic_error(self):
         store = ExceptionStore(EnvironmentBit.UNSECURE)
