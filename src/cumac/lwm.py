@@ -57,7 +57,7 @@ from .model import (
 )
 from .replay import StructuredReport, _write_verdict_rows_json, write_document
 from .store import EnvironmentBit, ExceptionStore
-from .trace import Trace
+from .trace import Trace, collector_paused
 
 MAPPING_NOTES = (
     "low-water-mark mapping: initial levels mirror intrusion entrances"
@@ -309,29 +309,32 @@ def compare(
 
     The store's environment bit is set to Unsecure, as ``replay`` sets it
     to its mode, so a store left Secure by learning is enforced, not
-    added to. A missing store means an empty one."""
+    added to. A missing store means an empty one. The cyclic garbage
+    collector is paused while both engines step, as in ``replay``, and
+    left as it was found."""
     if store is None:
         store = ExceptionStore()
     store.bit = EnvironmentBit.UNSECURE
     config = config or EngineConfig.from_trace(trace)
-    cumac_engine = Engine(config, store)
-    lwm_engine = LwmEngine(trace, config)
-    verdicts: list[tuple[Verdict, Verdict]] = []
-    lwm_only: list[int] = []
-    both: list[int] = []
-    cumac_only: list[int] = []
-    for ev in trace.events:
-        cumac_verdict = cumac_engine.step(ev).verdict
-        lwm_verdict = lwm_engine.step(ev).verdict
-        verdicts.append((cumac_verdict, lwm_verdict))
-        cumac_denied = cumac_verdict is Verdict.DENY
-        lwm_denied = lwm_verdict is Verdict.DENY
-        if cumac_denied and lwm_denied:
-            both.append(ev.seq)
-        elif lwm_denied:
-            lwm_only.append(ev.seq)
-        elif cumac_denied:
-            cumac_only.append(ev.seq)
+    with collector_paused():
+        cumac_engine = Engine(config, store)
+        lwm_engine = LwmEngine(trace, config)
+        verdicts: list[tuple[Verdict, Verdict]] = []
+        lwm_only: list[int] = []
+        both: list[int] = []
+        cumac_only: list[int] = []
+        for ev in trace.events:
+            cumac_verdict = cumac_engine.step(ev).verdict
+            lwm_verdict = lwm_engine.step(ev).verdict
+            verdicts.append((cumac_verdict, lwm_verdict))
+            cumac_denied = cumac_verdict is Verdict.DENY
+            lwm_denied = lwm_verdict is Verdict.DENY
+            if cumac_denied and lwm_denied:
+                both.append(ev.seq)
+            elif lwm_denied:
+                lwm_only.append(ev.seq)
+            elif cumac_denied:
+                cumac_only.append(ev.seq)
     return ComparisonReport(
         label=trace.header.label,
         events=trace.events,

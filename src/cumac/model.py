@@ -197,50 +197,57 @@ class IpcChannel(Enum):
     SHARED_MEMORY = "shm"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """Base of the twelve OS-event kinds; ``seq`` increases strictly
-    within a trace."""
+    within a trace.
+
+    Events are plain slotted records. In the program only the trace
+    parser and the random-trace generator build them, and nothing changes
+    one after it is built. They are not frozen: a frozen constructor sets
+    each field through ``object.__setattr__`` and costs several times
+    more per event. So they compare by value (``eq=True``) but are not
+    hashable, and no event is a set member or a dict key."""
 
     seq: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Fork(Event):
     parent_pid: int
     child_pid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Exec(Event):
     pid: int
     fid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RemoteComm(Event):
     pid: int
     peer_address: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Login(Event):
     pid: int
     user: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Mount(Event):
     mount_id: int
     path_prefix: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Unmount(Event):
     mount_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Copy(Event):
     """``dst_fid`` is the id of the file at ``dst_path`` when one exists,
     else the id this copy creates; the trace parser resolves it."""
@@ -253,7 +260,7 @@ class Copy(Event):
     dst_fid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Create(Event):
     """``new_fid`` is the id the created file gets; the trace parser
     allocates it."""
@@ -266,26 +273,26 @@ class Create(Event):
     new_fid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Write(Event):
     pid: int
     fid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Read(Event):
     pid: int
     fid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Ipc(Event):
     from_pid: int
     to_pid: int
     channel: IpcChannel
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PrivOp(Event):
     pid: int
     capability: str

@@ -33,6 +33,20 @@ parsing, ``render_event`` and the ``args`` of report rows all read. A
 line's errors come in a fixed order: malformed fields, then a missing
 field, then an unexpected one, then the value checks in line order.
 
+Event lines take one of two paths, with the same checks and the same
+errors. A canonical line is the verb, then every field of its
+``_EVENTS`` entry in table order as ``key=value``, one space apart, with
+no whitespace around it; ``render_trace`` writes every line so. Once the
+header is read, such a line is matched whole by its verb's pattern, which
+is built from ``_EVENTS``, and the value texts go straight to the checks.
+Every other line (snapshot lines, comments, CRLF endings, reordered
+fields, runs of spaces or tabs) takes the general path: strip, split and
+field split, then the same checks. A canonical line cannot fail the field
+split, so both paths raise the same error for it. A pattern's value is a
+run of characters that are not whitespace to ``re``, and ``re`` counts
+exactly the characters as whitespace that ``str.split`` and ``str.strip``
+do.
+
 Files created mid-trace (CREATE, or COPY to a fresh path) receive ids from
 a monotone counter starting past the highest snapshot fid; later lines
 reference them by those ids. The parser is the one place that allocates
@@ -55,10 +69,11 @@ TraceParseError, never a crash.
 from __future__ import annotations
 
 import gc
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import PermsFormatError, TraceParseError
 from .model import (
@@ -139,6 +154,9 @@ class _Parser:
         self.users: dict[str, str] = {}
         self.pids: set[int] = set()
         self.fids: set[int] = set()
+        # The ids the ``pid`` and ``fid`` checks accept, at the slots
+        # ``_FIELDS`` gives those checks; every other check has slot 0.
+        self.known: tuple[Any, ...] = ((), self.pids, self.fids)
         self.fid_by_path: dict[str, int] = {}
         self.dir_fids: set[int] = set()
         self.live_mounts: set[int] = set()
@@ -322,7 +340,6 @@ class _Parser:
         tokens = stripped.split()
         verb = tokens[0]
         if verb in _EVENTS:
-            self.saw_event = True
             self.event_line(line_no, verb, tokens[1:])
         elif verb == "LABEL" or verb in _SNAPSHOT_FIELDS:
             if self.saw_event:
@@ -387,17 +404,30 @@ class _Parser:
             self.header.processes.append(ProcessRecord(pid=pid, key=key, user=user))
 
     def event_line(self, line_no: int, verb: str, tokens: list[str]) -> None:
-        cls, spec = _EVENTS[verb]
+        spec = _EVENTS[verb][1]
         fields = self.split_fields(line_no, verb, tokens, spec)
+        self.event_values(line_no, verb, [fields[key] for key in spec])
+
+    def event_values(self, line_no: int, verb: str, texts: Sequence[str]) -> None:
+        """Check an event line's value texts, given in ``_EVENTS`` order,
+        and append its event."""
+        cls, fields = _FIELDS[verb]
+        ints, known = self.ints, self.known
         values: list[Any] = []
-        for key, (_, check) in spec.items():
-            values.append(check(self, line_no, key, fields[key], values))
+        for (key, check, slot), text in zip(fields, texts):
+            # A token read before whose value is a known pid or fid passes
+            # the pid or fid check with that value, so the call is skipped.
+            value = ints.get(text)
+            if value not in known[slot]:
+                value = check(self, line_no, key, text, values)
+            values.append(value)
         if cls is Create:
             _, path, _, _, is_dir = values
             values.append(self.file_at(line_no, path, is_dir))
         elif cls is Copy:
             _, src, dst, _, _ = values
             values.append(self.file_at(line_no, dst, src in self.dir_fids))
+        self.saw_event = True
         self.events.append(cls(len(self.events) + 1, *values))
 
 
@@ -429,6 +459,24 @@ write."""
 
 EVENT_VERBS: dict[type, str] = {cls: verb for verb, (cls, _) in _EVENTS.items()}
 
+_KNOWN_SLOT = {_Parser.pid: 1, _Parser.fid: 2}
+
+_FIELDS = {
+    verb: (cls, tuple((key, check, _KNOWN_SLOT.get(check, 0)) for key, (_, check) in spec.items()))
+    for verb, (cls, spec) in _EVENTS.items()
+}
+"""``_EVENTS`` laid out for ``event_values``: per verb, the event class
+and, per field in line order, its key, check and slot in
+``_Parser.known``."""
+
+_CANONICAL = {
+    verb: re.compile(" ".join(f"{key}=(\\S+)" for key in spec)).fullmatch
+    for verb, (_, spec) in _EVENTS.items()
+}
+"""Per verb, the matcher of a canonical line's text after ``verb + " "``:
+every field of ``_EVENTS`` in table order as ``key=value``, one space
+apart. A match's groups are the value texts in that order."""
+
 
 @contextmanager
 def collector_paused() -> Iterator[None]:
@@ -456,9 +504,16 @@ def parse_trace(data: str | bytes) -> Trace:
             line = data[: exc.start].count(b"\n") + 1
             raise TraceParseError(line, f"document is not valid UTF-8 at byte {exc.start}") from None
     parser = _Parser()
+    feed, event_values = parser.feed, parser.event_values
+    canonical = _CANONICAL.get
     with collector_paused():
         for line_no, line in enumerate(data.split("\n"), start=1):
-            parser.feed(line_no, line)
+            verb, _, rest = line.partition(" ")
+            fullmatch = canonical(verb)
+            if fullmatch is not None and parser.saw_header and (found := fullmatch(rest)):
+                event_values(line_no, verb, found.groups())
+            else:
+                feed(line_no, line)
     if not parser.saw_header:
         raise TraceParseError(0, f"missing format header {FORMAT_HEADER!r}")
     return Trace(parser.header, parser.events)

@@ -1,7 +1,8 @@
 """Shared fixtures: a small filesystem snapshot, an event driver that
 handles sequence numbering, so tests read like short sessions, the
-cyclic collector switched on or off for a test, and the ``json.dumps``
-reference that the streamed structured reports are checked against."""
+cyclic collector switched on or off for a test, the ``json.dumps``
+reference that the streamed structured reports are checked against, and
+the line-by-line reference that ``parse_trace`` is checked against."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from typing import Any
 import pytest
 
 from cumac.engine import Engine, EngineConfig
+from cumac.errors import TraceParseError
 from cumac.lwm import ComparisonReport
 from cumac.model import (
     Copy,
@@ -35,7 +37,7 @@ from cumac.model import (
 )
 from cumac.replay import ReplayReport
 from cumac.store import EnvironmentBit, ExceptionStore
-from cumac.trace import _EVENTS, EVENT_VERBS
+from cumac.trace import _EVENTS, EVENT_VERBS, FORMAT_HEADER, Trace, _Parser
 
 # Fixed fids for the small world, used throughout the engine tests.
 ROOT_DIR = 1
@@ -257,3 +259,17 @@ class Writes(list):
 def reference_json(report: ReplayReport | ComparisonReport) -> str:
     """The text ``write_json`` must write: ``json.dumps`` of the document."""
     return json.dumps(structured_document(report), sort_keys=True, indent=2) + "\n"
+
+
+# -- the reference for parsing --------------------------------------------------
+
+
+def feed_every_line(text: str) -> Trace:
+    """``parse_trace`` of decoded text without its canonical path: every
+    line, canonical or not, goes through ``_Parser.feed``."""
+    parser = _Parser()
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        parser.feed(line_no, line)
+    if not parser.saw_header:
+        raise TraceParseError(0, f"missing format header {FORMAT_HEADER!r}")
+    return Trace(parser.header, parser.events)

@@ -1,5 +1,6 @@
 """Low-water-mark baseline: level dynamics and the comparison report."""
 
+import gc
 import json
 
 import pytest
@@ -9,11 +10,11 @@ from cumac import scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceError
 from cumac.lwm import IntegrityLevel, LwmEngine, compare
-from cumac.model import Event, Verdict
+from cumac.model import Event, Fork, Verdict
 from cumac.randomtrace import random_trace
 from cumac.replay import _BLOCK_ROWS, learn
 from cumac.store import ExceptionStore
-from cumac.trace import parse_trace
+from cumac.trace import Trace, parse_trace
 
 HEADER = (
     "cumac-trace v1\n"
@@ -179,6 +180,31 @@ class TestCompare:
         assert expected.cumac_deny_count > 0
         assert compare(other, learned).to_json() == expected.to_json()
         assert learned.save() == saved
+
+
+class TestCollectorState:
+    """compare() pauses the cyclic collector while both engines step and
+    leaves it as it found it, whether the trace replays or not."""
+
+    def test_clean_run_restores_collector_state(self, collector, monkeypatch):
+        seen_during_steps = set()
+        step = LwmEngine.step
+
+        def observed_step(engine, ev):
+            seen_during_steps.add(gc.isenabled())
+            return step(engine, ev)
+
+        monkeypatch.setattr(LwmEngine, "step", observed_step)
+        report = compare(scenarios.load_trace("self-revocation"))
+        assert report.lwm_only == [4]
+        assert seen_during_steps == {False}
+        assert gc.isenabled() is collector
+
+    def test_trace_error_restores_collector_state(self, collector):
+        header = parse_trace(HEADER).header
+        with pytest.raises(TraceError, match="pid 2 already live"):
+            compare(Trace(header, [Fork(1, 1, 2)]))
+        assert gc.isenabled() is collector
 
 
 class TestStructuredReport:

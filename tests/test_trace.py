@@ -1,16 +1,20 @@
 """Trace parsing: positioned errors, static reference checks, totality,
-collector state."""
+collector state, and the canonical path against the line-by-line
+reference."""
 
 import gc
 import json
 import random
+import re
 
 import pytest
+from conftest import feed_every_line
 
 from cumac import scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceParseError
 from cumac.model import Copy, Create, Event, IpcChannel, PrivOp, Verdict
+from cumac.randomtrace import random_trace
 from cumac.replay import replay
 from cumac.store import EnvironmentBit, ExceptionStore
 from cumac.trace import _EVENTS, EVENT_VERBS, _Parser, parse_trace, render_event, render_trace
@@ -369,17 +373,24 @@ class TestCollectorState:
     and leaves it as it found it, whether the text parses or not."""
 
     def test_clean_parse_restores_collector_state(self, collector, monkeypatch):
+        # feed() sees the header and snapshot lines; the canonical FORK line
+        # goes straight to event_values().
         seen_during_lines = set()
-        feed = _Parser.feed
 
-        def observed_feed(parser, line_no, line):
-            seen_during_lines.add(gc.isenabled())
-            return feed(parser, line_no, line)
+        def observe(name):
+            method = getattr(_Parser, name)
 
-        monkeypatch.setattr(_Parser, "feed", observed_feed)
+            def call(parser, *args):
+                seen_during_lines.add((name, gc.isenabled()))
+                return method(parser, *args)
+
+            monkeypatch.setattr(_Parser, name, call)
+
+        observe("feed")
+        observe("event_values")
         trace = parse_trace(SMALL + "FORK parent=1 child=2\n")
         assert len(trace.events) == 1
-        assert seen_during_lines == {False}
+        assert seen_during_lines == {("feed", False), ("event_values", False)}
         assert gc.isenabled() is collector
 
     def test_parse_error_restores_collector_state(self, collector):
@@ -399,3 +410,136 @@ class TestChannelValues:
         ):
             trace = parse_trace(base + f"IPC from=1 to=2 chan={token}\n")
             assert trace.events[-1].channel is chan
+
+
+class TestCanonicalPath:
+    """parse_trace() reads canonical event lines without feed(); every
+    input gives the Trace or the error that feeding each line gives."""
+
+    # Characters the mutations insert: ASCII, the bytes criterion 10 uses
+    # as characters, and whitespace that str.split() skips but " " is not.
+    ALPHABET = (
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789=/_.-# \n"
+        "\x00\xff\xc3\t\r\x1c\xa0\u2028"
+    )
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except TraceParseError as exc:
+            return type(exc), exc.line, str(exc)
+
+    def assert_same_outcome(self, text):
+        assert self.outcome(parse_trace, text) == self.outcome(feed_every_line, text), text
+
+    def test_regex_whitespace_is_str_whitespace(self):
+        space = re.compile(r"\s").fullmatch
+        differ = [
+            hex(code) for code in range(0x110000)
+            if chr(code).isspace() != (space(chr(code)) is not None)
+        ]
+        assert differ == []
+
+    def test_rendered_event_lines_skip_feed(self, monkeypatch):
+        fed = []
+        feed = _Parser.feed
+
+        def observed_feed(parser, line_no, line):
+            fed.append(line)
+            return feed(parser, line_no, line)
+
+        monkeypatch.setattr(_Parser, "feed", observed_feed)
+        trace = random_trace(seed=4, events=300)
+        text = render_trace(trace)
+        assert parse_trace(text) == trace
+        assert not any(line.split(" ")[0] in _EVENTS for line in fed)
+        assert len(fed) == text.count("\n") + 1 - len(trace.events)
+
+    @pytest.mark.parametrize("name", scenarios.available())
+    def test_scenarios_match_the_reference(self, name):
+        text = scenarios.load(name)
+        assert parse_trace(text) == feed_every_line(text)
+
+    def test_rendered_random_traces_match_the_reference(self):
+        for seed in range(100):
+            trace = random_trace(seed=seed, events=20 + 3 * seed)
+            text = render_trace(trace)
+            assert parse_trace(text) == feed_every_line(text) == trace
+
+    @staticmethod
+    def mutate_line(rng, line, alphabet):
+        op = rng.randrange(8)
+        if op == 0 and line:
+            pos = rng.randrange(len(line))
+            return line[:pos] + rng.choice(alphabet) + line[pos + 1 :]
+        if op == 1 and line:
+            pos = rng.randrange(len(line))
+            return line[:pos] + line[pos + 1 :]
+        if op <= 2:
+            pos = rng.randint(0, len(line))
+            return line[:pos] + rng.choice(alphabet) + line[pos:]
+        tokens = line.split(" ")
+        pos = rng.randrange(len(tokens))
+        if op == 3:  # two fields swapped
+            if len(tokens) > 2:
+                pos, other = rng.sample(range(1, len(tokens)), 2)
+                tokens[pos], tokens[other] = tokens[other], tokens[pos]
+        elif op == 4:  # a run of whitespace, or other whitespace, between tokens
+            tokens[pos] += rng.choice(("", " ", "\t", "\xa0", "\u2028", "\x1c"))
+            return rng.choice((" ", "  ", "\t")).join(tokens)
+        elif op == 5:  # a leading zero
+            tokens[pos] = re.sub(r"=(\d)", r"=0\1", tokens[pos], count=1)
+        elif op == 6:  # a second "=" in a value
+            tokens[pos] += rng.choice(("=2", "=", "=x"))
+        else:  # a value taken from another field of the line
+            key = tokens[pos].partition("=")[0]
+            tokens[pos] = key + "=" + rng.choice(tokens).partition("=")[2]
+        return " ".join(tokens)
+
+    def test_mutated_inputs_match_the_reference(self):
+        rng = random.Random(1013)
+        corpus = [scenarios.load(name) for name in scenarios.available()]
+        corpus += [render_trace(random_trace(seed=seed, events=40)) for seed in range(4)]
+        for index in range(4000):
+            lines = corpus[index % len(corpus)].split("\n")
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randrange(len(lines))
+                if rng.randrange(10):
+                    lines[at] = self.mutate_line(rng, lines[at], self.ALPHABET)
+                else:  # a line moved, so events may come before the header
+                    lines.insert(rng.randrange(len(lines)), lines.pop(at))
+            self.assert_same_outcome("\n".join(lines))
+
+    @pytest.mark.parametrize("line", ["READ pid=4 fid=3", "READ  pid=4 fid=3"])
+    def test_a_number_read_before_is_still_checked_as_a_pid(self, line):
+        # 4 passed the fid check on a FILE line, never the pid check.
+        with pytest.raises(TraceParseError, match="unknown pid 4"):
+            parse_trace(SMALL + line + "\n")
+
+    @pytest.mark.parametrize("line", ["READ pid=7 fid=7", "READ fid=7 pid=7"])
+    def test_a_number_read_before_is_still_checked_as_a_fid(self, line):
+        with pytest.raises(TraceParseError, match="unknown fid 7"):
+            parse_trace(SMALL + "FORK parent=1 child=7\n" + line + "\n")
+
+    def test_an_event_line_before_the_header_is_refused(self):
+        with pytest.raises(TraceParseError, match="unknown format header 'FORK parent=1 child=2'"):
+            parse_trace("FORK parent=1 child=2\n" + SMALL)
+
+    def test_equal_numbers_share_one_object_on_both_paths(self):
+        text = (
+            SMALL
+            + "FILE fid=1000 path=/bin/tool perms=755 owner=root dir=0\n"
+            + "PROC pid=5000 key=1000 user=root\n"
+            + "READ pid=5000 fid=1000\n"  # canonical
+            + "READ  pid=5000 fid=1000\n"  # two spaces
+            + "READ fid=1000 pid=5000\n"  # fields reordered
+            + "EXEC pid=5000 fid=1000\r\n"  # CRLF
+        )
+        trace = parse_trace(text)
+        assert trace == feed_every_line(text)
+        assert (trace.events[0].pid, trace.events[0].fid) == (5000, 1000)
+        fids = [trace.header.files[-1].fid] + [ev.fid for ev in trace.events]
+        pids = [trace.header.processes[-1].pid] + [ev.pid for ev in trace.events]
+        assert all(fid is fids[0] for fid in fids)
+        assert all(pid is pids[0] for pid in pids)
