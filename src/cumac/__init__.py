@@ -14,7 +14,6 @@ from .errors import (
     CumacError,
     PermsFormatError,
     StoreFormatError,
-    StoreModeError,
     StoreVersionError,
     TraceError,
     TraceParseError,
@@ -64,7 +63,6 @@ __all__ = [
     "ProcessRecord",
     "ReplayReport",
     "StoreFormatError",
-    "StoreModeError",
     "StoreVersionError",
     "TaintState",
     "Trace",

@@ -63,7 +63,6 @@ _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
 }
 """Per command, exactly the options its handler reads; any other option
 is a usage error."""
-COMMANDS = tuple(_COMMAND_OPTIONS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

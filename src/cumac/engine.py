@@ -39,13 +39,14 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError, TraceError
 from .model import (
     ALLOW,
+    BY_EXCEPTION,
+    DENIED,
     LOOPBACK_PREFIXES,
     Copy,
     Create,
     Decision,
     DenyReason,
     Event,
-    ExceptionKind,
     Exec,
     FileRecord,
     Fork,
@@ -64,6 +65,7 @@ from .model import (
     Verdict,
     Write,
     _covers,
+    _parent_path,
     executable,
     file_entity,
     is_integrity_protected,
@@ -76,15 +78,8 @@ from .store import AccessMode, EnvironmentBit, ExceptionStore
 _PI = TaintState.POTENTIAL_INTRUSION
 _NI = TaintState.NON_INTRUSION
 
-# Mediation outcomes carry no taint updates and decisions are immutable, so
-# each is built (and validated) once and shared by every event it decides.
-_DENIED = {
-    reason: Decision(Verdict.DENY, reason)
-    for reason in DenyReason
-    if reason is not DenyReason.NONE
-}
 _FILE_OUTCOMES = {
-    mode: (Decision(Verdict.ALLOW_BY_EXCEPTION, reason, ExceptionKind.FILE_LIST), _DENIED[reason])
+    mode: (BY_EXCEPTION[reason], DENIED[reason])
     for mode, reason in (
         (AccessMode.WRITE, DenyReason.INTEGRITY_WRITE),
         (AccessMode.READ, DenyReason.SENSITIVITY_READ),
@@ -92,9 +87,6 @@ _FILE_OUTCOMES = {
 }
 """Per access mode, the decisions for a file access that a tainted process
 makes by exception and for one that it is refused."""
-_BY_PRIV_EXCEPTION = Decision(
-    Verdict.ALLOW_BY_EXCEPTION, DenyReason.PRIVILEGED_OP, ExceptionKind.PRIVILEGE_LIST
-)
 
 
 def _tainting(decision: Decision, *records: ProcessRecord | FileRecord) -> Decision:
@@ -108,7 +100,7 @@ def _tainting(decision: Decision, *records: ProcessRecord | FileRecord) -> Decis
             updates.append((entity, _NI, _PI))
     if not updates:
         return decision
-    return Decision(decision.verdict, decision.reason, decision.exception_kind, tuple(updates))
+    return Decision(decision.verdict, decision.reason, tuple(updates))
 
 
 @dataclass(slots=True)
@@ -163,25 +155,28 @@ class EngineConfig:
                 raise ConfigError(f"seed file {f.fid} must start non-intrusion")
 
 
-def _parent_path(path: str) -> str:
-    head = path.rsplit("/", 1)[0]
-    return head if head else "/"
-
-
 class Engine:
     """Applies one event at a time and returns its Decision; the caller
     keeps whatever log it needs.
 
-    One instance is single-threaded; distinct instances may run in
-    parallel. The environment bit lives on the exception store.
+    ``mode``, the environment bit, is fixed for the engine's run: Secure
+    permits every deny candidate and records it in ``store``; Unsecure
+    permits those ``store`` grants and writes nothing. One instance is
+    single-threaded; distinct instances may run in parallel.
     """
 
-    __slots__ = ("config", "store", "processes", "files", "mounts", "_files_by_path", "_handlers")
+    __slots__ = (
+        "config", "store", "mode", "processes", "files", "mounts", "_files_by_path", "_handlers"
+    )
 
-    def __init__(self, config: EngineConfig, store: ExceptionStore):
+    def __init__(
+        self, config: EngineConfig, store: ExceptionStore,
+        mode: EnvironmentBit = EnvironmentBit.UNSECURE,
+    ):
         config.validate()
         self.config = config
         self.store = store
+        self.mode = mode
         self.processes: dict[int, ProcessRecord] = {}
         self.files: dict[int, FileRecord] = {}
         self._files_by_path: dict[str, int] = {}
@@ -248,12 +243,11 @@ class Engine:
         """Decide a deny candidate: a tainted process accessing a protected
         file. Secure environment: permit and record. Unsecure: permit when
         the store already lists the access, refuse otherwise."""
-        store = self.store
-        if store.bit is EnvironmentBit.SECURE:
-            store.record_file_exception(proc.key, f.fid, mode)
+        if self.mode is EnvironmentBit.SECURE:
+            self.store.record_file_exception(proc.key, f.fid, mode)
             return ALLOW
         by_exception, denied = _FILE_OUTCOMES[mode]
-        return by_exception if store.check_file_exception(proc.key, f.fid, mode) else denied
+        return by_exception if self.store.check_file_exception(proc.key, f.fid, mode) else denied
 
     def _write(self, proc: ProcessRecord, f: FileRecord, taints: bool) -> Decision:
         """Write an existing file; when ``taints``, an allowed write taints
@@ -416,10 +410,9 @@ class Engine:
         proc = self._need_proc(ev.seq, ev.pid)
         if proc.taint is not _PI:
             return ALLOW
-        store = self.store
-        if store.bit is EnvironmentBit.SECURE:
-            store.record_priv_exception(proc.key, ev.capability)
+        if self.mode is EnvironmentBit.SECURE:
+            self.store.record_priv_exception(proc.key, ev.capability)
             return ALLOW
-        if store.check_priv_exception(proc.key, ev.capability):
-            return _BY_PRIV_EXCEPTION
-        return _DENIED[DenyReason.PRIVILEGED_OP]
+        if self.store.check_priv_exception(proc.key, ev.capability):
+            return BY_EXCEPTION[DenyReason.PRIVILEGED_OP]
+        return DENIED[DenyReason.PRIVILEGED_OP]

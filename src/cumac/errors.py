@@ -50,7 +50,3 @@ class StoreFormatError(CumacError):
 
 class StoreVersionError(StoreFormatError):
     """An exception-store document declares an unknown format version."""
-
-
-class StoreModeError(CumacError):
-    """Exceptions may only be recorded while the environment bit is Secure."""

@@ -31,10 +31,11 @@ from enum import IntEnum
 from functools import partial
 from typing import Any, TextIO
 
-from .engine import Engine, EngineConfig, _parent_path
+from .engine import Engine, EngineConfig
 from .errors import TraceError
 from .model import (
     ALLOW,
+    DENIED,
     LOOPBACK_PREFIXES,
     Copy,
     Create,
@@ -53,10 +54,11 @@ from .model import (
     Verdict,
     Write,
     _covers,
+    _parent_path,
     under_live_mount,
 )
 from .replay import StructuredReport, _write_verdict_rows_json, write_document
-from .store import EnvironmentBit, ExceptionStore
+from .store import ExceptionStore
 from .trace import Trace, collector_paused
 
 MAPPING_NOTES = (
@@ -65,9 +67,6 @@ MAPPING_NOTES = (
     " privileged operations count as writes to a notional High object;"
     " exec counts as a read of the binary."
 )
-
-_DENY_WRITE = Decision(Verdict.DENY, DenyReason.INTEGRITY_WRITE)
-_DENY_PRIV = Decision(Verdict.DENY, DenyReason.PRIVILEGED_OP)
 
 
 class IntegrityLevel(IntEnum):
@@ -164,14 +163,14 @@ class LwmEngine:
         if isinstance(ev, Write):
             subject = self._need_subject(ev.seq, ev.pid)
             obj = self._need_object(ev.seq, ev.fid)
-            return _DENY_WRITE if subject < obj else ALLOW
+            return DENIED[DenyReason.INTEGRITY_WRITE] if subject < obj else ALLOW
         if isinstance(ev, Create):
             subject = self._need_subject(ev.seq, ev.pid)
             parent = self._parent_level(ev.seq, ev.path)
             denied = subject < parent
             # Register the object either way so later references resolve.
             self._register(ev.new_fid, ev.path, self._birth_level(subject, ev.path))
-            return _DENY_WRITE if denied else ALLOW
+            return DENIED[DenyReason.INTEGRITY_WRITE] if denied else ALLOW
         if isinstance(ev, Copy):
             subject = self._need_subject(ev.seq, ev.pid)
             src = self._need_object(ev.seq, ev.src_fid)
@@ -183,7 +182,7 @@ class LwmEngine:
             else:
                 denied = dropped < dst
             if denied:
-                return _DENY_WRITE
+                return DENIED[DenyReason.INTEGRITY_WRITE]
             self.subject_levels[ev.pid] = dropped
             return ALLOW
         if isinstance(ev, Fork):
@@ -197,7 +196,7 @@ class LwmEngine:
             return ALLOW
         if isinstance(ev, PrivOp):
             subject = self._need_subject(ev.seq, ev.pid)
-            return _DENY_PRIV if subject < IntegrityLevel.HIGH else ALLOW
+            return DENIED[DenyReason.PRIVILEGED_OP] if subject < IntegrityLevel.HIGH else ALLOW
         if isinstance(ev, Mount):
             self._mounts[ev.mount_id] = ev.path_prefix
             high = self._high_below.get(ev.path_prefix, [])
@@ -242,7 +241,6 @@ class ComparisonReport(StructuredReport):
     lwm_only: list[int] = field(default_factory=list)
     both: list[int] = field(default_factory=list)
     cumac_only: list[int] = field(default_factory=list)
-    notes: str = MAPPING_NOTES
 
     @property
     def event_count(self) -> int:
@@ -276,7 +274,7 @@ class ComparisonReport(StructuredReport):
                 "both": list(self.both),
                 "cumac_only": list(self.cumac_only),
             },
-            "notes": self.notes,
+            "notes": MAPPING_NOTES,
         }
 
     def write_json(self, stream: TextIO) -> None:
@@ -294,7 +292,7 @@ class ComparisonReport(StructuredReport):
             f"denied by lwm only (cumac compatibility wins): {self.lwm_only or 'none'}",
             f"denied by both: {self.both or 'none'}",
             f"denied by cumac only: {self.cumac_only or 'none'}",
-            f"note: {self.notes}",
+            f"note: {MAPPING_NOTES}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -304,17 +302,15 @@ def compare(
     store: ExceptionStore | None = None,
     config: EngineConfig | None = None,
 ) -> ComparisonReport:
-    """Run the tracing engine (enforcing, with the supplied store) and the
-    low-water-mark baseline over the same trace and diff their denials.
+    """Run the tracing engine and the low-water-mark baseline over the
+    same trace and diff their denials.
 
-    The store's environment bit is set to Unsecure, as ``replay`` sets it
-    to its mode, so a store left Secure by learning is enforced, not
-    added to. A missing store means an empty one. The cyclic garbage
-    collector is paused while both engines step, as in ``replay``, and
-    left as it was found."""
+    The tracing engine runs Unsecure: it enforces the supplied store, one
+    just filled by learning too, and writes nothing to it. A missing store
+    means an empty one. The cyclic garbage collector is paused while both
+    engines step, as in ``replay``, and left as it was found."""
     if store is None:
         store = ExceptionStore()
-    store.bit = EnvironmentBit.UNSECURE
     config = config or EngineConfig.from_trace(trace)
     with collector_paused():
         cumac_engine = Engine(config, store)

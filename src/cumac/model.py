@@ -157,6 +157,12 @@ def _covers(prefix: str, path: str) -> bool:
     return path == prefix or path.startswith(prefix + "/")
 
 
+def _parent_path(path: str) -> str:
+    """The path of the directory that holds ``path``."""
+    head = path.rsplit("/", 1)[0]
+    return head if head else "/"
+
+
 def under_live_mount(mounts: dict[int, str], path: str) -> bool:
     """Whether ``path`` lies under one of the live mounts (mount id to
     path prefix)."""
@@ -324,30 +330,48 @@ TaintUpdate = tuple[str, TaintState, TaintState]
 """(entity id, old state, new state), recorded once per actual transition."""
 
 
+_EXCEPTION_KINDS = {
+    DenyReason.PRIVILEGED_OP: ExceptionKind.PRIVILEGE_LIST,
+    DenyReason.INTEGRITY_WRITE: ExceptionKind.FILE_LIST,
+    DenyReason.SENSITIVITY_READ: ExceptionKind.FILE_LIST,
+}
+"""Per reason, the exception list that can allow the refused access."""
+
+
 @dataclass(frozen=True, slots=True)
 class Decision:
     """Outcome of applying one event.
 
-    Denied operations propagate nothing, so DENY implies an empty
-    ``taint_updates``; an exception kind is present exactly when the
-    verdict is ALLOW_BY_EXCEPTION. For ALLOW_BY_EXCEPTION, ``reason``
-    carries what the denial reason would have been.
+    A decision carries a reason exactly when its verdict is not ALLOW: for
+    DENY, why the access is refused; for ALLOW_BY_EXCEPTION, what the
+    denial reason would have been. Denied operations propagate nothing, so
+    DENY implies an empty ``taint_updates``.
     """
 
     verdict: Verdict
     reason: DenyReason = DenyReason.NONE
-    exception_kind: ExceptionKind = ExceptionKind.NONE
     taint_updates: tuple[TaintUpdate, ...] = ()
 
     def __post_init__(self) -> None:
+        if (self.reason is DenyReason.NONE) != (self.verdict is Verdict.ALLOW):
+            raise ValueError("a decision carries a reason exactly when its verdict is not Allow")
         if self.verdict is Verdict.DENY and self.taint_updates:
             raise ValueError("a denied operation must not carry taint updates")
-        has_kind = self.exception_kind is not ExceptionKind.NONE
-        if has_kind != (self.verdict is Verdict.ALLOW_BY_EXCEPTION):
-            raise ValueError(
-                "exception_kind must be set exactly when the verdict is AllowByException"
-            )
+
+    @property
+    def exception_kind(self) -> ExceptionKind:
+        """The list whose grant allowed the access; NONE unless the verdict
+        is ALLOW_BY_EXCEPTION."""
+        if self.verdict is Verdict.ALLOW_BY_EXCEPTION:
+            return _EXCEPTION_KINDS[self.reason]
+        return ExceptionKind.NONE
 
 
 ALLOW = Decision(Verdict.ALLOW)
 """Shared constant for the common clean-allow outcome."""
+
+DENIED = {r: Decision(Verdict.DENY, r) for r in _EXCEPTION_KINDS}
+BY_EXCEPTION = {r: Decision(Verdict.ALLOW_BY_EXCEPTION, r) for r in _EXCEPTION_KINDS}
+"""Per reason, the shared decision that refuses an access and the one that
+allows it by exception. With ``ALLOW`` they are the seven outcomes a
+decision can have, apart from its taint updates."""

@@ -143,7 +143,8 @@ def random_trace(
     """Generate a valid trace of exactly ``events`` events."""
     rng = random.Random(seed)
     header = _snapshot(rng)
-    engine = Engine(EngineConfig.from_trace(Trace(header)), ExceptionStore(EnvironmentBit.SECURE))
+    config = EngineConfig.from_trace(Trace(header))
+    engine = Engine(config, ExceptionStore(), EnvironmentBit.SECURE)
     weight_map = dict(DEFAULT_WEIGHTS)
     if not include_entrances:
         weight_map["MOUNT"] = 0.0

@@ -42,7 +42,9 @@ from time import perf_counter, perf_counter_ns
 from typing import Any, Callable, TextIO
 
 from .engine import Engine, EngineConfig
-from .model import Decision, DenyReason, Event, ExceptionKind, Verdict, entity_sort_key
+from .model import (
+    ALLOW, BY_EXCEPTION, DENIED, Decision, DenyReason, Event, Verdict, entity_sort_key
+)
 from .store import EnvironmentBit, ExceptionStore
 from .trace import _EVENTS, EVENT_VERBS, Trace, collector_paused
 
@@ -96,19 +98,17 @@ def _arg_json(value: Any) -> str:
 _ARG_JSON_BY_TYPE = {bool: _arg_json, int: int.__repr__, str: encode_basestring_ascii}
 """Fast paths of :func:`_arg_json` for the exact built-in types."""
 
-_OUTCOME_JSON: dict[tuple[Verdict, DenyReason, ExceptionKind], tuple[str, str]] = {
-    (verdict, reason, kind): (
-        f'{_ROW}"exception_kind": {encode_basestring_ascii(kind.value)},'
-        f'{_ROW}"reason": {encode_basestring_ascii(reason.value)},{_ROW}"seq": ',
-        f',{_ROW}"verdict": {encode_basestring_ascii(verdict.value)}{_ITEM}}}',
+_OUTCOME_JSON: dict[tuple[Verdict, DenyReason], tuple[str, str]] = {
+    (d.verdict, d.reason): (
+        f'{_ROW}"exception_kind": {encode_basestring_ascii(d.exception_kind.value)},'
+        f'{_ROW}"reason": {encode_basestring_ascii(d.reason.value)},{_ROW}"seq": ',
+        f',{_ROW}"verdict": {encode_basestring_ascii(d.verdict.value)}{_ITEM}}}',
     )
-    for verdict in Verdict
-    for reason in DenyReason
-    for kind in ExceptionKind
+    for d in (ALLOW, *DENIED.values(), *BY_EXCEPTION.values())
 }
-"""Per decision outcome, the JSON text from the ``event`` entry to the
-value of ``seq``, and from the value of ``taint_updates`` to the end of
-the row."""
+"""Per decision outcome, a verdict and a reason (they fix the exception
+kind), the JSON text from the ``event`` entry to the value of ``seq``, and
+from the value of ``taint_updates`` to the end of the row."""
 
 
 def _taint_updates_json(updates: tuple) -> str:
@@ -143,7 +143,7 @@ def _write_rows_json(log: list[tuple[Event, Decision]], write: Callable[[str], A
                 append(key)
                 append(fast.get(type(value), _arg_json)(value))
             append(args_tail)
-            head, tail = outcomes[decision.verdict, decision.reason, decision.exception_kind]
+            head, tail = outcomes[decision.verdict, decision.reason]
             append(head)
             append(int.__repr__(ev.seq))
             append(updates_key)
@@ -315,17 +315,17 @@ def replay(
 ) -> ReplayReport:
     """Replay a trace in the given environment.
 
-    The store's environment bit is set to ``mode`` for the whole run. A
-    missing store means an empty one. Trace errors abort the replay and
-    propagate with the offending sequence number. The cyclic garbage
-    collector is paused for the call and left as it was found.
+    The engine runs in ``mode`` for the whole replay: Secure adds what it
+    learns to ``store``, Unsecure only reads it. A missing store means an
+    empty one. Trace errors abort the replay and propagate with the
+    offending sequence number. The cyclic garbage collector is paused for
+    the call and left as it was found.
     """
     if store is None:
         store = ExceptionStore()
-    store.bit = mode
     config = config or EngineConfig.from_trace(trace)
     with collector_paused():
-        engine = Engine(config, store)
+        engine = Engine(config, store, mode)
         learned_before = store.triple_count()
 
         durations = array("q")

@@ -1,13 +1,14 @@
-"""Exceptional-access grants and the system-wide environment bit.
+"""Exceptional-access grants, and the environment bit a run is made in.
 
 A grant is a (file id, application key, access mode) triple or an
 (application key, capability) pair, where an application's key is the
-inode of its executable. While the environment bit says Secure, the engine
-records every access it would otherwise refuse; while it says Unsecure,
-those records authorize the same accesses and nothing new may be recorded.
-The store holds the grants as two sets, and the engine keeps none of its
-own. Iteration is sorted whatever the hash seed: file triples by (fid, key,
-mode) with ``r`` before ``w``, privilege pairs by (key, capability name).
+inode of its executable. The environment bit is the engine's ``mode``, not
+the store's: a Secure run records every access it would otherwise refuse;
+an Unsecure run lets those records authorize the same accesses and records
+nothing. The store holds the grants as two sets, and the engine keeps none
+of its own. Iteration is sorted whatever the hash seed: file triples by
+(fid, key, mode) with ``r`` before ``w``, privilege pairs by (key,
+capability name).
 
 On-disk format (UTF-8 text, lines end at ``\n``, ``#`` starts a comment line):
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator
 
-from .errors import StoreFormatError, StoreModeError, StoreVersionError
+from .errors import StoreFormatError, StoreVersionError
 from .model import Key, validate_capability
 
 FORMAT_HEADER = "cumac-exceptions v1"
@@ -59,8 +60,7 @@ class ExceptionStore:
     docstring gives.
     """
 
-    def __init__(self, bit: EnvironmentBit = EnvironmentBit.UNSECURE):
-        self.bit = bit
+    def __init__(self):
         self._file_grants: set[tuple[int, Key, AccessMode]] = set()
         self._priv_grants: set[tuple[Key, str]] = set()
         self.key_paths: dict[Key, str] = {}
@@ -86,28 +86,20 @@ class ExceptionStore:
         capabilities); learning counters are derived from its delta."""
         return len(self._file_grants) + len(self._priv_grants)
 
-    # -- recording (Secure only) ------------------------------------------------
-
-    def _require_secure(self) -> None:
-        if self.bit is not EnvironmentBit.SECURE:
-            raise StoreModeError(
-                "exceptional accesses may only be recorded in the Secure environment"
-            )
+    # -- recording ------------------------------------------------------------
 
     def record_file_exception(self, key: Key, fid: int, mode: AccessMode) -> bool:
         """Record a (key, fid, mode) grant; idempotent. Returns True when
         the grant is new."""
-        self._require_secure()
         return _add(self._file_grants, (fid, key, mode))
 
     def record_priv_exception(self, key: Key, capability: str) -> bool:
         """Record a capability grant for an application; idempotent.
         Returns True when the grant is new."""
-        self._require_secure()
         validate_capability(capability)
         return _add(self._priv_grants, (key, capability))
 
-    # -- lookup (any mode) --------------------------------------------------------
+    # -- lookup ---------------------------------------------------------------
 
     def check_file_exception(self, key: Key, fid: int, mode: AccessMode) -> bool:
         return (fid, key, mode) in self._file_grants
@@ -133,16 +125,14 @@ class ExceptionStore:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def load(
-        cls, text: str | bytes, bit: EnvironmentBit = EnvironmentBit.UNSECURE
-    ) -> "ExceptionStore":
+    def load(cls, text: str | bytes) -> "ExceptionStore":
         """Parse a saved document; duplicate entries merge (set semantics)."""
         if isinstance(text, bytes):
             try:
                 text = text.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise StoreFormatError(0, f"document is not valid UTF-8: {exc}") from None
-        store = cls(bit)
+        store = cls()
         saw_header = False
         for line_no, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()

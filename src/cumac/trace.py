@@ -95,6 +95,7 @@ from .model import (
     Unmount,
     UserRecord,
     Write,
+    _parent_path,
     validate_capability,
 )
 
@@ -314,8 +315,7 @@ class _Parser:
         fid = self.fid_by_path.get(path)
         if fid is not None:
             return fid
-        head = path.rsplit("/", 1)[0]
-        parent_fid = self.fid_by_path.get(head if head else "/")
+        parent_fid = self.fid_by_path.get(_parent_path(path))
         if parent_fid is None:
             raise TraceParseError(line_no, f"parent directory of {path!r} does not exist")
         if parent_fid not in self.dir_fids:
@@ -398,8 +398,8 @@ class _Parser:
                 raise TraceParseError(line_no, f"duplicate pid {pid}")
             if pid == 0:
                 raise TraceParseError(line_no, "pid must be positive")
-            user = self.user(line_no, "user", fields["user"])
             key = self.uint(line_no, "key", fields["key"])
+            user = self.user(line_no, "user", fields["user"])
             self.pids.add(pid)
             self.header.processes.append(ProcessRecord(pid=pid, key=key, user=user))
 

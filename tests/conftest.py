@@ -168,13 +168,12 @@ class Driver:
 
 
 def make_driver(
-    bit: EnvironmentBit = EnvironmentBit.UNSECURE,
+    mode: EnvironmentBit = EnvironmentBit.UNSECURE,
     store: ExceptionStore | None = None,
     config: EngineConfig | None = None,
 ) -> Driver:
     store = store if store is not None else ExceptionStore()
-    store.bit = bit
-    return Driver(Engine(config or small_config(), store))
+    return Driver(Engine(config or small_config(), store, mode))
 
 
 @pytest.fixture
@@ -184,7 +183,7 @@ def driver() -> Driver:
 
 @pytest.fixture
 def secure_driver() -> Driver:
-    return make_driver(bit=EnvironmentBit.SECURE)
+    return make_driver(mode=EnvironmentBit.SECURE)
 
 
 @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])

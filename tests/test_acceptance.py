@@ -196,7 +196,7 @@ def test_criterion_5_exception_workflow():
             privs = list(rstore.iter_priv_pairs())
             ops = [("f", t) for t in files] + [("p", t) for t in privs]
             rng.shuffle(ops)
-            rebuilt = ExceptionStore(EnvironmentBit.SECURE)
+            rebuilt = ExceptionStore()
             for kind, item in ops:
                 if kind == "f":
                     rebuilt.record_file_exception(item[1], item[0], item[2])
@@ -236,7 +236,7 @@ def test_criterion_8_store_round_trip_hundred():
         caps = ("CAP_KILL", "CAP_CHOWN", "CAP_SYS_MODULE", "CAP_NET_RAW", "CAP_SYS_PTRACE")
         for index in range(100):
             rng = random.Random(8000 + index)
-            store = ExceptionStore(EnvironmentBit.SECURE)
+            store = ExceptionStore()
             recorded_files = set()
             recorded_privs = set()
             for _ in range(rng.randrange(0, 80)):

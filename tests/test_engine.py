@@ -137,9 +137,8 @@ class TestExec:
             driver.exec(1, HOSTS)
 
     def test_key_switch_changes_exception_identity(self):
-        store = ExceptionStore(EnvironmentBit.SECURE)
+        store = ExceptionStore()
         store.record_priv_exception(LS, "CAP_KILL")
-        store.bit = EnvironmentBit.UNSECURE
         d = make_driver(store=store)
         d.taint_via_net(1)
         assert d.priv(1, "CAP_KILL").verdict is Verdict.DENY  # key is still SH
@@ -274,9 +273,7 @@ class TestCopy:
 
     def test_exception_allowed_copy_still_taints_destination(self, driver):
         store = driver.engine.store
-        store.bit = EnvironmentBit.SECURE
         store.record_file_exception(SH, LS, AccessMode.WRITE)
-        store.bit = EnvironmentBit.UNSECURE
         driver.taint_via_net(1)
         decision = driver.copy(1, HOSTS, "/bin/ls", "644")
         assert decision.verdict is Verdict.ALLOW_BY_EXCEPTION
@@ -344,9 +341,7 @@ class TestCreate:
 
     def test_exception_allowed_create_still_taints_executable(self, driver):
         store = driver.engine.store
-        store.bit = EnvironmentBit.SECURE
         store.record_file_exception(SH, ETC_DIR, AccessMode.WRITE)
-        store.bit = EnvironmentBit.UNSECURE
         driver.taint_via_net(1)
         decision = driver.create(1, "/etc/cron.hourly", "755")
         assert decision.verdict is Verdict.ALLOW_BY_EXCEPTION
@@ -371,9 +366,7 @@ class TestWrite:
 
     def test_recorded_exception_permits_the_write(self, driver):
         store = driver.engine.store
-        store.bit = EnvironmentBit.SECURE
         store.record_file_exception(SH, LS, AccessMode.WRITE)
-        store.bit = EnvironmentBit.UNSECURE
         driver.taint_via_net(1)
         decision = driver.write(1, LS)
         assert decision.verdict is Verdict.ALLOW_BY_EXCEPTION
@@ -381,9 +374,7 @@ class TestWrite:
 
     def test_exception_allowed_write_still_taints_executable(self, driver):
         store = driver.engine.store
-        store.bit = EnvironmentBit.SECURE
         store.record_file_exception(SH, LS, AccessMode.WRITE)
-        store.bit = EnvironmentBit.UNSECURE
         driver.taint_via_net(1)
         decision = driver.write(1, LS)
         assert driver.file(LS).taint is PI
@@ -438,9 +429,7 @@ class TestPrivOp:
 
     def test_exception_permits_in_enforcement(self, driver):
         store = driver.engine.store
-        store.bit = EnvironmentBit.SECURE
         store.record_priv_exception(SH, "CAP_SYS_MODULE")
-        store.bit = EnvironmentBit.UNSECURE
         driver.taint_via_net(1)
         decision = driver.priv(1, "CAP_SYS_MODULE")
         assert decision.verdict is Verdict.ALLOW_BY_EXCEPTION
@@ -465,6 +454,23 @@ class TestSecureLearning:
         d.read(1, SHADOW)
         d.priv(1, "CAP_CHOWN")
         assert d.engine.store.triple_count() == 0
+
+    def test_a_shared_store_is_written_only_by_the_secure_engine(self):
+        store = ExceptionStore()
+        learner = make_driver(EnvironmentBit.SECURE, store)
+        enforcer = make_driver(store=store)
+        assert enforcer.engine.mode is EnvironmentBit.UNSECURE
+        learner.taint_via_net(1)
+        enforcer.taint_via_net(1)
+        learner.write(1, LS)
+        learned = store.save()
+        assert enforcer.write(1, LS).verdict is Verdict.ALLOW_BY_EXCEPTION
+        assert enforcer.read(1, SHADOW).verdict is Verdict.DENY
+        assert enforcer.priv(1, "CAP_CHOWN").verdict is Verdict.DENY
+        assert store.save() == learned
+        # The learner keeps its own mode while the enforcer runs.
+        assert learner.read(1, SHADOW).verdict is Verdict.ALLOW
+        assert store.check_file_exception(SH, SHADOW, AccessMode.READ)
 
 
 def _state_fingerprint(engine: Engine):

@@ -163,8 +163,8 @@ class TestCompare:
 
     def test_report_discloses_the_mapping(self):
         report = compare(scenarios.load_trace("self-revocation"))
-        assert "notional High object" in report.notes
         doc = report.to_structured()
+        assert "notional High object" in doc["notes"]
         assert doc["summary"]["classification"].startswith("denials are false negatives")
 
     def test_attack_label_classifies_true_positives(self):

@@ -104,21 +104,47 @@ class TestCapability:
             validate_capability(bad)
 
 
+_UPDATE = (proc_entity(1), TaintState.NON_INTRUSION, TaintState.POTENTIAL_INTRUSION)
+
+
 class TestDecision:
     def test_deny_with_updates_rejected(self):
-        update = (proc_entity(1), TaintState.NON_INTRUSION, TaintState.POTENTIAL_INTRUSION)
         with pytest.raises(ValueError):
-            Decision(Verdict.DENY, DenyReason.PRIVILEGED_OP, taint_updates=(update,))
+            Decision(Verdict.DENY, DenyReason.PRIVILEGED_OP, taint_updates=(_UPDATE,))
+        with pytest.raises(ValueError):
+            Decision(Verdict.DENY, DenyReason.PRIVILEGED_OP, (_UPDATE,))
 
     def test_exception_kind_requires_exception_verdict(self):
+        # A reason is present exactly when the verdict is not Allow; the
+        # exception kind follows from the reason.
         with pytest.raises(ValueError):
-            Decision(Verdict.ALLOW, exception_kind=ExceptionKind.FILE_LIST)
+            Decision(Verdict.ALLOW, DenyReason.INTEGRITY_WRITE)
         with pytest.raises(ValueError):
-            Decision(Verdict.ALLOW_BY_EXCEPTION, DenyReason.INTEGRITY_WRITE)
+            Decision(Verdict.ALLOW_BY_EXCEPTION)
+        with pytest.raises(ValueError):
+            Decision(Verdict.DENY)
+
+    @pytest.mark.parametrize(
+        "verdict, reason, kind",
+        [
+            (Verdict.ALLOW, DenyReason.NONE, ExceptionKind.NONE),
+            (Verdict.DENY, DenyReason.PRIVILEGED_OP, ExceptionKind.NONE),
+            (Verdict.DENY, DenyReason.INTEGRITY_WRITE, ExceptionKind.NONE),
+            (Verdict.DENY, DenyReason.SENSITIVITY_READ, ExceptionKind.NONE),
+            (Verdict.ALLOW_BY_EXCEPTION, DenyReason.PRIVILEGED_OP, ExceptionKind.PRIVILEGE_LIST),
+            (Verdict.ALLOW_BY_EXCEPTION, DenyReason.INTEGRITY_WRITE, ExceptionKind.FILE_LIST),
+            (Verdict.ALLOW_BY_EXCEPTION, DenyReason.SENSITIVITY_READ, ExceptionKind.FILE_LIST),
+        ],
+    )
+    def test_exception_kind_follows_from_the_outcome(self, verdict, reason, kind):
+        assert Decision(verdict, reason).exception_kind is kind
+        if verdict is not Verdict.DENY:
+            assert Decision(verdict, reason, (_UPDATE,)).exception_kind is kind
 
     def test_well_formed(self):
-        d = Decision(Verdict.ALLOW_BY_EXCEPTION, DenyReason.INTEGRITY_WRITE, ExceptionKind.FILE_LIST)
+        d = Decision(Verdict.ALLOW_BY_EXCEPTION, DenyReason.INTEGRITY_WRITE, (_UPDATE,))
         assert d.exception_kind is ExceptionKind.FILE_LIST
+        assert d.taint_updates == (_UPDATE,)
         assert Decision(Verdict.DENY, DenyReason.SENSITIVITY_READ).taint_updates == ()
 
 

@@ -38,7 +38,7 @@ class TestStoreIndependence:
 
     @staticmethod
     def half_of(store: ExceptionStore) -> ExceptionStore:
-        half = ExceptionStore(EnvironmentBit.SECURE)
+        half = ExceptionStore()
         for fid, key, mode in list(store.iter_file_triples())[::2]:
             half.record_file_exception(key, fid, mode)
         for key, cap in list(store.iter_priv_pairs())[::2]:

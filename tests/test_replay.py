@@ -153,7 +153,7 @@ class TestLearning:
         assert file_triples or priv_pairs
 
         def rebuild(drop_file=None, drop_priv=None) -> ExceptionStore:
-            reduced = ExceptionStore(EnvironmentBit.SECURE)
+            reduced = ExceptionStore()
             for fid, key, mode in file_triples:
                 if (fid, key, mode) != drop_file:
                     reduced.record_file_exception(key, fid, mode)
@@ -184,6 +184,22 @@ class TestPurity:
             replay(trace, EnvironmentBit.UNSECURE, store)
         assert saved_digest(store) == checksum
 
+    @pytest.mark.parametrize(
+        "enforce",
+        [lambda trace, store: replay(trace, EnvironmentBit.UNSECURE, store), compare],
+        ids=["replay", "compare"],
+    )
+    def test_enforcing_runs_leave_a_passed_store_as_it_was(self, enforce):
+        _, learned = learn(random_trace(seed=1, events=1000))
+        annotated = ExceptionStore.load(learned.save() + "# key 3 /bin/sh\n")
+        for store in (learned, annotated):
+            saved, key_paths = store.save(), dict(store.key_paths)
+            for seed in (1, 2):
+                enforce(random_trace(seed=seed, events=1000), store)
+            assert store.save() == saved
+            assert store.key_paths == key_paths
+        assert annotated.key_paths == {3: "/bin/sh"}
+
     def test_learning_augments_the_store(self):
         trace = scenarios.load_trace("admin-remote-upgrade")
         store = ExceptionStore()
@@ -203,7 +219,7 @@ class TestIdsDoNotDependOnTheStore:
     @pytest.mark.parametrize("mode", list(EnvironmentBit))
     def test_each_file_keeps_its_parsed_id(self, mode):
         trace = parse_trace(STORE_DEPENDENT_IDS_TRACE)
-        engine = Engine(EngineConfig.from_trace(trace), ExceptionStore(mode))
+        engine = Engine(EngineConfig.from_trace(trace), ExceptionStore(), mode)
         verdicts = [engine.step(ev).verdict for ev in trace.events]
         create_denied = mode is EnvironmentBit.UNSECURE
         assert (verdicts[1] is Verdict.DENY) is create_denied

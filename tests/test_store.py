@@ -4,39 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cumac.errors import StoreFormatError, StoreModeError, StoreVersionError
-from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
-
-
-def secure_store() -> ExceptionStore:
-    return ExceptionStore(EnvironmentBit.SECURE)
+from cumac.errors import StoreFormatError, StoreVersionError
+from cumac.store import AccessMode, ExceptionStore
 
 
 class TestRecordFile:
     def test_record_then_check(self):
-        store = secure_store()
+        store = ExceptionStore()
         store.record_file_exception(10, 77, AccessMode.WRITE)
         assert store.check_file_exception(10, 77, AccessMode.WRITE)
 
     def test_double_record_is_single_entry(self):
-        store = secure_store()
+        store = ExceptionStore()
         assert store.record_file_exception(10, 77, AccessMode.WRITE) is True
         assert store.record_file_exception(10, 77, AccessMode.WRITE) is False
         assert list(store.iter_file_triples()) == [(77, 10, AccessMode.WRITE)]
 
     def test_read_and_write_merge_into_one_entry(self):
-        store = secure_store()
+        store = ExceptionStore()
         store.record_file_exception(10, 77, AccessMode.READ)
         store.record_file_exception(10, 77, AccessMode.WRITE)
         file_lines = [line for line in store.save().splitlines() if line.startswith("F ")]
         assert file_lines == ["F 77 10 rw"]
-
-    def test_recording_in_unsecure_mode_is_a_logic_error(self):
-        store = ExceptionStore(EnvironmentBit.UNSECURE)
-        with pytest.raises(StoreModeError):
-            store.record_file_exception(10, 77, AccessMode.WRITE)
-        with pytest.raises(StoreModeError):
-            store.record_priv_exception(10, "CAP_KILL")
 
 
 class TestCheckFile:
@@ -44,30 +33,30 @@ class TestCheckFile:
         assert ExceptionStore().check_file_exception(10, 999, AccessMode.READ) is False
 
     def test_mode_mismatch_is_false(self):
-        store = secure_store()
+        store = ExceptionStore()
         store.record_file_exception(10, 77, AccessMode.READ)
         assert store.check_file_exception(10, 77, AccessMode.WRITE) is False
 
     def test_key_isolation(self):
-        store = secure_store()
+        store = ExceptionStore()
         store.record_file_exception(10, 77, AccessMode.WRITE)
         assert store.check_file_exception(11, 77, AccessMode.WRITE) is False
 
 
 class TestPriv:
     def test_record_then_check(self):
-        store = secure_store()
+        store = ExceptionStore()
         store.record_priv_exception(10, "CAP_NET_BIND_SERVICE")
         assert store.check_priv_exception(10, "CAP_NET_BIND_SERVICE")
 
     def test_double_record_is_set_semantics(self):
-        store = secure_store()
+        store = ExceptionStore()
         assert store.record_priv_exception(10, "CAP_KILL") is True
         assert store.record_priv_exception(10, "CAP_KILL") is False
         assert list(store.iter_priv_pairs()) == [(10, "CAP_KILL")]
 
     def test_key_isolation(self):
-        store = secure_store()
+        store = ExceptionStore()
         store.record_priv_exception(10, "CAP_KILL")
         assert store.check_priv_exception(11, "CAP_KILL") is False
 
@@ -76,7 +65,7 @@ class TestPriv:
 
     def test_bad_capability_rejected(self):
         with pytest.raises(ValueError):
-            secure_store().record_priv_exception(10, "cap_kill")
+            ExceptionStore().record_priv_exception(10, "cap_kill")
 
 
 class TestPersistence:
@@ -84,14 +73,14 @@ class TestPersistence:
         assert ExceptionStore().save() == "cumac-exceptions v1\n"
 
     def test_single_entry_round_trips_byte_identically(self):
-        store = secure_store()
+        store = ExceptionStore()
         store.record_file_exception(10, 77, AccessMode.WRITE)
         text = store.save()
         assert text == "cumac-exceptions v1\nF 77 10 w\n"
         assert ExceptionStore.load(text).save() == text
 
     def test_entries_sorted_in_canonical_order(self):
-        store = secure_store()
+        store = ExceptionStore()
         store.record_priv_exception(11, "CAP_KILL")
         store.record_priv_exception(10, "CAP_SYS_MODULE")
         store.record_priv_exception(10, "CAP_CHOWN")
@@ -110,7 +99,7 @@ class TestPersistence:
         )
 
     def test_key_path_comments_survive_round_trip(self):
-        store = secure_store()
+        store = ExceptionStore()
         store.record_priv_exception(4, "CAP_NET_BIND_SERVICE")
         store.key_paths[4] = "/usr/sbin/httpd"
         text = store.save()
@@ -172,10 +161,6 @@ class TestPersistence:
         with pytest.raises(StoreFormatError, match="UTF-8"):
             ExceptionStore.load(b"cumac-exceptions v1\n\xff\xfe\n")
 
-    def test_loaded_store_defaults_to_enforcing(self):
-        store = ExceptionStore.load("cumac-exceptions v1\n")
-        assert store.bit is EnvironmentBit.UNSECURE
-
 
 _file_triples = st.lists(
     st.tuples(
@@ -198,7 +183,7 @@ class TestRandomizedRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(files=_file_triples, privs=_priv_pairs)
     def test_save_load_preserves_all_queries(self, files, privs):
-        store = secure_store()
+        store = ExceptionStore()
         for key, fid, mode in files:
             store.record_file_exception(key, fid, mode)
         for key, cap in privs:
@@ -225,7 +210,7 @@ class TestRandomizedRoundTrip:
         random.Random(seed).shuffle(shuffled)
 
         def build(sequence):
-            store = secure_store()
+            store = ExceptionStore()
             for kind, item in sequence:
                 if kind == "f":
                     store.record_file_exception(item[0], item[1], item[2])

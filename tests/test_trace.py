@@ -163,7 +163,8 @@ class TestCheckPrecedence:
             ("FORK parent=1 child=2\nIPC from=1 to=1 chan=bogus\n", "line 9: ipc endpoints must differ"),
             ("CREATE pid=1 path=/bin/sh perms=999 owner=root dir=0\n", "already exists"),
             ("MOUNT id=1 prefix=/tmp\nMOUNT id=1 prefix=tmp\n", "line 9: mount id 1 already live"),
-            ("PROC pid=2 key=x user=ghost\n", "unknown user 'ghost'"),
+            ("PROC pid=1 key=x user=ghost\n", "duplicate pid 1"),
+            ("PROC pid=2 key=x user=ghost\n", "key must be an unsigned integer, got 'x'"),
             ("FORK parent=1 child=1 bogus=2\n", "unexpected field 'bogus'"),
         ],
     )
