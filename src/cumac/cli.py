@@ -27,7 +27,7 @@ from . import scenarios
 from .engine import EngineConfig
 from .errors import CumacError
 from .lwm import compare
-from .model import entity_sort_key
+from .model import Copy, Create, entity_sort_key
 from .oracle import export_taint_graph, taint_oracle
 from .randomtrace import random_trace
 from .replay import ReplayReport, replay, write_document
@@ -78,23 +78,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_trace(args: argparse.Namespace) -> tuple[Trace, str]:
+def _load_inputs(
+    args: argparse.Namespace, store_required: bool = False
+) -> tuple[Trace, str, ExceptionStore, EngineConfig]:
+    """Load a replay command's trace and its name, then its store, then its
+    engine config with any --trusted-users; a failure is a CumacError."""
     if bool(args.trace) == bool(args.scenario):
         raise CumacError("exactly one of --trace or --scenario is required")
     if args.scenario:
+        name = args.scenario
         try:
-            return scenarios.load_trace(args.scenario), args.scenario
+            trace = scenarios.load_trace(name)
         except KeyError as exc:
             raise CumacError(str(exc.args[0])) from None
-    path = Path(args.trace)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CumacError(f"cannot read trace {path}: {exc}") from None
-    return parse_trace(data), str(path)
+    else:
+        path = Path(args.trace)
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise CumacError(f"cannot read trace {path}: {exc}") from None
+        trace, name = parse_trace(data), str(path)
 
-
-def _load_store(args: argparse.Namespace, required: bool) -> ExceptionStore:
     if args.store and args.empty_store:
         raise CumacError("--store and --empty-store are mutually exclusive")
     if args.store:
@@ -103,13 +107,12 @@ def _load_store(args: argparse.Namespace, required: bool) -> ExceptionStore:
             data = path.read_bytes()
         except OSError as exc:
             raise CumacError(f"cannot read store {path}: {exc}") from None
-        return ExceptionStore.load(data)
-    if required and not args.empty_store:
+        store = ExceptionStore.load(data)
+    elif store_required and not args.empty_store:
         raise CumacError("this command needs --store P or an explicit --empty-store")
-    return ExceptionStore()
+    else:
+        store = ExceptionStore()
 
-
-def _load_config(trace: Trace, args: argparse.Namespace) -> EngineConfig:
     trusted: set[str] | None = None
     if args.trusted_users:
         path = Path(args.trusted_users)
@@ -120,7 +123,7 @@ def _load_config(trace: Trace, args: argparse.Namespace) -> EngineConfig:
         trusted = {
             line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
         }
-    return EngineConfig.from_trace(trace, trusted_users=trusted)
+    return trace, name, store, EngineConfig.from_trace(trace, trusted_users=trusted)
 
 
 def _write_stream(label: str, path: str, write: Callable[[TextIO], None]) -> None:
@@ -169,9 +172,7 @@ def _print_replay_summary(name: str, report: ReplayReport) -> None:
 def _cmd_learn(args: argparse.Namespace) -> int:
     if not args.store_out:
         raise CumacError("learn needs --store-out P (a writable store path)")
-    trace, name = _load_trace(args)
-    store = _load_store(args, required=False)
-    config = _load_config(trace, args)
+    trace, name, store, config = _load_inputs(args)
     report = replay(trace, EnvironmentBit.SECURE, store, config)
     _annotate_key_paths(store, trace)
     _write_file("store", args.store_out, store.save())
@@ -182,8 +183,14 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _annotate_key_paths(store: ExceptionStore, trace: Trace) -> None:
-    # Advisory path comments for human review of the saved store.
+    # Advisory path comments for human review of the saved store: a key is
+    # the fid of an executable in the snapshot or made by a create or copy.
     paths = {f.fid: f.path for f in trace.header.files}
+    for ev in trace.events:
+        if isinstance(ev, Create):
+            paths.setdefault(ev.new_fid, ev.path)
+        elif isinstance(ev, Copy):
+            paths.setdefault(ev.dst_fid, ev.dst_path)
     keys = {key for _, key, _ in store.iter_file_triples()}
     keys.update(key for key, _ in store.iter_priv_pairs())
     for key in keys:
@@ -192,9 +199,7 @@ def _annotate_key_paths(store: ExceptionStore, trace: Trace) -> None:
 
 
 def _cmd_enforce(args: argparse.Namespace) -> int:
-    trace, name = _load_trace(args)
-    store = _load_store(args, required=True)
-    config = _load_config(trace, args)
+    trace, name, store, config = _load_inputs(args, store_required=True)
     report = replay(trace, EnvironmentBit.UNSECURE, store, config)
     _print_replay_summary(name, report)
     _emit_report(args, report.write_json, report.to_text)
@@ -202,9 +207,7 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    trace, name = _load_trace(args)
-    store = _load_store(args, required=False)
-    config = _load_config(trace, args)
+    trace, name, store, config = _load_inputs(args)
     result = compare(trace, store, config)
     print(f"trace: {name} ({result.label}), {result.event_count} events")
     print(f"cumac denials: {result.cumac_deny_count}, lwm denials: {result.lwm_deny_count}")
@@ -216,9 +219,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    trace, _ = _load_trace(args)
-    store = _load_store(args, required=False)
-    config = _load_config(trace, args)
+    trace, _, store, config = _load_inputs(args)
     report = replay(trace, EnvironmentBit.UNSECURE, store, config)
     dot = export_taint_graph(report, trace)
     if args.report:
@@ -239,7 +240,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         trace = random_trace(seed=seed, events=args.events)
         config = EngineConfig.from_trace(trace)
         report = replay(trace, EnvironmentBit.UNSECURE, ExceptionStore(), config)
-        verdicts = [decision.verdict for _, decision in report.log]
+        verdicts = [decision.verdict for decision in report.decisions]
         oracle = sorted(taint_oracle(trace, verdicts, config), key=entity_sort_key)
         match = oracle == report.final_taint
         if not match:

@@ -50,18 +50,10 @@ _OCTAL_DIGITS = "01234567"
 
 @dataclass(frozen=True, slots=True)
 class PermissionBits:
-    """The nine rwx bits of a file, round-trippable with a 3-digit octal
-    string ("755" and back)."""
+    """The nine rwx bits of a file as one mode, round-trippable with a
+    3-digit octal string ("755" and back)."""
 
-    owner_read: bool = False
-    owner_write: bool = False
-    owner_exec: bool = False
-    group_read: bool = False
-    group_write: bool = False
-    group_exec: bool = False
-    other_read: bool = False
-    other_write: bool = False
-    other_exec: bool = False
+    mode: int = 0
 
     @classmethod
     def parse(cls, octal: str) -> "PermissionBits":
@@ -76,24 +68,23 @@ class PermissionBits:
         for ch in octal:
             if ch not in _OCTAL_DIGITS:
                 raise PermsFormatError(f"invalid octal digit {ch!r} in {octal!r}")
-        bits: list[bool] = []
-        for ch in octal:
-            digit = int(ch)
-            bits.extend((bool(digit & 4), bool(digit & 2), bool(digit & 1)))
-        parsed = _PARSED_PERMS[octal] = cls(*bits)
+        parsed = _PARSED_PERMS[octal] = cls(int(octal, 8))
         return parsed
 
     def render(self) -> str:
-        triples = (
-            (self.owner_read, self.owner_write, self.owner_exec),
-            (self.group_read, self.group_write, self.group_exec),
-            (self.other_read, self.other_write, self.other_exec),
-        )
-        return "".join(str((4 * r) + (2 * w) + (1 * x)) for r, w, x in triples)
+        return f"{self.mode:03o}"
 
     @property
     def any_exec(self) -> bool:
-        return self.owner_exec or self.group_exec or self.other_exec
+        return (self.mode & 0o111) != 0
+
+    @property
+    def other_read(self) -> bool:
+        return (self.mode & 0o004) != 0
+
+    @property
+    def other_write(self) -> bool:
+        return (self.mode & 0o002) != 0
 
 
 _PARSED_PERMS: dict[str, PermissionBits] = {}

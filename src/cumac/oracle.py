@@ -219,7 +219,7 @@ def export_taint_graph(report: "ReplayReport", trace: Trace) -> str:
     extra_nodes: set[str] = set()
     edges: list[str] = []
 
-    for ev, decision in report.log:
+    for ev, decision in zip(report.events, report.decisions):
         denied = decision.verdict is Verdict.DENY
         attrs = [f"label={_dot_quote(f'{ev.seq} {EVENT_VERBS[type(ev)]}')}"]
         if denied:

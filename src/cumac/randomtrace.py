@@ -145,12 +145,8 @@ def random_trace(
     header = _snapshot(rng)
     config = EngineConfig.from_trace(Trace(header))
     engine = Engine(config, ExceptionStore(), EnvironmentBit.SECURE)
-    weight_map = dict(DEFAULT_WEIGHTS)
-    if not include_entrances:
-        weight_map["MOUNT"] = 0.0
-        weight_map["UNMOUNT"] = 0.0
-    verbs = [v for v, w in weight_map.items() if w > 0]
-    verb_weights = [weight_map[v] for v in verbs]
+    verbs = [v for v in DEFAULT_WEIGHTS if include_entrances or v not in ("MOUNT", "UNMOUNT")]
+    verb_weights = [DEFAULT_WEIGHTS[v] for v in verbs]
 
     # Pick lists by kind, in creation order.
     open_dirs: list[int] = []  # other-writable directories

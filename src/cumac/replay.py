@@ -4,7 +4,8 @@ A replay is deterministic: the same trace, config and store contents yield
 the same decision log byte for byte. In Secure mode the store is augmented
 with learned exceptions; in Unsecure mode it is strictly read-only. The
 engine keeps no log: the replay loop collects each step's decision, and
-the report pairs the decisions with the trace's events.
+the report keeps that list beside the trace's own list of events, the
+``i``-th decision for the ``i``-th event.
 
 ``write_document`` streams a structured report, small sections and one
 row section, to a text stream without building it: its bytes equal
@@ -121,20 +122,20 @@ def _taint_updates_json(updates: tuple) -> str:
     ) + f"{_ROW}]"
 
 
-def _write_rows_json(log: list[tuple[Event, Decision]], write: Callable[[str], Any]) -> None:
+def _write_rows_json(
+    events: list[Event], decisions: list[Decision], write: Callable[[str], Any]
+) -> None:
     """Write the JSON text of the ``decisions`` list, ``_BLOCK_ROWS`` rows
     joined per write."""
-    if not log:
-        write("[]")
-        return
     rows = _ROW_JSON
     fast = _ARG_JSON_BY_TYPE
     outcomes = _OUTCOME_JSON
     updates_key = f',{_ROW}"taint_updates": '
-    for start in range(0, len(log), _BLOCK_ROWS):
+    for start in range(0, len(events), _BLOCK_ROWS):
         parts = ["," if start else "["]
         append = parts.append
-        for index, (ev, decision) in enumerate(log[start : start + _BLOCK_ROWS]):
+        block = zip(events[start : start + _BLOCK_ROWS], decisions[start : start + _BLOCK_ROWS])
+        for index, (ev, decision) in enumerate(block):
             if index:
                 append(",")
             keys, args_tail = rows[type(ev)]
@@ -151,7 +152,7 @@ def _write_rows_json(log: list[tuple[Event, Decision]], write: Callable[[str], A
             append(_taint_updates_json(updates) if updates else "[]")
             append(tail)
         write("".join(parts))
-    write("\n  ]")
+    write("\n  ]" if events else "[]")
 
 
 _VERDICT_ROW_JSON: dict[tuple[type, Verdict, Verdict], str] = {
@@ -230,13 +231,14 @@ class TimingStats:
 
 @dataclass(slots=True)
 class ReplayReport(StructuredReport):
-    """Everything one replay produced: the decision log, final taint set,
-    counters and timing. Counter totals always equal the event count."""
+    """Everything one replay produced: the trace's own list of events, the
+    decision for each, final taint set, counters and timing. Counter totals
+    always equal the event count."""
 
     mode: EnvironmentBit
     label: str
-    event_count: int
-    log: list[tuple[Event, Decision]]
+    events: list[Event]
+    decisions: list[Decision]
     final_taint: list[str]
     allows: int
     denies_by_reason: dict[str, int]
@@ -245,11 +247,20 @@ class ReplayReport(StructuredReport):
     timing: TimingStats = field(default_factory=TimingStats)
 
     @property
+    def event_count(self) -> int:
+        return len(self.events)
+
+    @property
+    def log(self) -> list[tuple[Event, Decision]]:
+        """The ``(event, decision)`` pairs, built anew on each read."""
+        return list(zip(self.events, self.decisions))
+
+    @property
     def deny_count(self) -> int:
         return sum(self.denies_by_reason.values())
 
     def denials(self) -> list[tuple[Event, Decision]]:
-        return [(ev, d) for ev, d in self.log if d.verdict is Verdict.DENY]
+        return [(ev, d) for ev, d in zip(self.events, self.decisions) if d.verdict is Verdict.DENY]
 
     def to_structured(self) -> dict[str, Any]:
         """The report's sections but its decision rows."""
@@ -271,7 +282,7 @@ class ReplayReport(StructuredReport):
     def write_json(self, stream: TextIO) -> None:
         """Stream the structured report into ``stream``, decisions and all,
         holding no more than a block of decision rows."""
-        rows = partial(_write_rows_json, self.log)
+        rows = partial(_write_rows_json, self.events, self.decisions)
         write_document(stream, {**self.to_structured(), "decisions": rows})
 
     def to_text(self) -> str:
@@ -365,8 +376,8 @@ def replay(
         return ReplayReport(
             mode=mode,
             label=trace.header.label,
-            event_count=len(trace.events),
-            log=list(zip(trace.events, decisions)),
+            events=trace.events,
+            decisions=decisions,
             final_taint=sorted(engine.tainted_entities(), key=entity_sort_key),
             allows=allows,
             denies_by_reason=denies,

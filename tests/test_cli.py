@@ -74,6 +74,42 @@ class TestLearn:
         # advisory path annotation for the application key
         assert "# key 3 /bin/sh" in text
 
+    def test_learn_annotates_keys_of_created_executables(self, capsys, tmp_path):
+        # /tmp/knark is made by a CREATE during the trace, not in the snapshot.
+        store_path = tmp_path / "ex.cumac"
+        code, _, _ = run_cli(
+            capsys, "learn", "--scenario", "network-rootkit", "--store-out", str(store_path)
+        )
+        assert code == 0
+        text = store_path.read_text()
+        assert "P 8 CAP_SYS_MODULE" in text
+        assert "# key 8 /tmp/knark" in text
+
+    def test_learn_annotates_keys_of_copied_executables(self, capsys, tmp_path):
+        trace_path = tmp_path / "copy.trace"
+        trace_path.write_text(
+            "cumac-trace v1\n"
+            "USER root trusted=1\n"
+            "FILE fid=1 path=/ perms=755 owner=root dir=1\n"
+            "FILE fid=2 path=/bin perms=755 owner=root dir=1\n"
+            "FILE fid=3 path=/bin/sh perms=755 owner=root dir=0\n"
+            "FILE fid=4 path=/tmp perms=777 owner=root dir=1\n"
+            "PROC pid=1 key=3 user=root\n"
+            "NET pid=1 peer=203.0.113.5\n"
+            "COPY pid=1 src=3 dst=/tmp/tool perms=755 owner=root\n"
+            "FORK parent=1 child=2\n"
+            "EXEC pid=2 fid=5\n"
+            "PRIV pid=2 cap=CAP_SYS_MODULE\n"
+        )
+        store_path = tmp_path / "ex.cumac"
+        code, _, _ = run_cli(
+            capsys, "learn", "--trace", str(trace_path), "--store-out", str(store_path)
+        )
+        assert code == 0
+        assert store_path.read_text() == (
+            "cumac-exceptions v1\n# key 5 /tmp/tool\nP 5 CAP_SYS_MODULE\n"
+        )
+
     def test_learn_requires_store_out(self, capsys):
         code, _, err = run_cli(capsys, "learn", "--scenario", "benign-webserver")
         assert code == 2

@@ -1,5 +1,7 @@
 """Core type behavior: permission bits, capabilities, decision invariants."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,9 +28,8 @@ from cumac.model import (
 class TestPermissionBits:
     def test_755(self):
         bits = PermissionBits.parse("755")
-        assert bits.owner_read and bits.owner_write and bits.owner_exec
-        assert bits.group_read and not bits.group_write and bits.group_exec
-        assert bits.other_read and not bits.other_write and bits.other_exec
+        assert bits.any_exec and bits.other_read and not bits.other_write
+        assert bits.render() == "755"
 
     def test_000_all_false(self):
         bits = PermissionBits.parse("000")
@@ -42,7 +43,16 @@ class TestPermissionBits:
     def test_round_trip_all_512(self):
         for value in range(512):
             text = format(value, "03o")
-            assert PermissionBits.parse(text).render() == text
+            bits = PermissionBits.parse(text)
+            assert bits.render() == text
+            assert bits.mode == value
+            assert bits.any_exec == any(int(digit) & 1 for digit in text)
+            assert bits.other_read == bool(int(text[2]) & 4)
+            assert bits.other_write == bool(int(text[2]) & 2)
+
+    def test_one_field(self):
+        assert [f.name for f in fields(PermissionBits)] == ["mode"]
+        assert isinstance(PermissionBits.__dict__["parse"], classmethod)
 
     def test_error_names_offending_character(self):
         with pytest.raises(PermsFormatError, match="'9'"):

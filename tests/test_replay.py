@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from conftest import Writes, decision_rows, reference_json, structured_document
@@ -87,6 +88,30 @@ def assert_json_is_the_reference(report: ReplayReport) -> None:
     are compared, so a failure names the first differing line; pytest's
     diff of two long strings can take minutes."""
     assert report.to_json().splitlines(True) == reference_json(report).splitlines(True)
+
+
+class TestReportLists:
+    """A report holds the trace's own list of events beside its list of
+    decisions, one per event, and pairs them only when read as ``log``."""
+
+    def test_events_are_the_traces_own_list(self):
+        for name in scenarios.available():
+            trace = scenarios.load_trace(name)
+            for mode in EnvironmentBit:
+                report = replay(trace, mode)
+                assert report.events is trace.events
+                assert len(report.decisions) == len(trace.events)
+
+    def test_log_is_not_a_field(self):
+        names = [f.name for f in fields(ReplayReport)]
+        assert "events" in names and "decisions" in names
+        assert "log" not in names and "event_count" not in names
+
+    def test_log_pairs_each_event_with_its_decision(self):
+        report = replay(random_trace(seed=4, events=300), EnvironmentBit.UNSECURE)
+        assert report.log == list(zip(report.events, report.decisions))
+        denials = [(ev, d) for ev, d in report.log if d.verdict is Verdict.DENY]
+        assert report.denials() == denials and len(denials) == report.deny_count > 0
 
 
 class TestCounters:
@@ -344,7 +369,8 @@ class TestJsonEncoder:
 
     def test_unknown_argument_type_is_refused(self):
         report = replay(parse_trace("cumac-trace v1\n"), EnvironmentBit.UNSECURE)
-        report.log.append((Read(seq=1, pid=1.5, fid=2), ALLOW))
+        report.events.append(Read(seq=1, pid=1.5, fid=2))
+        report.decisions.append(ALLOW)
         with pytest.raises(TypeError, match="float"):
             report.to_json()
 
