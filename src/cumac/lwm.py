@@ -20,8 +20,9 @@ Mapping choices, also disclosed in every comparison report:
 * Copy is read-then-write: the subject's level first drops to the
   source's, then the write/create check runs against the destination.
 * Denials are inert, matching the tracing engine's discipline, except that
-  a refused create still registers the object under the id its event
-  carries, so that later references to it resolve.
+  a refused create, and a refused copy to a fresh path, still registers
+  the object under the id its event carries, at the level it would have
+  been born with, so that later references to it resolve.
 """
 
 from __future__ import annotations
@@ -100,21 +101,37 @@ class LwmEngine:
             level = IntegrityLevel.LOW if mobile else IntegrityLevel.HIGH
             self._register(f.fid, f.path, level)
         self._low_pids = low_pids
+        self._handlers = {
+            Fork: self._on_fork,
+            Exec: self._on_read,
+            RemoteComm: self._on_entrance,
+            Login: self._on_entrance,
+            Mount: self._on_mount,
+            Unmount: self._on_unmount,
+            Copy: self._on_copy,
+            Create: self._on_create,
+            Write: self._on_write,
+            Read: self._on_read,
+            Ipc: self._on_ipc,
+            PrivOp: self._on_priv_op,
+        }
 
     def _prescan(self, trace: Trace) -> tuple[set[int], set[str]]:
         """Entrance-mirroring initial assignment: which pids ever face the
         network or an untrusted login, and which prefixes ever mount."""
         low_pids: set[int] = set()
         prefixes: set[str] = set()
+        users = self.config.users
         for ev in trace.events:
-            if isinstance(ev, RemoteComm):
+            kind = type(ev)
+            if kind is RemoteComm:
                 if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
                     low_pids.add(ev.pid)
-            elif isinstance(ev, Login):
-                user = self.config.users.get(ev.user)
+            elif kind is Login:
+                user = users.get(ev.user)
                 if user is None or not user.trusted:
                     low_pids.add(ev.pid)
-            elif isinstance(ev, Mount):
+            elif kind is Mount:
                 prefixes.add(ev.path_prefix)
         return low_pids, prefixes
 
@@ -153,67 +170,82 @@ class LwmEngine:
     # -- the step rule -------------------------------------------------------------
 
     def step(self, ev: Event) -> Decision:
-        if isinstance(ev, (Read, Exec)):
-            # Exec reads the binary, so the subject's level drops with it.
-            subject = self._need_subject(ev.seq, ev.pid)
-            obj = self._need_object(ev.seq, ev.fid)
-            if obj < subject:
-                self.subject_levels[ev.pid] = obj
-            return ALLOW
-        if isinstance(ev, Write):
-            subject = self._need_subject(ev.seq, ev.pid)
-            obj = self._need_object(ev.seq, ev.fid)
-            return DENIED[DenyReason.INTEGRITY_WRITE] if subject < obj else ALLOW
-        if isinstance(ev, Create):
-            subject = self._need_subject(ev.seq, ev.pid)
-            parent = self._parent_level(ev.seq, ev.path)
-            denied = subject < parent
-            # Register the object either way so later references resolve.
-            self._register(ev.new_fid, ev.path, self._birth_level(subject, ev.path))
-            return DENIED[DenyReason.INTEGRITY_WRITE] if denied else ALLOW
-        if isinstance(ev, Copy):
-            subject = self._need_subject(ev.seq, ev.pid)
-            src = self._need_object(ev.seq, ev.src_fid)
-            dropped = min(subject, src)
-            dst = self.object_levels.get(ev.dst_fid)
-            if dst is None:
-                denied = dropped < self._parent_level(ev.seq, ev.dst_path)
-                self._register(ev.dst_fid, ev.dst_path, self._birth_level(dropped, ev.dst_path))
-            else:
-                denied = dropped < dst
-            if denied:
-                return DENIED[DenyReason.INTEGRITY_WRITE]
-            self.subject_levels[ev.pid] = dropped
-            return ALLOW
-        if isinstance(ev, Fork):
-            parent = self._need_subject(ev.seq, ev.parent_pid)
-            if ev.child_pid in self.subject_levels:
-                raise TraceError(ev.seq, f"pid {ev.child_pid} already live")
-            level = parent
-            if ev.child_pid in self._low_pids:
-                level = IntegrityLevel.LOW
-            self.subject_levels[ev.child_pid] = level
-            return ALLOW
-        if isinstance(ev, PrivOp):
-            subject = self._need_subject(ev.seq, ev.pid)
-            return DENIED[DenyReason.PRIVILEGED_OP] if subject < IntegrityLevel.HIGH else ALLOW
-        if isinstance(ev, Mount):
-            self._mounts[ev.mount_id] = ev.path_prefix
-            high = self._high_below.get(ev.path_prefix, [])
-            self.object_levels.update(dict.fromkeys(high, IntegrityLevel.LOW))
-            high.clear()
-            return ALLOW
-        if isinstance(ev, Unmount):
-            self._mounts.pop(ev.mount_id, None)
-            return ALLOW
-        if isinstance(ev, (RemoteComm, Login)):
-            self._need_subject(ev.seq, ev.pid)
-            return ALLOW
-        if isinstance(ev, Ipc):
-            self._need_subject(ev.seq, ev.from_pid)
-            self._need_subject(ev.seq, ev.to_pid)
-            return ALLOW
-        raise TraceError(getattr(ev, "seq", 0), f"unknown event kind {type(ev).__name__}")
+        """Decide one event by its kind's handler."""
+        handler = self._handlers.get(type(ev))
+        if handler is None:
+            raise TraceError(ev.seq, f"unknown event kind {type(ev).__name__}")
+        return handler(ev)
+
+    def _on_read(self, ev: Read | Exec) -> Decision:
+        # Exec reads the binary, so the subject's level drops with it.
+        subject = self._need_subject(ev.seq, ev.pid)
+        obj = self._need_object(ev.seq, ev.fid)
+        if obj < subject:
+            self.subject_levels[ev.pid] = obj
+        return ALLOW
+
+    def _on_write(self, ev: Write) -> Decision:
+        subject = self._need_subject(ev.seq, ev.pid)
+        obj = self._need_object(ev.seq, ev.fid)
+        return DENIED[DenyReason.INTEGRITY_WRITE] if subject < obj else ALLOW
+
+    def _on_create(self, ev: Create) -> Decision:
+        subject = self._need_subject(ev.seq, ev.pid)
+        parent = self._parent_level(ev.seq, ev.path)
+        denied = subject < parent
+        # Register the object either way so later references resolve.
+        self._register(ev.new_fid, ev.path, self._birth_level(subject, ev.path))
+        return DENIED[DenyReason.INTEGRITY_WRITE] if denied else ALLOW
+
+    def _on_copy(self, ev: Copy) -> Decision:
+        subject = self._need_subject(ev.seq, ev.pid)
+        src = self._need_object(ev.seq, ev.src_fid)
+        dropped = min(subject, src)
+        dst = self.object_levels.get(ev.dst_fid)
+        if dst is None:
+            # A fresh destination is registered either way, as for Create.
+            denied = dropped < self._parent_level(ev.seq, ev.dst_path)
+            self._register(ev.dst_fid, ev.dst_path, self._birth_level(dropped, ev.dst_path))
+        else:
+            denied = dropped < dst
+        if denied:
+            return DENIED[DenyReason.INTEGRITY_WRITE]
+        self.subject_levels[ev.pid] = dropped
+        return ALLOW
+
+    def _on_fork(self, ev: Fork) -> Decision:
+        parent = self._need_subject(ev.seq, ev.parent_pid)
+        if ev.child_pid in self.subject_levels:
+            raise TraceError(ev.seq, f"pid {ev.child_pid} already live")
+        level = parent
+        if ev.child_pid in self._low_pids:
+            level = IntegrityLevel.LOW
+        self.subject_levels[ev.child_pid] = level
+        return ALLOW
+
+    def _on_priv_op(self, ev: PrivOp) -> Decision:
+        subject = self._need_subject(ev.seq, ev.pid)
+        return DENIED[DenyReason.PRIVILEGED_OP] if subject < IntegrityLevel.HIGH else ALLOW
+
+    def _on_mount(self, ev: Mount) -> Decision:
+        self._mounts[ev.mount_id] = ev.path_prefix
+        high = self._high_below.get(ev.path_prefix, [])
+        self.object_levels.update(dict.fromkeys(high, IntegrityLevel.LOW))
+        high.clear()
+        return ALLOW
+
+    def _on_unmount(self, ev: Unmount) -> Decision:
+        self._mounts.pop(ev.mount_id, None)
+        return ALLOW
+
+    def _on_entrance(self, ev: RemoteComm | Login) -> Decision:
+        self._need_subject(ev.seq, ev.pid)
+        return ALLOW
+
+    def _on_ipc(self, ev: Ipc) -> Decision:
+        self._need_subject(ev.seq, ev.from_pid)
+        self._need_subject(ev.seq, ev.to_pid)
+        return ALLOW
 
     def _parent_level(self, seq: int, path: str) -> IntegrityLevel:
         parent_fid = self._fid_by_path.get(_parent_path(path))
@@ -319,12 +351,15 @@ def compare(
         lwm_only: list[int] = []
         both: list[int] = []
         cumac_only: list[int] = []
+        cumac_step, lwm_step = cumac_engine.step, lwm_engine.step
+        append_verdicts = verdicts.append
+        deny = Verdict.DENY
         for ev in trace.events:
-            cumac_verdict = cumac_engine.step(ev).verdict
-            lwm_verdict = lwm_engine.step(ev).verdict
-            verdicts.append((cumac_verdict, lwm_verdict))
-            cumac_denied = cumac_verdict is Verdict.DENY
-            lwm_denied = lwm_verdict is Verdict.DENY
+            cumac_verdict = cumac_step(ev).verdict
+            lwm_verdict = lwm_step(ev).verdict
+            append_verdicts((cumac_verdict, lwm_verdict))
+            cumac_denied = cumac_verdict is deny
+            lwm_denied = lwm_verdict is deny
             if cumac_denied and lwm_denied:
                 both.append(ev.seq)
             elif lwm_denied:

@@ -157,7 +157,10 @@ def _parent_path(path: str) -> str:
 def under_live_mount(mounts: dict[int, str], path: str) -> bool:
     """Whether ``path`` lies under one of the live mounts (mount id to
     path prefix)."""
-    return any(_covers(prefix, path) for prefix in mounts.values())
+    for prefix in mounts.values():
+        if _covers(prefix, path):
+            return True
+    return False
 
 
 LOOPBACK_PREFIXES = ("127.", "::1")

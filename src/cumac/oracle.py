@@ -5,9 +5,9 @@ reachability over a time-expanded information-flow graph built straight
 from the trace in one pass. It runs no engine code: the caller passes the
 verdict sequence under test (denied events contribute no edges), and the
 structure the edges need (which files exist, which are executable, which
-sit on a mobile mount) is kept locally in that pass. Nodes are (entity,
-step) pairs so that taint acquired late cannot flow backwards through
-earlier events.
+sit on a mobile mount) is kept locally in that pass. Each node is one
+entity at one step, so that taint acquired late cannot flow backwards
+through earlier events.
 
 Flow edges per allowed event:
 
@@ -51,7 +51,6 @@ from .model import (
     UserRecord,
     Verdict,
     Write,
-    entity_sort_key,
     file_entity,
     proc_entity,
     under_live_mount,
@@ -121,80 +120,99 @@ def _reached_entities(
             facts.mobile = True
         return facts.mobile
 
-    adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    last_node: dict[str, tuple[str, int]] = {}
-    sources: list[tuple[str, int]] = []
+    # The time-expanded graph. Nodes are numbered as they appear; node n is
+    # one entity at one step, steps[n], and successors[n] lists the nodes
+    # it reaches (None while it has none). Processes and files are keyed
+    # by id, each kind in its own table of latest nodes.
+    steps: list[int] = []
+    successors: list[list[int] | None] = []
+    latest_proc: dict[int, int] = {}
+    latest_file: dict[int, int] = {}
+    sources: list[int] = []
 
-    def node(entity: str, step: int) -> tuple[str, int]:
-        # Persistence edge: an entity's earlier node reaches its later one.
-        current = (entity, step)
-        previous = last_node.get(entity)
-        if previous is not None and previous != current:
-            adjacency.setdefault(previous, []).append(current)
-        last_node[entity] = current
+    def node(latest: dict[int, int], ident: int, step: int) -> int:
+        previous = latest.get(ident)
+        if previous is not None and steps[previous] == step:
+            return previous
+        current = latest[ident] = len(steps)
+        steps.append(step)
+        successors.append(None)
+        if previous is not None:
+            # Persistence edge: an entity's earlier node reaches its later one.
+            edge(previous, current)
         return current
 
-    def edge(src: tuple[str, int], dst: tuple[str, int]) -> None:
-        adjacency.setdefault(src, []).append(dst)
+    def edge(src: int, dst: int) -> None:
+        out = successors[src]
+        if out is None:
+            successors[src] = [dst]
+        else:
+            out.append(dst)
 
     for ev, verdict in zip(trace.events, verdicts):
-        if verdict is Verdict.DENY:
-            continue  # denied events contribute no edges
+        kind = type(ev)
+        if kind is Read or kind is PrivOp or verdict is Verdict.DENY:
+            # Reads and privileged operations propagate nothing, and
+            # denied events contribute no edges.
+            continue
         step = ev.seq
-        if isinstance(ev, Fork):
-            edge(node(proc_entity(ev.parent_pid), step), node(proc_entity(ev.child_pid), step))
-        elif isinstance(ev, Exec):
-            file_node = node(file_entity(ev.fid), step)
+        if kind is Write:
+            if files[ev.fid].is_executable:
+                edge(node(latest_proc, ev.pid, step), node(latest_file, ev.fid, step))
+        elif kind is Fork:
+            edge(node(latest_proc, ev.parent_pid, step), node(latest_proc, ev.child_pid, step))
+        elif kind is Exec:
+            file_node = node(latest_file, ev.fid, step)
             if observe_mobile(files[ev.fid]):
                 sources.append(file_node)
-            edge(file_node, node(proc_entity(ev.pid), step))
-        elif isinstance(ev, RemoteComm):
-            if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
-                sources.append(node(proc_entity(ev.pid), step))
-        elif isinstance(ev, Login):
-            user = users.get(ev.user)
-            if user is None or not user.trusted:
-                sources.append(node(proc_entity(ev.pid), step))
-        elif isinstance(ev, Ipc):
-            a = node(proc_entity(ev.from_pid), step)
-            b = node(proc_entity(ev.to_pid), step)
+            edge(file_node, node(latest_proc, ev.pid, step))
+        elif kind is Ipc:
+            a = node(latest_proc, ev.from_pid, step)
+            b = node(latest_proc, ev.to_pid, step)
             edge(a, b)
             if ev.channel is IpcChannel.SHARED_MEMORY:
                 edge(b, a)
-        elif isinstance(ev, Write):
-            if files[ev.fid].is_executable:
-                edge(node(proc_entity(ev.pid), step), node(file_entity(ev.fid), step))
-        elif isinstance(ev, Create):
+        elif kind is Create:
             if register(ev.new_fid, ev.path, ev.perms, ev.is_directory).is_executable:
-                edge(node(proc_entity(ev.pid), step), node(file_entity(ev.new_fid), step))
-        elif isinstance(ev, Copy):
+                edge(node(latest_proc, ev.pid, step), node(latest_file, ev.new_fid, step))
+        elif kind is Copy:
             src = files[ev.src_fid]
             src_mobile = observe_mobile(src)
             dst = files.get(ev.dst_fid)
             if dst is None:
                 dst = register(ev.dst_fid, ev.dst_path, ev.dst_perms, src.is_directory)
             if dst.is_executable:
-                dst_node = node(file_entity(ev.dst_fid), step)
-                edge(node(proc_entity(ev.pid), step), dst_node)
-                edge(node(file_entity(ev.src_fid), step), dst_node)
+                dst_node = node(latest_file, ev.dst_fid, step)
+                edge(node(latest_proc, ev.pid, step), dst_node)
+                edge(node(latest_file, ev.src_fid, step), dst_node)
                 if src_mobile:
                     sources.append(dst_node)
-        elif isinstance(ev, Mount):
+        elif kind is RemoteComm:
+            if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
+                sources.append(node(latest_proc, ev.pid, step))
+        elif kind is Login:
+            user = users.get(ev.user)
+            if user is None or not user.trusted:
+                sources.append(node(latest_proc, ev.pid, step))
+        elif kind is Mount:
             mounts[ev.mount_id] = ev.path_prefix
-        elif isinstance(ev, Unmount):
+        elif kind is Unmount:
             mounts.pop(ev.mount_id, None)
-        # Read and PrivOp propagate nothing.
 
-    reached: set[tuple[str, int]] = set()
-    queue = deque(n for n in sources if n not in reached)
-    reached.update(sources)
+    reached = bytearray(len(steps))
+    for n in sources:
+        reached[n] = 1
+    queue = deque(sources)
     while queue:
-        current = queue.popleft()
-        for nxt in adjacency.get(current, ()):
-            if nxt not in reached:
-                reached.add(nxt)
+        for nxt in successors[queue.popleft()] or ():
+            if not reached[nxt]:
+                reached[nxt] = 1
                 queue.append(nxt)
-    return {entity for entity, _ in reached}
+    # Persistence edges chain an entity's nodes, so an entity is reached
+    # exactly when its latest node is.
+    tainted = {proc_entity(pid) for pid, n in latest_proc.items() if reached[n]}
+    tainted.update(file_entity(fid) for fid, n in latest_file.items() if reached[n])
+    return tainted
 
 
 # -- taint-graph export --------------------------------------------------------
@@ -204,85 +222,84 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+_EDGE_ENDINGS = ('"];', '", style=dashed, color=red];')
+"""The end of an edge's attribute list after its label text, indexed by
+whether the event was denied: denied events show as dashed red edges."""
+
+_TAINTED_ATTRS = ", color=red, fontcolor=red"
+
+
 def export_taint_graph(report: "ReplayReport", trace: Trace) -> str:
     """Render the replayed trace as canonical Graphviz DOT text.
 
     Entities become nodes (tainted ones red), events become labelled edges
     in sequence order, and denied events show as dashed edges. Output is
     byte-stable for equal inputs.
+
+    Process and file ids are integers and are written unquoted inside the
+    quotes; only free text (peers, users, capabilities, paths) goes
+    through ``_dot_quote``.
     """
     tainted = set(report.final_taint)
-    proc_nodes: set[str] = {proc_entity(p.pid) for p in trace.header.processes}
-    file_labels: dict[str, str] = {
-        file_entity(f.fid): f.path for f in trace.header.files
-    }
-    extra_nodes: set[str] = set()
+    proc_pids: set[int] = {p.pid for p in trace.header.processes}
+    file_labels: dict[int, str] = {f.fid: f.path for f in trace.header.files}
+    extra_nodes: dict[str, str] = {}  # node id to its quoted form
     edges: list[str] = []
+    add = edges.append
+
+    def extra_node(entity: str) -> str:
+        quoted = extra_nodes.get(entity)
+        if quoted is None:
+            quoted = extra_nodes[entity] = _dot_quote(entity)
+        return quoted
 
     for ev, decision in zip(report.events, report.decisions):
+        kind = type(ev)
         denied = decision.verdict is Verdict.DENY
-        attrs = [f"label={_dot_quote(f'{ev.seq} {EVENT_VERBS[type(ev)]}')}"]
-        if denied:
-            attrs.append("style=dashed")
-            attrs.append("color=red")
-        suffix = f" [{', '.join(attrs)}];"
-
-        def add(src: str, dst: str) -> None:
-            edges.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)}{suffix}")
-
-        if isinstance(ev, Fork):
-            proc_nodes.add(proc_entity(ev.child_pid))
-            add(proc_entity(ev.parent_pid), proc_entity(ev.child_pid))
-        elif isinstance(ev, Exec):
-            add(file_entity(ev.fid), proc_entity(ev.pid))
-        elif isinstance(ev, RemoteComm):
-            peer = f"addr:{ev.peer_address}"
-            extra_nodes.add(peer)
-            add(peer, proc_entity(ev.pid))
-        elif isinstance(ev, Login):
-            user = f"user:{ev.user}"
-            extra_nodes.add(user)
-            add(user, proc_entity(ev.pid))
-        elif isinstance(ev, Ipc):
-            add(proc_entity(ev.from_pid), proc_entity(ev.to_pid))
+        tail = f' [label="{ev.seq} {EVENT_VERBS[kind]}{_EDGE_ENDINGS[denied]}'
+        if kind is Read:
+            add(f'  "file:{ev.fid}" -> "proc:{ev.pid}"{tail}')
+        elif kind is Write:
+            add(f'  "proc:{ev.pid}" -> "file:{ev.fid}"{tail}')
+        elif kind is Fork:
+            proc_pids.add(ev.child_pid)
+            add(f'  "proc:{ev.parent_pid}" -> "proc:{ev.child_pid}"{tail}')
+        elif kind is Exec:
+            add(f'  "file:{ev.fid}" -> "proc:{ev.pid}"{tail}')
+        elif kind is Ipc:
+            add(f'  "proc:{ev.from_pid}" -> "proc:{ev.to_pid}"{tail}')
             if ev.channel is IpcChannel.SHARED_MEMORY:
-                add(proc_entity(ev.to_pid), proc_entity(ev.from_pid))
-        elif isinstance(ev, Write):
-            add(proc_entity(ev.pid), file_entity(ev.fid))
-        elif isinstance(ev, Read):
-            add(file_entity(ev.fid), proc_entity(ev.pid))
-        elif isinstance(ev, Create):
+                add(f'  "proc:{ev.to_pid}" -> "proc:{ev.from_pid}"{tail}')
+        elif kind is Create:
             if not denied:
-                file_labels[file_entity(ev.new_fid)] = ev.path
-                add(proc_entity(ev.pid), file_entity(ev.new_fid))
-        elif isinstance(ev, Copy):
+                file_labels[ev.new_fid] = ev.path
+                add(f'  "proc:{ev.pid}" -> "file:{ev.new_fid}"{tail}')
+        elif kind is Copy:
             # A denied copy onto an existing file still shows its edges.
-            dst = file_entity(ev.dst_fid)
+            dst = ev.dst_fid
             if not denied or dst in file_labels:
                 file_labels.setdefault(dst, ev.dst_path)
-                add(proc_entity(ev.pid), dst)
-                add(file_entity(ev.src_fid), dst)
-        elif isinstance(ev, PrivOp):
-            cap = f"cap:{ev.capability}"
-            extra_nodes.add(cap)
-            add(proc_entity(ev.pid), cap)
+                add(f'  "proc:{ev.pid}" -> "file:{dst}"{tail}')
+                add(f'  "file:{ev.src_fid}" -> "file:{dst}"{tail}')
+        elif kind is PrivOp:
+            add(f'  "proc:{ev.pid}" -> {extra_node(f"cap:{ev.capability}")}{tail}')
+        elif kind is RemoteComm:
+            add(f'  {extra_node(f"addr:{ev.peer_address}")} -> "proc:{ev.pid}"{tail}')
+        elif kind is Login:
+            add(f'  {extra_node(f"user:{ev.user}")} -> "proc:{ev.pid}"{tail}')
         # Mount/Unmount carry no entity-to-entity flow.
 
     lines = ["digraph taint_trace {", "  rankdir=LR;"]
-    for entity in sorted(proc_nodes, key=entity_sort_key):
-        attrs = ["shape=ellipse"]
-        if entity in tainted:
-            attrs.append("color=red")
-            attrs.append("fontcolor=red")
-        lines.append(f"  {_dot_quote(entity)} [{', '.join(attrs)}];")
-    for entity in sorted(file_labels, key=entity_sort_key):
-        attrs = ["shape=box", f"label={_dot_quote(entity + ' ' + file_labels[entity])}"]
-        if entity in tainted:
-            attrs.append("color=red")
-            attrs.append("fontcolor=red")
-        lines.append(f"  {_dot_quote(entity)} [{', '.join(attrs)}];")
+    for pid in sorted(proc_pids):
+        red = _TAINTED_ATTRS if f"proc:{pid}" in tainted else ""
+        lines.append(f'  "proc:{pid}" [shape=ellipse{red}];')
+    for fid in sorted(file_labels):
+        entity = f"file:{fid}"
+        red = _TAINTED_ATTRS if entity in tainted else ""
+        label = _dot_quote(f"{entity} {file_labels[fid]}")
+        lines.append(f'  "{entity}" [shape=box, label={label}{red}];')
     for entity in sorted(extra_nodes):
-        lines.append(f"  {_dot_quote(entity)} [shape=diamond];")
+        lines.append(f"  {extra_nodes[entity]} [shape=diamond];")
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from cumac.model import Event, Fork, Verdict
 from cumac.randomtrace import random_trace
 from cumac.replay import _BLOCK_ROWS, learn
 from cumac.store import ExceptionStore
-from cumac.trace import Trace, parse_trace
+from cumac.trace import EVENT_VERBS, Trace, parse_trace
 
 HEADER = (
     "cumac-trace v1\n"
@@ -122,7 +122,31 @@ class TestLevels:
         assert engine.object_levels[11] is IntegrityLevel.HIGH
 
 
+    def test_refused_create_and_copy_register_the_object_at_its_birth_level(self):
+        engine, log = run(
+            HEADER
+            + "NET pid=1 peer=203.0.113.5\n"  # pid 1 starts Low
+            + "CREATE pid=1 path=/var/made perms=644 owner=root dir=0\n"  # fid 9, refused
+            + "COPY pid=1 src=6 dst=/var/copied perms=644 owner=root\n"  # fid 10, refused
+            + "WRITE pid=1 fid=9\n"
+            + "WRITE pid=1 fid=10\n"
+            + "WRITE pid=1 fid=6\n"
+        )
+        assert [d.verdict for d in log] == [
+            Verdict.ALLOW, Verdict.DENY, Verdict.DENY, Verdict.ALLOW, Verdict.ALLOW, Verdict.DENY
+        ]
+        # Born at the Low creator's level, so the Low writer may write them.
+        assert engine.object_levels[9] is IntegrityLevel.LOW
+        assert engine.object_levels[10] is IntegrityLevel.LOW
+
+
 class TestUnknownEventKind:
+    def test_both_engines_handle_every_event_kind_of_the_trace_format(self):
+        trace = parse_trace(HEADER)
+        engines = (Engine(EngineConfig.from_trace(trace), ExceptionStore()), LwmEngine(trace))
+        for engine in engines:
+            assert set(engine._handlers) == set(EVENT_VERBS)
+
     def test_both_engines_refuse_an_event_kind_they_do_not_know(self):
         class Reboot(Event):
             pass

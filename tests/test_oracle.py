@@ -264,3 +264,42 @@ class TestGraphExport:
         dot = export_taint_graph(report, trace)
         for ev in trace.events:
             assert f'label="{ev.seq} ' in dot
+
+    def test_quotes_and_backslashes_in_free_text_are_escaped(self):
+        # A peer, a user name and paths may hold '"' and '\'; entity ids,
+        # verbs and sequence numbers never do.
+        trace = parse_trace(
+            "cumac-trace v1\n"
+            "USER root trusted=1\n"
+            'USER q"u\\ote trusted=0\n'
+            "FILE fid=1 path=/ perms=755 owner=root dir=1\n"
+            "FILE fid=2 path=/tmp perms=777 owner=root dir=1\n"
+            'FILE fid=3 path=/tmp/x"y\\z perms=755 owner=root dir=0\n'
+            "PROC pid=1 key=3 user=root\n"
+            "PROC pid=2 key=3 user=root\n"
+            'NET pid=1 peer=10.0.0.1"\\x\n'
+            'LOGIN pid=2 user=q"u\\ote\n'
+            'CREATE pid=1 path=/tmp/a"b\\c perms=755 owner=root dir=0\n'
+            'NET pid=2 peer=10.0.0.1"\\x\n'
+            "PRIV pid=1 cap=CAP_SYS_MODULE\n"
+        )
+        dot = export_taint_graph(replay(trace, EnvironmentBit.UNSECURE), trace)
+        assert dot.splitlines() == [
+            "digraph taint_trace {",
+            "  rankdir=LR;",
+            '  "proc:1" [shape=ellipse, color=red, fontcolor=red];',
+            '  "proc:2" [shape=ellipse, color=red, fontcolor=red];',
+            '  "file:1" [shape=box, label="file:1 /"];',
+            '  "file:2" [shape=box, label="file:2 /tmp"];',
+            '  "file:3" [shape=box, label="file:3 /tmp/x\\"y\\\\z"];',
+            '  "file:4" [shape=box, label="file:4 /tmp/a\\"b\\\\c", color=red, fontcolor=red];',
+            '  "addr:10.0.0.1\\"\\\\x" [shape=diamond];',
+            '  "cap:CAP_SYS_MODULE" [shape=diamond];',
+            '  "user:q\\"u\\\\ote" [shape=diamond];',
+            '  "addr:10.0.0.1\\"\\\\x" -> "proc:1" [label="1 NET"];',
+            '  "user:q\\"u\\\\ote" -> "proc:2" [label="2 LOGIN"];',
+            '  "proc:1" -> "file:4" [label="3 CREATE"];',
+            '  "addr:10.0.0.1\\"\\\\x" -> "proc:2" [label="4 NET"];',
+            '  "proc:1" -> "cap:CAP_SYS_MODULE" [label="5 PRIV", style=dashed, color=red];',
+            "}",
+        ]
