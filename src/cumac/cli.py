@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json  # noqa: F401  (unused here; perfbench/tracer.py times cli.json.dumps)
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
@@ -32,7 +33,7 @@ from .oracle import export_taint_graph, taint_oracle
 from .randomtrace import random_trace
 from .replay import ReplayReport, replay, write_document
 from .store import EnvironmentBit, ExceptionStore
-from .trace import Trace, parse_trace
+from .trace import Trace, collector_paused, parse_trace
 
 _OPTIONS: dict[str, dict[str, Any]] = {
     "--trace": {"metavar": "P", "help": "trace file to replay"},
@@ -65,7 +66,11 @@ _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
 is a usage error."""
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and kept: argparse's
+    help formatters make reference cycles, so one parser per process keeps
+    a command free of them."""
     parser = argparse.ArgumentParser(
         prog="cumac",
         description="Replay OS-event traces against the intrusion-tracing reference monitor.",
@@ -187,13 +192,12 @@ def _annotate_key_paths(store: ExceptionStore, trace: Trace) -> None:
     # the fid of an executable in the snapshot or made by a create or copy.
     paths = {f.fid: f.path for f in trace.header.files}
     for ev in trace.events:
-        if isinstance(ev, Create):
+        kind = type(ev)
+        if kind is Create:
             paths.setdefault(ev.new_fid, ev.path)
-        elif isinstance(ev, Copy):
+        elif kind is Copy:
             paths.setdefault(ev.dst_fid, ev.dst_path)
-    keys = {key for _, key, _ in store.iter_file_triples()}
-    keys.update(key for key, _ in store.iter_priv_pairs())
-    for key in keys:
+    for key in store.granted_keys():
         if key in paths:
             store.key_paths.setdefault(key, paths[key])
 
@@ -285,17 +289,23 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage to stderr
-        return 2 if exc.code not in (0, None) else int(exc.code or 0)
-    try:
-        return _HANDLERS[args.command](args)
-    except CumacError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """Run one command and return its exit code. The cyclic garbage
+    collector is paused from parsing the arguments to the return, and then
+    left as it was found (``trace.collector_paused``): a command makes no
+    reference cycles, so collections would only walk its trace, decisions
+    and store."""
+    with collector_paused():
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse already printed usage to stderr
+            return 2 if exc.code not in (0, None) else int(exc.code or 0)
+        try:
+            return _HANDLERS[args.command](args)
+        except CumacError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

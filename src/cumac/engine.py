@@ -35,6 +35,8 @@ Rules that are deliberate choices rather than forced ones:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import compress, repeat
+from operator import attrgetter, is_
 
 from .errors import ConfigError, TraceError
 from .model import (
@@ -77,6 +79,7 @@ from .store import AccessMode, EnvironmentBit, ExceptionStore
 
 _PI = TaintState.POTENTIAL_INTRUSION
 _NI = TaintState.NON_INTRUSION
+_TAINT = attrgetter("taint")
 
 _FILE_OUTCOMES = {
     mode: (BY_EXCEPTION[reason], DENIED[reason])
@@ -165,9 +168,7 @@ class Engine:
     single-threaded; distinct instances may run in parallel.
     """
 
-    __slots__ = (
-        "config", "store", "mode", "processes", "files", "mounts", "_files_by_path", "_handlers"
-    )
+    __slots__ = ("config", "store", "mode", "processes", "files", "mounts", "_files_by_path")
 
     def __init__(
         self, config: EngineConfig, store: ExceptionStore,
@@ -187,20 +188,6 @@ class Engine:
             rec = replace(f)
             self.files[rec.fid] = rec
             self._files_by_path[rec.path] = rec.fid
-        self._handlers = {
-            Fork: self._on_fork,
-            Exec: self._on_exec,
-            RemoteComm: self._on_remote_comm,
-            Login: self._on_login,
-            Mount: self._on_mount,
-            Unmount: self._on_unmount,
-            Copy: self._on_copy,
-            Create: self._on_create,
-            Write: self._on_write,
-            Read: self._on_read,
-            Ipc: self._on_ipc,
-            PrivOp: self._on_priv_op,
-        }
 
     def step(self, event: Event) -> Decision:
         """Apply one event: decide against pre-event state and mutate only
@@ -208,12 +195,21 @@ class Engine:
         handler = self._handlers.get(type(event))
         if handler is None:
             raise TraceError(event.seq, f"unknown event kind {type(event).__name__}")
-        return handler(event)
+        return handler(self, event)
 
     def tainted_entities(self) -> set[str]:
         tainted = {proc_entity(p.pid) for p in self.processes.values() if p.taint is _PI}
         tainted.update(file_entity(f.fid) for f in self.files.values() if f.taint is _PI)
         return tainted
+
+    def sorted_taint(self) -> list[str]:
+        """The tainted entities in ``entity_sort_key`` order: files, then
+        processes, each by id. The ids are picked and sorted as integers in
+        C-level passes, with no Python call per record."""
+        files, procs = self.files, self.processes
+        fids = sorted(compress(files, map(is_, map(_TAINT, files.values()), repeat(_PI))))
+        pids = sorted(compress(procs, map(is_, map(_TAINT, procs.values()), repeat(_PI))))
+        return [*map(file_entity, fids), *map(proc_entity, pids)]
 
     def file_on_mobile_mount(self, f: FileRecord) -> bool:
         """Whether a file counts as mobile-storage content right now: seen
@@ -416,3 +412,23 @@ class Engine:
         if self.store.check_priv_exception(proc.key, ev.capability):
             return BY_EXCEPTION[DenyReason.PRIVILEGED_OP]
         return DENIED[DenyReason.PRIVILEGED_OP]
+
+    _handlers = {
+        Fork: _on_fork,
+        Exec: _on_exec,
+        RemoteComm: _on_remote_comm,
+        Login: _on_login,
+        Mount: _on_mount,
+        Unmount: _on_unmount,
+        Copy: _on_copy,
+        Create: _on_create,
+        Write: _on_write,
+        Read: _on_read,
+        Ipc: _on_ipc,
+        PrivOp: _on_priv_op,
+    }
+    """Per event kind, the rule that decides it, called as ``handler(self,
+    event)``. A class-level table of plain functions, not bound methods on
+    each instance: a bound method refers back to its engine, so that
+    engine would be a reference cycle that only the cyclic collector
+    frees."""

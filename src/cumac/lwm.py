@@ -101,20 +101,6 @@ class LwmEngine:
             level = IntegrityLevel.LOW if mobile else IntegrityLevel.HIGH
             self._register(f.fid, f.path, level)
         self._low_pids = low_pids
-        self._handlers = {
-            Fork: self._on_fork,
-            Exec: self._on_read,
-            RemoteComm: self._on_entrance,
-            Login: self._on_entrance,
-            Mount: self._on_mount,
-            Unmount: self._on_unmount,
-            Copy: self._on_copy,
-            Create: self._on_create,
-            Write: self._on_write,
-            Read: self._on_read,
-            Ipc: self._on_ipc,
-            PrivOp: self._on_priv_op,
-        }
 
     def _prescan(self, trace: Trace) -> tuple[set[int], set[str]]:
         """Entrance-mirroring initial assignment: which pids ever face the
@@ -174,7 +160,7 @@ class LwmEngine:
         handler = self._handlers.get(type(ev))
         if handler is None:
             raise TraceError(ev.seq, f"unknown event kind {type(ev).__name__}")
-        return handler(ev)
+        return handler(self, ev)
 
     def _on_read(self, ev: Read | Exec) -> Decision:
         # Exec reads the binary, so the subject's level drops with it.
@@ -252,6 +238,24 @@ class LwmEngine:
         if parent_fid is None:
             raise TraceError(seq, f"parent directory of {path!r} does not exist")
         return self.object_levels[parent_fid]
+
+    _handlers = {
+        Fork: _on_fork,
+        Exec: _on_read,
+        RemoteComm: _on_entrance,
+        Login: _on_entrance,
+        Mount: _on_mount,
+        Unmount: _on_unmount,
+        Copy: _on_copy,
+        Create: _on_create,
+        Write: _on_write,
+        Read: _on_read,
+        Ipc: _on_ipc,
+        PrivOp: _on_priv_op,
+    }
+    """Per event kind, the rule that decides it, called as ``handler(self,
+    event)``; at class level, like ``Engine._handlers``, so that an engine
+    holds no reference cycle."""
 
 
 # -- side-by-side comparison ----------------------------------------------------
@@ -340,7 +344,11 @@ def compare(
     The tracing engine runs Unsecure: it enforces the supplied store, one
     just filled by learning too, and writes nothing to it. A missing store
     means an empty one. The cyclic garbage collector is paused while both
-    engines step, as in ``replay``, and left as it was found."""
+    engines step, as in ``replay``, and left as it was found. Neither
+    engine holds a reference cycle, so both are freed by reference
+    counting at the return; the report's verdict pairs, one per event,
+    are kept, so the caller's next allocation usually runs the collection
+    that the pause deferred (``trace.collector_paused``)."""
     if store is None:
         store = ExceptionStore()
     config = config or EngineConfig.from_trace(trace)

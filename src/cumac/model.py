@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .errors import PermsFormatError
 
@@ -174,12 +175,11 @@ entrance. Used as ``peer.startswith(LOOPBACK_PREFIXES)``."""
 # string ids ("proc:12", "file:77") rather than bare integers.
 
 
-def proc_entity(pid: int) -> str:
-    return f"proc:{pid}"
+proc_entity: Callable[[int], str] = "proc:{}".format
+"""A process's entity id, ``proc:<pid>``; a C-level call."""
 
-
-def file_entity(fid: int) -> str:
-    return f"file:{fid}"
+file_entity: Callable[[int], str] = "file:{}".format
+"""A file's entity id, ``file:<fid>``; a C-level call."""
 
 
 def entity_sort_key(entity: str) -> tuple[str, int]:

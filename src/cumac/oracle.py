@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .engine import EngineConfig
+from .errors import TraceError
 from .model import (
     LOOPBACK_PREFIXES,
     Copy,
@@ -84,6 +85,8 @@ def taint_oracle(
     then left as it was found: the graph holds no reference cycles, so
     collections would only walk it again and again as it grows. It is
     built in its own frame, so it is freed before the collector resumes.
+    An allowed event of a kind that neither engine knows raises
+    ``TraceError``, as the engines do.
     """
     if len(verdicts) != len(trace.events):
         raise ValueError("one verdict per event is required")
@@ -198,6 +201,8 @@ def _reached_entities(
             mounts[ev.mount_id] = ev.path_prefix
         elif kind is Unmount:
             mounts.pop(ev.mount_id, None)
+        else:
+            raise TraceError(ev.seq, f"unknown event kind {kind.__name__}")
 
     reached = bytearray(len(steps))
     for n in sources:
@@ -238,7 +243,8 @@ def export_taint_graph(report: "ReplayReport", trace: Trace) -> str:
 
     Process and file ids are integers and are written unquoted inside the
     quotes; only free text (peers, users, capabilities, paths) goes
-    through ``_dot_quote``.
+    through ``_dot_quote``. An event of a kind that neither engine knows
+    raises ``TraceError``, as the engines do.
     """
     tainted = set(report.final_taint)
     proc_pids: set[int] = {p.pid for p in trace.header.processes}
@@ -256,7 +262,11 @@ def export_taint_graph(report: "ReplayReport", trace: Trace) -> str:
     for ev, decision in zip(report.events, report.decisions):
         kind = type(ev)
         denied = decision.verdict is Verdict.DENY
-        tail = f' [label="{ev.seq} {EVENT_VERBS[kind]}{_EDGE_ENDINGS[denied]}'
+        try:
+            verb = EVENT_VERBS[kind]
+        except KeyError:
+            raise TraceError(ev.seq, f"unknown event kind {kind.__name__}") from None
+        tail = f' [label="{ev.seq} {verb}{_EDGE_ENDINGS[denied]}'
         if kind is Read:
             add(f'  "file:{ev.fid}" -> "proc:{ev.pid}"{tail}')
         elif kind is Write:

@@ -24,9 +24,15 @@ each ``Engine.step`` call; only the median resists a stray slow event.
 
 The cyclic garbage collector is paused for the whole replay, the loop and
 the assembly of the report, and then restored to its prior state
-(``trace.collector_paused``). A replay makes no reference cycles, so
-collections there would reclaim nothing; they would only walk the trace
-and the collected decisions, again and again as both grow.
+(``trace.collector_paused``, which also says what the pause defers). A
+replay makes no reference cycles: the engine keeps its handler table at
+class level, so it holds no bound method that refers back to it, and it
+is freed by reference counting when the call returns. Collections there
+would reclaim nothing; they would only walk the trace and the collected
+decisions, again and again as both grow. After the loop, the outcome
+counts, the timing stats and the final taint come from C-level passes
+(``map``, ``operator.countOf``, ``itertools.compress``, one ``sorted``
+of the step times) rather than a Python loop per event.
 """
 
 from __future__ import annotations
@@ -38,13 +44,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from statistics import fmean, median
+from itertools import compress, repeat
+from operator import attrgetter, countOf, is_
+from statistics import fmean
 from time import perf_counter, perf_counter_ns
 from typing import Any, Callable, TextIO
 
 from .engine import Engine, EngineConfig
 from .model import (
-    ALLOW, BY_EXCEPTION, DENIED, Decision, DenyReason, Event, Verdict, entity_sort_key
+    ALLOW, BY_EXCEPTION, DENIED, Decision, DenyReason, Event, Verdict
 )
 from .store import EnvironmentBit, ExceptionStore
 from .trace import _EVENTS, EVENT_VERBS, Trace, collector_paused
@@ -219,6 +227,26 @@ class TimingStats:
     mean_us: float = 0.0
     max_us: float = 0.0
 
+    @classmethod
+    def of_steps(cls, durations: array, wall: float) -> "TimingStats":
+        """The stats of a loop of ``wall`` seconds whose steps took
+        ``durations`` nanoseconds each; all zero for no steps. Median, mean
+        and max are read off one sorted copy and equal what
+        ``statistics.median``, ``statistics.fmean`` and ``max`` give."""
+        n = len(durations)
+        if not n:
+            return cls()
+        ordered = sorted(durations)
+        middle = n // 2
+        median = ordered[middle] if n % 2 else (ordered[middle - 1] + ordered[middle]) / 2
+        return cls(
+            wall_seconds=wall,
+            events_per_second=n / wall if wall > 0 else 0.0,
+            median_us=median / 1000.0,
+            mean_us=fmean(ordered) / 1000.0,
+            max_us=ordered[-1] / 1000.0,
+        )
+
     def to_dict(self) -> dict[str, float]:
         return {
             "wall_seconds": round(self.wall_seconds, 6),
@@ -318,6 +346,30 @@ class ReplayReport(StructuredReport):
         return "\n".join(lines) + "\n"
 
 
+_VERDICT = attrgetter("verdict")
+_REASON = attrgetter("reason")
+
+
+def _outcome_counts(decisions: list[Decision]) -> tuple[int, int, dict[str, int]]:
+    """Allows, allows by exception and denials per reason value, counted in
+    C-level passes: one over the verdicts per verdict that occurs, and one
+    over the denials' reasons per reason."""
+    n = len(decisions)
+    allows = countOf(map(_VERDICT, decisions), Verdict.ALLOW)
+    exception_allows = 0
+    if allows < n:
+        exception_allows = countOf(map(_VERDICT, decisions), Verdict.ALLOW_BY_EXCEPTION)
+    denies: dict[str, int] = {}
+    if allows + exception_allows < n:
+        denied = compress(decisions, map(is_, map(_VERDICT, decisions), repeat(Verdict.DENY)))
+        reasons = list(map(_REASON, denied))
+        for reason in DENIED:
+            count = countOf(reasons, reason)
+            if count:
+                denies[reason.value] = count
+    return allows, exception_allows, denies
+
+
 def replay(
     trace: Trace,
     mode: EnvironmentBit,
@@ -330,7 +382,10 @@ def replay(
     learns to ``store``, Unsecure only reads it. A missing store means an
     empty one. Trace errors abort the replay and propagate with the
     offending sequence number. The cyclic garbage collector is paused for
-    the call and left as it was found.
+    the call and left as it was found. The engine is freed by reference
+    counting at the return; the report's decisions are not, and when they
+    are many the caller's next allocation runs the collection that the
+    pause deferred (``trace.collector_paused``).
     """
     if store is None:
         store = ExceptionStore()
@@ -352,38 +407,18 @@ def replay(
             append_decision(decision)
         wall = perf_counter() - wall_start
 
-        allows = 0
-        exception_allows = 0
-        denies: dict[str, int] = {}
-        for decision in decisions:
-            verdict = decision.verdict
-            if verdict is Verdict.ALLOW:
-                allows += 1
-            elif verdict is Verdict.ALLOW_BY_EXCEPTION:
-                exception_allows += 1
-            else:
-                reason = decision.reason.value
-                denies[reason] = denies.get(reason, 0) + 1
-
-        timing = TimingStats()
-        if durations:
-            timing.wall_seconds = wall
-            timing.events_per_second = len(durations) / wall if wall > 0 else 0.0
-            timing.median_us = median(durations) / 1000.0
-            timing.mean_us = fmean(durations) / 1000.0
-            timing.max_us = max(durations) / 1000.0
-
+        allows, exception_allows, denies = _outcome_counts(decisions)
         return ReplayReport(
             mode=mode,
             label=trace.header.label,
             events=trace.events,
             decisions=decisions,
-            final_taint=sorted(engine.tainted_entities(), key=entity_sort_key),
+            final_taint=engine.sorted_taint(),
             allows=allows,
             denies_by_reason=denies,
             exception_allows=exception_allows,
             learned_exceptions=store.triple_count() - learned_before,
-            timing=timing,
+            timing=TimingStats.of_steps(durations, wall),
         )
 
 

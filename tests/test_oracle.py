@@ -8,7 +8,8 @@ import pytest
 from cumac import oracle as oracle_module
 from cumac import scenarios
 from cumac.engine import EngineConfig
-from cumac.model import entity_sort_key
+from cumac.errors import TraceError
+from cumac.model import Event, Verdict, entity_sort_key
 from cumac.oracle import export_taint_graph, taint_oracle
 from cumac.randomtrace import random_trace
 from cumac.replay import replay
@@ -303,3 +304,36 @@ class TestGraphExport:
             '  "proc:1" -> "cap:CAP_SYS_MODULE" [label="5 PRIV", style=dashed, color=red];',
             "}",
         ]
+
+
+class TestUnknownEventKind:
+    """The oracle and the graph export refuse an event kind that neither
+    engine knows, as both engines do, instead of skipping it."""
+
+    def with_reboot(self):
+        # Local, as in test_lwm.py: a module-level subclass would stay among
+        # the Event subclasses that test_trace.py matches to the event table.
+        class Reboot(Event):
+            pass
+
+        trace = scenarios.load_trace("usb-rootkit")
+        report = replay(trace, EnvironmentBit.UNSECURE)
+        seq = trace.events[-1].seq + 1
+        trace.events.append(Reboot(seq))
+        report.decisions.append(report.decisions[-1])
+        return trace, report, seq
+
+    @pytest.mark.parametrize("verdict", [Verdict.ALLOW, Verdict.ALLOW_BY_EXCEPTION])
+    def test_the_oracle_refuses_it(self, verdict):
+        trace, report, seq = self.with_reboot()
+        verdicts = [d.verdict for d in report.decisions[:-1]] + [verdict]
+        with pytest.raises(TraceError, match="unknown event kind Reboot") as raised:
+            taint_oracle(trace, verdicts)
+        assert raised.value.seq == seq
+
+    def test_the_graph_export_refuses_it(self):
+        trace, report, seq = self.with_reboot()
+        with pytest.raises(TraceError, match="unknown event kind Reboot") as raised:
+            export_taint_graph(report, trace)
+        assert raised.value.seq == seq
+        assert raised.value.__suppress_context__

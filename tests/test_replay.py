@@ -4,7 +4,9 @@ the JSON encoder and streaming writer of reports, collector state."""
 import gc
 import hashlib
 import json
+import statistics
 import tracemalloc
+from array import array
 from dataclasses import fields
 
 import pytest
@@ -16,10 +18,10 @@ from cumac import scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceError
 from cumac.lwm import compare
-from cumac.model import ALLOW, Read, Verdict
+from cumac.model import ALLOW, Read, Verdict, entity_sort_key
 from cumac.oracle import taint_oracle
 from cumac.randomtrace import random_trace
-from cumac.replay import _BLOCK_ROWS, ReplayReport, learn, replay
+from cumac.replay import _BLOCK_ROWS, ReplayReport, TimingStats, learn, replay
 from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
 from cumac.trace import parse_trace
 
@@ -438,3 +440,64 @@ class TestCollectorState:
             replay(trace, EnvironmentBit.UNSECURE)
         assert gc.isenabled() is collector
 
+
+class TestBookkeeping:
+    """The counts, timing stats and final taint that ``replay`` computes
+    after its loop equal their plain references."""
+
+    @pytest.mark.parametrize(
+        "durations",
+        [[7], [9, 2], [5, 1, 4], [8, 8, 3, 1], [2**53 + 1, 3, 2**53 + 7], [1, 2**60, 3, 2**60 + 1]],
+        ids=["one", "two", "odd", "even", "odd-wide", "even-wide"],
+    )
+    def test_timing_stats_match_the_statistics_module(self, durations):
+        self.assert_matches(array("q", durations), 0.25)
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_timing_stats_match_on_any_durations(self, durations):
+        self.assert_matches(array("q", durations), 0.5)
+
+    @staticmethod
+    def assert_matches(durations: array, wall: float) -> None:
+        stats = TimingStats.of_steps(durations, wall)
+        assert stats.median_us == statistics.median(durations) / 1000.0
+        assert stats.mean_us == statistics.fmean(durations) / 1000.0
+        assert stats.max_us == max(durations) / 1000.0
+        assert stats.wall_seconds == wall
+        assert stats.events_per_second == len(durations) / wall
+
+    def test_no_steps_give_zeros(self):
+        assert TimingStats.of_steps(array("q"), 0.0) == TimingStats()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mode", list(EnvironmentBit), ids=lambda m: m.value)
+    def test_final_taint_is_the_taint_set_in_entity_order(self, seed, mode):
+        trace = random_trace(seed=seed, events=3000)
+        engine = Engine(EngineConfig.from_trace(trace), ExceptionStore(), mode)
+        for ev in trace.events:
+            engine.step(ev)
+        want = sorted(engine.tainted_entities(), key=entity_sort_key)
+        assert engine.sorted_taint() == want
+        assert replay(trace, mode).final_taint == want
+        # Sorting the names as text would put proc:10 before proc:9.
+        ids: dict[str, list[int]] = {}
+        for entity in want:
+            kind, _, number = entity.partition(":")
+            ids.setdefault(kind, []).append(int(number))
+        crossing = {kind for kind, numbers in ids.items() if min(numbers) < 10 and max(numbers) >= 100}
+        assert crossing == ({"file", "proc"} if mode is EnvironmentBit.SECURE else {"proc"})
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("store", ["empty", "learned"])
+    def test_outcome_counts_match_the_decisions(self, seed, store):
+        trace = random_trace(seed=seed, events=3000)
+        grants = learn(trace)[1] if store == "learned" else ExceptionStore()
+        report = replay(trace, EnvironmentBit.UNSECURE, grants)
+        verdicts = [d.verdict for d in report.decisions]
+        denied = [d.reason.value for d in report.decisions if d.verdict is Verdict.DENY]
+        assert report.allows == verdicts.count(Verdict.ALLOW)
+        assert report.exception_allows == verdicts.count(Verdict.ALLOW_BY_EXCEPTION)
+        assert report.denies_by_reason == {reason: denied.count(reason) for reason in set(denied)}
+        assert (report.exception_allows > 0) == (store == "learned")
+        assert (report.deny_count > 0) == (store == "empty")

@@ -1,11 +1,31 @@
 """Exception-store semantics: recording, lookup, and the canonical text form."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cumac.errors import StoreFormatError, StoreVersionError
-from cumac.store import AccessMode, ExceptionStore
+from cumac.store import FORMAT_HEADER, AccessMode, ExceptionStore
+
+
+def reference_save(store: ExceptionStore) -> str:
+    """The saved text built the way the store once built it: file grants
+    sorted by (fid, key, mode letter), each pair's letters joined in that
+    order."""
+    triples = list(store.iter_file_triples())
+    assert triples == sorted(triples, key=lambda g: (g[0], g[1], g[2].value))
+    lines = [FORMAT_HEADER, *(f"# key {key} {store.key_paths[key]}" for key in sorted(store.key_paths))]
+    modes: dict = {}
+    for fid, key, mode in triples:
+        modes[fid, key] = modes.get((fid, key), "") + mode.value
+    lines += [f"F {fid} {key} {letters}" for (fid, key), letters in modes.items()]
+    lines += [f"P {key} {cap}" for key, cap in store.iter_priv_pairs()]
+    return "\n".join(lines) + "\n"
 
 
 class TestRecordFile:
@@ -219,3 +239,36 @@ class TestRandomizedRoundTrip:
             return store.save()
 
         assert build(ops) == build(shuffled)
+
+
+class TestSavedBytes:
+    def test_a_learned_store_saves_as_the_reference_under_any_hash_seed(self):
+        # Grant sets iterate in hash order; the saved bytes must not.
+        tests = Path(__file__).resolve().parent
+        code = (
+            "from cumac.cli import _annotate_key_paths\n"
+            "from cumac.randomtrace import random_trace\n"
+            "from cumac.replay import learn\n"
+            "from test_store import reference_save\n"
+            "trace = random_trace(seed=5, events=2000)\n"
+            "_, store = learn(trace)\n"
+            "_annotate_key_paths(store, trace)\n"
+            "saved = store.save()\n"
+            "assert saved == reference_save(store)\n"
+            "print(saved, end='')\n"
+        )
+        saved = []
+        for hash_seed in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+            }
+            run = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            saved.append(run.stdout)
+        assert "\n# key " in saved[0] and "\nP " in saved[0]
+        assert " rw\n" in saved[0] and " r\n" in saved[0] and " w\n" in saved[0]
+        assert saved[0] == saved[1]
