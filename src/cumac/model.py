@@ -31,6 +31,11 @@ class TaintState(Enum):
     NON_INTRUSION = "NonIntrusion"
     POTENTIAL_INTRUSION = "PotentialIntrusion"
 
+    # Members are compared by identity, so they may hash by it, in C;
+    # ``Enum.__hash__`` is a Python-level call on every dict or set lookup.
+    # The enums of this package that key lookups do the same.
+    __hash__ = object.__hash__
+
 
 _CAPABILITY_RE = re.compile(r"CAP_[A-Z0-9_]+\Z")
 
@@ -196,6 +201,8 @@ class IpcChannel(Enum):
     SOCKET_LOCAL = "socket_local"
     SHARED_MEMORY = "shm"
 
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True)
 class Event:
@@ -306,6 +313,8 @@ class Verdict(Enum):
     DENY = "Deny"
     ALLOW_BY_EXCEPTION = "AllowByException"
 
+    __hash__ = object.__hash__
+
 
 class DenyReason(Enum):
     NONE = "None"
@@ -313,11 +322,15 @@ class DenyReason(Enum):
     INTEGRITY_WRITE = "IntegrityWrite"
     SENSITIVITY_READ = "SensitivityRead"
 
+    __hash__ = object.__hash__
+
 
 class ExceptionKind(Enum):
     NONE = "None"
     FILE_LIST = "FileList"
     PRIVILEGE_LIST = "PrivilegeList"
+
+    __hash__ = object.__hash__
 
 
 TaintUpdate = tuple[str, TaintState, TaintState]

@@ -46,10 +46,14 @@ class EnvironmentBit(Enum):
     SECURE = "Secure"
     UNSECURE = "Unsecure"
 
+    __hash__ = object.__hash__  # as ``model.TaintState``
+
 
 class AccessMode(Enum):
     READ = "r"
     WRITE = "w"
+
+    __hash__ = object.__hash__  # as ``model.TaintState``
 
 
 _MODES_OF = {

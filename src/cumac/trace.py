@@ -33,19 +33,27 @@ parsing, ``render_event`` and the ``args`` of report rows all read. A
 line's errors come in a fixed order: malformed fields, then a missing
 field, then an unexpected one, then the value checks in line order.
 
-Event lines take one of two paths, with the same checks and the same
-errors. A canonical line is the verb, then every field of its
-``_EVENTS`` entry in table order as ``key=value``, one space apart, with
-no whitespace around it; ``render_trace`` writes every line so. Once the
-header is read, such a line is matched whole by its verb's pattern, which
-is built from ``_EVENTS``, and the value texts go straight to the checks.
-Every other line (snapshot lines, comments, CRLF endings, reordered
-fields, runs of spaces or tabs) takes the general path: strip, split and
-field split, then the same checks. A canonical line cannot fail the field
-split, so both paths raise the same error for it. A pattern's value is a
-run of characters that are not whitespace to ``re``, and ``re`` counts
-exactly the characters as whitespace that ``str.split`` and ``str.strip``
-do.
+Event lines take one of two paths, which end in the same checker. A
+canonical line is the verb, then every field of its ``_EVENTS`` entry in
+table order as ``key=value``, one space apart, with no whitespace around
+it; ``render_trace`` writes every line so. Once the header is read, such a
+line is matched whole by its verb's pattern, which is built from
+``_EVENTS``, and the value texts go straight to the verb's checker. Every
+other line (snapshot lines, comments, CRLF endings, reordered fields, runs
+of spaces or tabs) takes the general path: strip, split and field split,
+and an event line's value texts then go to the same checker. A canonical
+line cannot fail the field split, so both paths raise the same error for
+it. A pattern's value is a run of characters that are not whitespace to
+``re``, and ``re`` counts exactly the characters as whitespace that
+``str.split`` and ``str.strip`` do.
+
+The checkers are generated from ``_EVENTS`` at import, one per verb with
+its fields written out in line order, and made afresh for each parse. A
+checker runs a field's check unless a table shows that the token passes
+it: a number that is already a known pid or fid, or a token whose check
+depends on nothing but the token and which passed it before. A check that
+runs is the parser's own, so the errors, their order and their line
+numbers are those of running every check in turn.
 
 Files created mid-trace (CREATE, or COPY to a fresh path) receive ids from
 a monotone counter starting past the highest snapshot fid; later lines
@@ -72,7 +80,7 @@ import gc
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .errors import PermsFormatError, TraceParseError
 from .model import (
@@ -154,15 +162,11 @@ class _Parser:
         self.users: dict[str, str] = {}
         self.pids: set[int] = set()
         self.fids: set[int] = set()
-        # The ids the ``pid`` and ``fid`` checks accept, at the slots
-        # ``_FIELDS`` gives those checks; every other check has slot 0.
-        self.known: tuple[Any, ...] = ((), self.pids, self.fids)
         self.fid_by_path: dict[str, int] = {}
         self.dir_fids: set[int] = set()
         self.live_mounts: set[int] = set()
         self.next_fid = 1
         self.saw_header = False
-        self.saw_event = False
         self.saw_label = False
 
     def split_fields(self, line_no: int, verb: str, tokens: list[str], expected) -> dict[str, str]:
@@ -325,27 +329,34 @@ class _Parser:
 
     # -- line dispatch ------------------------------------------------------------
 
-    def feed(self, line_no: int, line: str) -> None:
+    def feed(self, line_no: int, line: str) -> tuple[str, list[str]] | None:
+        """Read one line. An event line is only split: its verb and its
+        value texts in ``_EVENTS`` order are returned, for the caller's
+        checker to check and append. Any other line is read whole. An
+        event line that fails ends the parse, so once ``events`` has one,
+        no snapshot line may follow."""
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
-            return
+            return None
         if not self.saw_header:
             if stripped != FORMAT_HEADER:
                 raise TraceParseError(
                     line_no, f"unknown format header {stripped!r} (want {FORMAT_HEADER!r})"
                 )
             self.saw_header = True
-            return
+            return None
         tokens = stripped.split()
         verb = tokens[0]
         if verb in _EVENTS:
-            self.event_line(line_no, verb, tokens[1:])
-        elif verb == "LABEL" or verb in _SNAPSHOT_FIELDS:
-            if self.saw_event:
+            spec = _EVENTS[verb][1]
+            fields = self.split_fields(line_no, verb, tokens[1:], spec)
+            return verb, [fields[key] for key in spec]
+        if verb == "LABEL" or verb in _SNAPSHOT_FIELDS:
+            if self.events:
                 raise TraceParseError(line_no, f"snapshot line {verb} after first event")
             self.snapshot_line(line_no, verb, tokens[1:])
-        else:
-            raise TraceParseError(line_no, f"unknown verb {verb!r}")
+            return None
+        raise TraceParseError(line_no, f"unknown verb {verb!r}")
 
     def snapshot_line(self, line_no: int, verb: str, tokens: list[str]) -> None:
         if verb == "LABEL":
@@ -402,33 +413,6 @@ class _Parser:
             self.pids.add(pid)
             self.header.processes.append(ProcessRecord(pid=pid, key=key, user=user))
 
-    def event_line(self, line_no: int, verb: str, tokens: list[str]) -> None:
-        spec = _EVENTS[verb][1]
-        fields = self.split_fields(line_no, verb, tokens, spec)
-        self.event_values(line_no, verb, [fields[key] for key in spec])
-
-    def event_values(self, line_no: int, verb: str, texts: Sequence[str]) -> None:
-        """Check an event line's value texts, given in ``_EVENTS`` order,
-        and append its event."""
-        cls, fields = _FIELDS[verb]
-        ints, known = self.ints, self.known
-        values: list[Any] = []
-        for (key, check, slot), text in zip(fields, texts):
-            # A token read before whose value is a known pid or fid passes
-            # the pid or fid check with that value, so the call is skipped.
-            value = ints.get(text)
-            if value not in known[slot]:
-                value = check(self, line_no, key, text, values)
-            values.append(value)
-        if cls is Create:
-            _, path, _, _, is_dir = values
-            values.append(self.file_at(line_no, path, is_dir))
-        elif cls is Copy:
-            _, src, dst, _, _ = values
-            values.append(self.file_at(line_no, dst, src in self.dir_fids))
-        self.saw_event = True
-        self.events.append(cls(len(self.events) + 1, *values))
-
 
 _EVENTS: dict[str, tuple[type[Event], dict[str, tuple[str, Callable[..., Any]]]]] = {
     "FORK": (Fork, {"parent": ("parent_pid", _Parser.pid),
@@ -458,15 +442,86 @@ write."""
 
 EVENT_VERBS: dict[type, str] = {cls: verb for verb, (cls, _) in _EVENTS.items()}
 
-_KNOWN_SLOT = {_Parser.pid: 1, _Parser.fid: 2}
+_KNOWN_IDS = {_Parser.pid: "parser.pids", _Parser.fid: "parser.fids"}
+"""Checks that accept the ids of a parser set: a checker skips one when
+``ints`` maps the token to an id in that set."""
 
-_FIELDS = {
-    verb: (cls, tuple((key, check, _KNOWN_SLOT.get(check, 0)) for key, (_, check) in spec.items()))
-    for verb, (cls, spec) in _EVENTS.items()
+_PASSED = {
+    _Parser.text: "parser.texts",
+    _Parser.perms: "parser.perms_texts",
+    _Parser.user: "parser.users",
+    _Parser.channel: "_CHANNELS",
+    _Parser.flag: None,
+    _Parser.path: None,
+    _Parser.capability: None,
 }
-"""``_EVENTS`` laid out for ``event_values``: per verb, the event class
-and, per field in line order, its key, check and slot in
-``_Parser.known``."""
+"""Checks whose outcome depends on the token alone, each with a table of
+tokens that pass it, mapped to their values: one the parser keeps, the
+channel table, or (``None``) a table of one parse that the checker fills.
+A checker skips such a check for a token in its table. Every other check
+runs on every line."""
+
+_WRITES = {
+    Create: "file_at(line_no, path, is_directory)",
+    Copy: "file_at(line_no, dst_path, src_fid in dir_fids)",
+}
+"""The last value of a ``Create`` or ``Copy`` event, as an expression over
+the line's values: the id of the file it writes."""
+
+
+def _checkers_source() -> str:
+    """The source of ``_checkers(parser)``, which returns one checker per
+    verb for one parse. A checker takes the line number and the line's
+    value texts in ``_EVENTS`` order, runs the field checks in that order
+    (skipping the ones its tables show the token passes), and appends the
+    event. A check that runs gets the values read before it on the line."""
+    checks = sorted({check.__name__ for _, spec in _EVENTS.values() for _, check in spec.values()})
+    lines = [
+        "def _checkers(parser):",
+        "    events = parser.events",
+        "    append = events.append",
+        "    ints_get = parser.ints.get",
+        "    file_at = parser.file_at",
+        "    dir_fids = parser.dir_fids",
+        *(f"    check_{name} = parser.{name}" for name in checks),
+        *(f"    {check.__name__}_known = {ids}" for check, ids in _KNOWN_IDS.items()),
+    ]
+    for check, table in _PASSED.items():
+        name = check.__name__
+        lines += [f"    {name}_passed = {table or '{}'}", f"    {name}_get = {name}_passed.get"]
+    for verb, (cls, spec) in _EVENTS.items():
+        attrs = [attr for attr, _ in spec.values()]
+        lines.append(f"    def {verb}(line_no, texts):")
+        lines.append(f"        {''.join(f'{attr}_text, ' for attr in attrs)}= texts")
+        for i, (key, (attr, check)) in enumerate(spec.items()):
+            name = check.__name__
+            earlier = "".join(f"{value}, " for value in attrs[:i])
+            run = f"check_{name}(line_no, {key!r}, {attr}_text, ({earlier}))"
+            if check in _KNOWN_IDS:
+                lines += [
+                    f"        {attr} = ints_get({attr}_text)",
+                    f"        if {attr} not in {name}_known:",
+                    f"            {attr} = {run}",
+                ]
+            elif check in _PASSED:
+                store = "" if _PASSED[check] else f"{name}_passed[{attr}_text] = "
+                lines += [
+                    f"        {attr} = {name}_get({attr}_text)",
+                    f"        if {attr} is None:",
+                    f"            {attr} = {store}{run}",
+                ]
+            else:
+                lines.append(f"        {attr} = {run}")
+        values = ["len(events) + 1", *attrs, *([_WRITES[cls]] if cls in _WRITES else [])]
+        lines.append(f"        append({cls.__name__}({', '.join(values)}))")
+    lines.append(f"    return {{{', '.join(f'{verb!r}: {verb}' for verb in _EVENTS)}}}")
+    return "\n".join(lines) + "\n"
+
+
+_namespace = {"_CHANNELS": _CHANNELS, **{cls.__name__: cls for cls, _ in _EVENTS.values()}}
+exec(compile(_checkers_source(), "<cumac.trace checkers>", "exec"), _namespace)
+_checkers: Callable[[_Parser], dict[str, Callable[..., None]]] = _namespace.pop("_checkers")
+del _namespace
 
 _CANONICAL = {
     verb: re.compile(" ".join(f"{key}=(\\S+)" for key in spec)).fullmatch
@@ -533,16 +588,24 @@ def parse_trace(data: str | bytes) -> Trace:
             line = data[: exc.start].count(b"\n") + 1
             raise TraceParseError(line, f"document is not valid UTF-8 at byte {exc.start}") from None
     parser = _Parser()
-    feed, event_values = parser.feed, parser.event_values
+    # The checkers hold the parser, so the parser must not hold them: that
+    # would make a reference cycle. They go when this call returns.
+    checkers = _checkers(parser)
+    feed = parser.feed
     canonical = _CANONICAL.get
+    lines = enumerate(data.split("\n"), start=1)
     with collector_paused():
-        for line_no, line in enumerate(data.split("\n"), start=1):
+        for line_no, line in lines:  # up to the header
+            feed(line_no, line)
+            if parser.saw_header:
+                break
+        for line_no, line in lines:
             verb, _, rest = line.partition(" ")
             fullmatch = canonical(verb)
-            if fullmatch is not None and parser.saw_header and (found := fullmatch(rest)):
-                event_values(line_no, verb, found.groups())
-            else:
-                feed(line_no, line)
+            if fullmatch is not None and (found := fullmatch(rest)):
+                checkers[verb](line_no, found.groups())
+            elif (event := feed(line_no, line)) is not None:
+                checkers[event[0]](line_no, event[1])
     if not parser.saw_header:
         raise TraceParseError(0, f"missing format header {FORMAT_HEADER!r}")
     return Trace(parser.header, parser.events)

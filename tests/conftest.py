@@ -263,12 +263,32 @@ def reference_json(report: ReplayReport | ComparisonReport) -> str:
 # -- the reference for parsing --------------------------------------------------
 
 
+def reference_event(parser: _Parser, line_no: int, verb: str, texts: list[str]) -> None:
+    """Check an event line's value texts, given in ``_EVENTS`` order, with
+    every field check in turn, and append its event: the loop that the
+    generated checkers of ``parse_trace`` unroll."""
+    cls, spec = _EVENTS[verb]
+    values: list[Any] = []
+    for (key, (_, check)), text in zip(spec.items(), texts):
+        values.append(check(parser, line_no, key, text, values))
+    if cls is Create:
+        _, path, _, _, is_dir = values
+        values.append(parser.file_at(line_no, path, is_dir))
+    elif cls is Copy:
+        _, src, dst, _, _ = values
+        values.append(parser.file_at(line_no, dst, src in parser.dir_fids))
+    parser.events.append(cls(len(parser.events) + 1, *values))
+
+
 def feed_every_line(text: str) -> Trace:
-    """``parse_trace`` of decoded text without its canonical path: every
-    line, canonical or not, goes through ``_Parser.feed``."""
+    """``parse_trace`` of decoded text without its canonical path or its
+    generated checkers: every line goes through ``_Parser.feed``, and every
+    event line through ``reference_event``."""
     parser = _Parser()
     for line_no, line in enumerate(text.split("\n"), start=1):
-        parser.feed(line_no, line)
+        event = parser.feed(line_no, line)
+        if event is not None:
+            reference_event(parser, line_no, *event)
     if not parser.saw_header:
         raise TraceParseError(0, f"missing format header {FORMAT_HEADER!r}")
     return Trace(parser.header, parser.events)

@@ -18,15 +18,18 @@ from cumac.oracle import export_taint_graph, taint_oracle
 from cumac.randomtrace import random_trace
 from cumac.replay import learn, replay
 from cumac.store import EnvironmentBit
-from cumac.trace import render_trace
+from cumac.errors import TraceParseError
+from cumac.trace import parse_trace, render_trace
 
 RANDOM_SEEDS = (0, 1, 2, 3)
 CASES = [*scenarios.available(), *(f"random-{seed}" for seed in RANDOM_SEEDS)]
 
 
 def load(case: str):
+    """The case's trace, parsed from its text."""
     if case.startswith("random-"):
-        return random_trace(seed=int(case.removeprefix("random-")), events=2000)
+        seed = int(case.removeprefix("random-"))
+        return parse_trace(render_trace(random_trace(seed=seed, events=2000)))
     return scenarios.load_trace(case)
 
 
@@ -60,6 +63,18 @@ class TestNoCyclicGarbage:
             random_trace(seed=seed, events=2000, include_entrances=seed % 2 == 0)
         assert gc.collect() == 0
         assert live_engines() == []
+
+    def test_failed_parse_leaves_none(self, collector):
+        lines = render_trace(random_trace(seed=0, events=2000)).split("\n")
+        bad = len(lines) // 2
+        lines[bad] = "READ pid=1 fid=0"
+        text = "\n".join(lines)
+        gc.collect()
+        with pytest.raises(TraceParseError, match="unknown fid 0") as failure:
+            parse_trace(text)
+        assert failure.value.line == bad + 1
+        del failure
+        assert gc.collect() == 0
 
     @pytest.mark.parametrize("case", ["usb-rootkit", "random-0"])
     def test_commands_leave_none(self, collector, case, tmp_path):

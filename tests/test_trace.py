@@ -1,6 +1,6 @@
 """Trace parsing: positioned errors, static reference checks, totality,
-collector state, and the canonical path against the line-by-line
-reference."""
+collector state, and the canonical path and the generated checkers
+against the line-by-line reference."""
 
 import gc
 import json
@@ -9,8 +9,11 @@ import re
 
 import pytest
 from conftest import feed_every_line
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumac import scenarios
+from cumac import trace as trace_module
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceParseError
 from cumac.model import Copy, Create, Event, IpcChannel, PrivOp, Verdict
@@ -174,8 +177,11 @@ class TestCheckPrecedence:
 
 
 def test_event_table_drives_parse_render_and_report_args():
-    # A slotted dataclass replaces its class, so each name may be listed twice.
-    kinds = sorted({cls.__name__ for cls in Event.__subclasses__()})
+    # A slotted dataclass replaces its class, so each name may be listed
+    # twice; subclasses that other tests define are left out.
+    kinds = sorted(
+        {cls.__name__ for cls in Event.__subclasses__() if cls.__module__ == "cumac.model"}
+    )
     assert sorted(cls.__name__ for cls, _ in _EVENTS.values()) == kinds
     assert len(EVENT_VERBS) == len(_EVENTS)
     lines = [
@@ -374,24 +380,29 @@ class TestCollectorState:
     and leaves it as it found it, whether the text parses or not."""
 
     def test_clean_parse_restores_collector_state(self, collector, monkeypatch):
-        # feed() sees the header and snapshot lines; the canonical FORK line
-        # goes straight to event_values().
+        # feed() sees the header, the snapshot and the two-space FORK line;
+        # both FORK lines end in the generated FORK checker.
         seen_during_lines = set()
 
-        def observe(name):
-            method = getattr(_Parser, name)
-
-            def call(parser, *args):
+        def observed(name, call):
+            def observed_call(*args):
                 seen_during_lines.add((name, gc.isenabled()))
-                return method(parser, *args)
+                return call(*args)
 
-            monkeypatch.setattr(_Parser, name, call)
+            return observed_call
 
-        observe("feed")
-        observe("event_values")
-        trace = parse_trace(SMALL + "FORK parent=1 child=2\n")
-        assert len(trace.events) == 1
-        assert seen_during_lines == {("feed", False), ("event_values", False)}
+        monkeypatch.setattr(_Parser, "feed", observed("feed", _Parser.feed))
+        checkers = trace_module._checkers
+        monkeypatch.setattr(
+            trace_module,
+            "_checkers",
+            lambda parser: {
+                verb: observed(verb, check) for verb, check in checkers(parser).items()
+            },
+        )
+        trace = parse_trace(SMALL + "FORK parent=1 child=2\nFORK  parent=1 child=3\n")
+        assert len(trace.events) == 2
+        assert seen_during_lines == {("feed", False), ("FORK", False)}
         assert gc.isenabled() is collector
 
     def test_parse_error_restores_collector_state(self, collector):
@@ -413,6 +424,14 @@ class TestChannelValues:
             assert trace.events[-1].channel is chan
 
 
+def outcome(parse, text):
+    """The Trace a parse gives, or its error's type, line and message."""
+    try:
+        return parse(text)
+    except TraceParseError as exc:
+        return type(exc), exc.line, str(exc)
+
+
 class TestCanonicalPath:
     """parse_trace() reads canonical event lines without feed(); every
     input gives the Trace or the error that feeding each line gives."""
@@ -424,15 +443,8 @@ class TestCanonicalPath:
         "\x00\xff\xc3\t\r\x1c\xa0\u2028"
     )
 
-    @staticmethod
-    def outcome(parse, text):
-        try:
-            return parse(text)
-        except TraceParseError as exc:
-            return type(exc), exc.line, str(exc)
-
     def assert_same_outcome(self, text):
-        assert self.outcome(parse_trace, text) == self.outcome(feed_every_line, text), text
+        assert outcome(parse_trace, text) == outcome(feed_every_line, text), text
 
     def test_regex_whitespace_is_str_whitespace(self):
         space = re.compile(r"\s").fullmatch
@@ -544,3 +556,80 @@ class TestCanonicalPath:
         pids = [trace.header.processes[-1].pid] + [ev.pid for ev in trace.events]
         assert all(fid is fids[0] for fid in fids)
         assert all(pid is pids[0] for pid in pids)
+
+
+def _keys_checked_by(*checks):
+    return {(verb, key) for verb, (_, spec) in _EVENTS.items() for key, (_, check) in spec.items()
+            if check in checks}
+
+
+class TestCheckersMatchTheReference:
+    """The generated checkers against ``conftest.reference_event``, which
+    runs every field check in turn: a random trace, and the same trace with
+    one token mutated, give the same Trace or the same error."""
+
+    NUMBERS = (_Parser.pid, _Parser.other_pid, _Parser.new_pid, _Parser.fid,
+               _Parser.new_mount, _Parser.live_mount)
+    # mutation: (the (verb, key) fields it may hit, its bad values)
+    TOKEN_MUTATIONS = {
+        "leading zero": (_keys_checked_by(*NUMBERS), None),
+        "unknown pid": (_keys_checked_by(_Parser.pid, _Parser.other_pid), ("0", "99999")),
+        "unknown fid": (_keys_checked_by(_Parser.fid), ("0", "99999")),
+        "duplicate path": (_keys_checked_by(_Parser.new_path), None),
+        "bad perms": (_keys_checked_by(_Parser.perms), ("798", "75", "7555", "rwx")),
+        "bad channel": (_keys_checked_by(_Parser.channel), ("fifo", "PIPE", "pipe_")),
+        "bad capability": (_keys_checked_by(_Parser.capability), ("CAP_sys", "CAP_", "SYS_ADMIN")),
+    }
+    SEPARATORS = {"extra space": "  ", "tab": "\t"}
+
+    @classmethod
+    def mutate(cls, data, lines, mutation):
+        events = [at for at, line in enumerate(lines) if line.split(" ")[0] in _EVENTS]
+        if mutation in cls.SEPARATORS:
+            at = data.draw(st.sampled_from(events))
+            tokens = lines[at].split(" ")
+            gap = data.draw(st.integers(1, len(tokens) - 1))
+            lines[at] = " ".join(tokens[:gap]) + cls.SEPARATORS[mutation] + " ".join(tokens[gap:])
+            return
+        fields, values = cls.TOKEN_MUTATIONS[mutation]
+        targets = [
+            (at, index)
+            for at in events
+            for index, token in enumerate(lines[at].split(" "))
+            if (lines[at].split(" ")[0], token.partition("=")[0]) in fields
+        ]
+        if not targets:
+            return
+        at, index = data.draw(st.sampled_from(targets))
+        tokens = lines[at].split(" ")
+        key, _, value = tokens[index].partition("=")
+        text = "\n".join(lines)
+        if mutation == "leading zero":
+            value = "0" + value
+        elif mutation == "duplicate path":
+            value = data.draw(st.sampled_from(re.findall(r"^FILE .* path=(\S+)", text, re.M)))
+        else:  # a bad value, or one that the line or another field of the trace has
+            pools = {}
+            for other, token in re.findall(r" (\w+)=(\S+)", text):
+                pools.setdefault(other, set()).add(token)
+            line_values = [token.partition("=")[2] for token in tokens[1:]]
+            pool = data.draw(st.sampled_from(
+                [values, line_values, *(sorted(pools[key]) for key in sorted(pools))]
+            ))
+            value = data.draw(st.sampled_from(pool))
+        tokens[index] = f"{key}={value}"
+        lines[at] = " ".join(tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        events=st.integers(20, 80),
+        mutation=st.sampled_from([None, *TOKEN_MUTATIONS, *SEPARATORS]),
+        data=st.data(),
+    )
+    def test_one_token_mutated(self, seed, events, mutation, data):
+        lines = render_trace(random_trace(seed=seed, events=events)).split("\n")
+        if mutation is not None:
+            self.mutate(data, lines, mutation)
+        text = "\n".join(lines)
+        assert outcome(parse_trace, text) == outcome(feed_every_line, text)
