@@ -32,7 +32,7 @@ from enum import IntEnum
 from functools import partial
 from typing import Any, TextIO
 
-from .engine import Engine, EngineConfig
+from .engine import Engine, EngineConfig, _unknown
 from .errors import TraceError
 from .model import (
     ALLOW,
@@ -75,12 +75,23 @@ class IntegrityLevel(IntEnum):
     HIGH = 1
 
 
+_LOW = IntegrityLevel.LOW
+_HIGH = IntegrityLevel.HIGH
+_WRITE_DENIED = DENIED[DenyReason.INTEGRITY_WRITE]
+_PRIV_DENIED = DENIED[DenyReason.PRIVILEGED_OP]
+_VERDICT_PAIRS = {(cumac, lwm): (cumac, lwm) for cumac in Verdict for lwm in Verdict}
+"""The nine (tracing engine, baseline) verdict pairs, shared by every
+comparison row."""
+
+
 class LwmEngine:
     """Two-level low-water-mark engine driven by the shared event types.
 
     An engine serves the trace it was built from: it reads that trace's
     mounts ahead, and a Mount of a prefix the trace never mounts relabels
-    nothing."""
+    nothing. It steps once per event, so each handler looks up its levels
+    in place, raises ``_unknown``'s error for an id that is not live, and
+    compares levels by identity."""
 
     def __init__(self, trace: Trace, config: EngineConfig | None = None):
         self.config = config or EngineConfig.from_trace(trace)
@@ -94,11 +105,10 @@ class LwmEngine:
         # Mount makes Low. Levels never rise, so a Mount empties its list.
         self._high_below: dict[str, list[int]] = {prefix: [] for prefix in mobile_prefixes}
         for proc in trace.header.processes:
-            level = IntegrityLevel.LOW if proc.pid in low_pids else IntegrityLevel.HIGH
-            self.subject_levels[proc.pid] = level
+            self.subject_levels[proc.pid] = _LOW if proc.pid in low_pids else _HIGH
         for f in trace.header.files:
             mobile = any(_covers(prefix, f.path) for prefix in mobile_prefixes)
-            level = IntegrityLevel.LOW if mobile else IntegrityLevel.HIGH
+            level = _LOW if mobile else _HIGH
             self._register(f.fid, f.path, level)
         self._low_pids = low_pids
 
@@ -123,27 +133,14 @@ class LwmEngine:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _need_subject(self, seq: int, pid: int) -> IntegrityLevel:
-        level = self.subject_levels.get(pid)
-        if level is None:
-            raise TraceError(seq, f"unknown pid {pid}")
-        return level
-
-    def _need_object(self, seq: int, fid: int) -> IntegrityLevel:
-        level = self.object_levels.get(fid)
-        if level is None:
-            raise TraceError(seq, f"unknown fid {fid}")
-        return level
-
     def _birth_level(self, subject: IntegrityLevel, path: str) -> IntegrityLevel:
-        if under_live_mount(self._mounts, path):
-            return IntegrityLevel.LOW
-        return subject
+        mounts = self._mounts
+        return _LOW if mounts and under_live_mount(mounts, path) else subject
 
     def _register(self, fid: int, path: str, level: IntegrityLevel) -> None:
         self.object_levels[fid] = level
         self._fid_by_path[path] = fid
-        if level is IntegrityLevel.HIGH:
+        if level is _HIGH:
             prefix = path
             while True:
                 high = self._high_below.get(prefix)
@@ -164,59 +161,77 @@ class LwmEngine:
 
     def _on_read(self, ev: Read | Exec) -> Decision:
         # Exec reads the binary, so the subject's level drops with it.
-        subject = self._need_subject(ev.seq, ev.pid)
-        obj = self._need_object(ev.seq, ev.fid)
-        if obj < subject:
-            self.subject_levels[ev.pid] = obj
+        subject = self.subject_levels.get(ev.pid)
+        if subject is None:
+            raise _unknown(ev.seq, "pid", ev.pid)
+        obj = self.object_levels.get(ev.fid)
+        if obj is None:
+            raise _unknown(ev.seq, "fid", ev.fid)
+        if obj is _LOW and subject is _HIGH:
+            self.subject_levels[ev.pid] = _LOW
         return ALLOW
 
     def _on_write(self, ev: Write) -> Decision:
-        subject = self._need_subject(ev.seq, ev.pid)
-        obj = self._need_object(ev.seq, ev.fid)
-        return DENIED[DenyReason.INTEGRITY_WRITE] if subject < obj else ALLOW
+        subject = self.subject_levels.get(ev.pid)
+        if subject is None:
+            raise _unknown(ev.seq, "pid", ev.pid)
+        obj = self.object_levels.get(ev.fid)
+        if obj is None:
+            raise _unknown(ev.seq, "fid", ev.fid)
+        return _WRITE_DENIED if subject is _LOW and obj is _HIGH else ALLOW
 
     def _on_create(self, ev: Create) -> Decision:
-        subject = self._need_subject(ev.seq, ev.pid)
+        subject = self.subject_levels.get(ev.pid)
+        if subject is None:
+            raise _unknown(ev.seq, "pid", ev.pid)
         parent = self._parent_level(ev.seq, ev.path)
-        denied = subject < parent
+        denied = subject is _LOW and parent is _HIGH
         # Register the object either way so later references resolve.
         self._register(ev.new_fid, ev.path, self._birth_level(subject, ev.path))
-        return DENIED[DenyReason.INTEGRITY_WRITE] if denied else ALLOW
+        return _WRITE_DENIED if denied else ALLOW
 
     def _on_copy(self, ev: Copy) -> Decision:
-        subject = self._need_subject(ev.seq, ev.pid)
-        src = self._need_object(ev.seq, ev.src_fid)
-        dropped = min(subject, src)
+        subject = self.subject_levels.get(ev.pid)
+        if subject is None:
+            raise _unknown(ev.seq, "pid", ev.pid)
+        src = self.object_levels.get(ev.src_fid)
+        if src is None:
+            raise _unknown(ev.seq, "fid", ev.src_fid)
+        dropped = subject if subject is _LOW else src
         dst = self.object_levels.get(ev.dst_fid)
         if dst is None:
             # A fresh destination is registered either way, as for Create.
-            denied = dropped < self._parent_level(ev.seq, ev.dst_path)
+            parent = self._parent_level(ev.seq, ev.dst_path)
+            denied = dropped is _LOW and parent is _HIGH
             self._register(ev.dst_fid, ev.dst_path, self._birth_level(dropped, ev.dst_path))
         else:
-            denied = dropped < dst
+            denied = dropped is _LOW and dst is _HIGH
         if denied:
-            return DENIED[DenyReason.INTEGRITY_WRITE]
+            return _WRITE_DENIED
         self.subject_levels[ev.pid] = dropped
         return ALLOW
 
     def _on_fork(self, ev: Fork) -> Decision:
-        parent = self._need_subject(ev.seq, ev.parent_pid)
-        if ev.child_pid in self.subject_levels:
-            raise TraceError(ev.seq, f"pid {ev.child_pid} already live")
-        level = parent
-        if ev.child_pid in self._low_pids:
-            level = IntegrityLevel.LOW
-        self.subject_levels[ev.child_pid] = level
+        subject_levels = self.subject_levels
+        parent = subject_levels.get(ev.parent_pid)
+        if parent is None:
+            raise _unknown(ev.seq, "pid", ev.parent_pid)
+        pid = ev.child_pid
+        if pid in subject_levels:
+            raise TraceError(ev.seq, f"pid {pid} already live")
+        subject_levels[pid] = _LOW if pid in self._low_pids else parent
         return ALLOW
 
     def _on_priv_op(self, ev: PrivOp) -> Decision:
-        subject = self._need_subject(ev.seq, ev.pid)
-        return DENIED[DenyReason.PRIVILEGED_OP] if subject < IntegrityLevel.HIGH else ALLOW
+        subject = self.subject_levels.get(ev.pid)
+        if subject is None:
+            raise _unknown(ev.seq, "pid", ev.pid)
+        return _PRIV_DENIED if subject is _LOW else ALLOW
 
     def _on_mount(self, ev: Mount) -> Decision:
         self._mounts[ev.mount_id] = ev.path_prefix
         high = self._high_below.get(ev.path_prefix, [])
-        self.object_levels.update(dict.fromkeys(high, IntegrityLevel.LOW))
+        self.object_levels.update(dict.fromkeys(high, _LOW))
         high.clear()
         return ALLOW
 
@@ -225,12 +240,16 @@ class LwmEngine:
         return ALLOW
 
     def _on_entrance(self, ev: RemoteComm | Login) -> Decision:
-        self._need_subject(ev.seq, ev.pid)
+        if ev.pid not in self.subject_levels:
+            raise _unknown(ev.seq, "pid", ev.pid)
         return ALLOW
 
     def _on_ipc(self, ev: Ipc) -> Decision:
-        self._need_subject(ev.seq, ev.from_pid)
-        self._need_subject(ev.seq, ev.to_pid)
+        subject_levels = self.subject_levels
+        if ev.from_pid not in subject_levels:
+            raise _unknown(ev.seq, "pid", ev.from_pid)
+        if ev.to_pid not in subject_levels:
+            raise _unknown(ev.seq, "pid", ev.to_pid)
         return ALLOW
 
     def _parent_level(self, seq: int, path: str) -> IntegrityLevel:
@@ -273,7 +292,8 @@ class ComparisonReport(StructuredReport):
     label: str
     events: list[Event]
     verdicts: list[tuple[Verdict, Verdict]]
-    """Per event, the tracing engine's verdict and the baseline's."""
+    """Per event, the tracing engine's verdict and the baseline's, as one
+    of the nine shared pairs of ``_VERDICT_PAIRS``."""
     lwm_only: list[int] = field(default_factory=list)
     both: list[int] = field(default_factory=list)
     cumac_only: list[int] = field(default_factory=list)
@@ -346,9 +366,9 @@ def compare(
     means an empty one. The cyclic garbage collector is paused while both
     engines step, as in ``replay``, and left as it was found. Neither
     engine holds a reference cycle, so both are freed by reference
-    counting at the return; the report's verdict pairs, one per event,
-    are kept, so the caller's next allocation usually runs the collection
-    that the pause deferred (``trace.collector_paused``)."""
+    counting at the return; the report keeps one reference per event to
+    a shared verdict pair, so the caller's next allocation usually runs
+    the collection that the pause deferred (``trace.collector_paused``)."""
     if store is None:
         store = ExceptionStore()
     config = config or EngineConfig.from_trace(trace)
@@ -362,10 +382,11 @@ def compare(
         cumac_step, lwm_step = cumac_engine.step, lwm_engine.step
         append_verdicts = verdicts.append
         deny = Verdict.DENY
+        pairs = _VERDICT_PAIRS
         for ev in trace.events:
             cumac_verdict = cumac_step(ev).verdict
             lwm_verdict = lwm_step(ev).verdict
-            append_verdicts((cumac_verdict, lwm_verdict))
+            append_verdicts(pairs[cumac_verdict, lwm_verdict])
             cumac_denied = cumac_verdict is deny
             lwm_denied = lwm_verdict is deny
             if cumac_denied and lwm_denied:

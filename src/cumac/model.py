@@ -53,6 +53,12 @@ def validate_capability(name: str) -> str:
 
 _OCTAL_DIGITS = "01234567"
 
+_ANY_EXEC = 0o111
+_OTHER_READ = 0o004
+_OTHER_WRITE = 0o002
+"""Masks of a mode's exec bits and of its read and write bits for others,
+read by ``PermissionBits``' properties and by the predicates on files."""
+
 
 @dataclass(frozen=True, slots=True)
 class PermissionBits:
@@ -82,15 +88,15 @@ class PermissionBits:
 
     @property
     def any_exec(self) -> bool:
-        return (self.mode & 0o111) != 0
+        return (self.mode & _ANY_EXEC) != 0
 
     @property
     def other_read(self) -> bool:
-        return (self.mode & 0o004) != 0
+        return (self.mode & _OTHER_READ) != 0
 
     @property
     def other_write(self) -> bool:
-        return (self.mode & 0o002) != 0
+        return (self.mode & _OTHER_WRITE) != 0
 
 
 _PARSED_PERMS: dict[str, PermissionBits] = {}
@@ -134,17 +140,17 @@ class FileRecord:
 def executable(f: FileRecord) -> bool:
     """An executable file has at least one exec bit set and is not a
     directory. Only executable files ever carry taint."""
-    return f.perms.any_exec and not f.is_directory
+    return (f.perms.mode & _ANY_EXEC) != 0 and not f.is_directory
 
 
 def is_integrity_protected(f: FileRecord) -> bool:
     """A file others may not write requires integrity protection."""
-    return not f.perms.other_write
+    return not f.perms.mode & _OTHER_WRITE
 
 
 def is_sensitivity_protected(f: FileRecord) -> bool:
     """A file others may not read requires sensitivity protection."""
-    return not f.perms.other_read
+    return not f.perms.mode & _OTHER_READ
 
 
 def _covers(prefix: str, path: str) -> bool:

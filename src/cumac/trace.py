@@ -240,6 +240,9 @@ class _Parser:
             return token
         if token.endswith("/"):
             raise TraceParseError(line_no, f"{key} must not end with '/', got {token!r}")
+        # An empty, "." or ".." segment needs "//" or "/." in the path.
+        if "//" not in token and "/." not in token:
+            return token
         for segment in token[1:].split("/"):
             if segment in ("", ".", ".."):
                 raise TraceParseError(line_no, f"{key} has invalid segment in {token!r}")

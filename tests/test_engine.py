@@ -1,6 +1,7 @@
 """Per-event rules of the tracing engine, plus its global invariants."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -18,19 +19,30 @@ from conftest import (
 )
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import ConfigError, PermsFormatError, TraceError
+from cumac.lwm import LwmEngine
 from cumac.model import (
     Copy,
     Create,
     DenyReason,
     ExceptionKind,
+    Exec,
     FileRecord,
+    Fork,
+    Ipc,
     IpcChannel,
+    Login,
     PermissionBits,
+    PrivOp,
+    ProcessRecord,
+    Read,
+    RemoteComm,
     TaintState,
     UserRecord,
     Verdict,
+    Write,
 )
 from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
+from cumac.trace import Trace, TraceHeader
 
 PI = TaintState.POTENTIAL_INTRUSION
 NI = TaintState.NON_INTRUSION
@@ -50,6 +62,18 @@ class TestNewEngine:
         engine = Engine(config, ExceptionStore())
         assert engine.files[10].path == "/bin/sh"
         assert engine.files[10].taint is NI
+
+    def test_seed_records_are_copied_field_by_field(self):
+        f = FileRecord(10, "/mnt", PermissionBits.parse("751"), "alice", NI, True, True)
+        p = ProcessRecord(3, 10, NI, "alice", 1)
+        config = EngineConfig(users={"alice": UserRecord("alice")}, files=[f], processes=[p])
+        engine = Engine(config, ExceptionStore())
+        assert engine.files[10] == f and engine.files[10] is not f
+        assert engine.processes[3] == p and engine.processes[3] is not p
+        assert [x.name for x in fields(FileRecord)] == [
+            "fid", "path", "perms", "owner", "taint", "is_directory", "on_mobile_mount"
+        ]
+        assert [x.name for x in fields(ProcessRecord)] == ["pid", "key", "taint", "user", "parent"]
 
     def test_duplicate_fid_rejected(self):
         config = EngineConfig(
@@ -529,6 +553,87 @@ class TestLibraryEvents:
         with pytest.raises(PermsFormatError):
             d.engine.step(event)
         assert _full_state(d.engine) == before
+
+
+# Per event kind, a valid event on the small world with pid 1 tainted and
+# /mnt/usb mounted, and the fields that name a live process or file. The
+# ids an event creates (``Fork.child_pid``, ``Copy.dst_fid``,
+# ``Create.new_fid``) are not among them.
+_LOOKUPS = [
+    (Fork(50, 1, 30), ("parent_pid",)),
+    (Exec(50, 1, SH), ("pid", "fid")),
+    (RemoteComm(50, 1, "203.0.113.9"), ("pid",)),
+    (Login(50, 1, "mallory"), ("pid",)),
+    (Copy(50, 1, USB_TOOL, "/tmp/tool", "755", "root", 13), ("pid", "src_fid")),
+    (Create(50, 1, "/tmp/new", "755", "root", False, 13), ("pid",)),
+    (Write(50, 1, LS), ("pid", "fid")),
+    (Read(50, 1, SHADOW), ("pid", "fid")),
+    (Ipc(50, 1, 2, IpcChannel.SHARED_MEMORY), ("from_pid", "to_pid")),
+    (PrivOp(50, 1, "CAP_SYS_MODULE"), ("pid",)),
+]
+_UNKNOWN = 99
+
+
+def _lwm_state(engine: LwmEngine):
+    return (
+        dict(engine.subject_levels),
+        dict(engine.object_levels),
+        dict(engine._fid_by_path),
+        dict(engine._mounts),
+        {prefix: list(fids) for prefix, fids in engine._high_below.items()},
+    )
+
+
+def _engines():
+    """A Secure tracing engine that would record any grant it is asked
+    about, and a low-water-mark engine, on the same world."""
+    d = make_driver(mode=EnvironmentBit.SECURE)
+    d.taint_via_net(1)
+    d.mount(1, "/mnt/usb")
+    config = small_config()
+    header = TraceHeader(list(config.users.values()), config.files, config.processes)
+    lwm = LwmEngine(Trace(header), config)
+    lwm.step(d.log[-1][0])
+    return d.engine, lwm
+
+
+class TestUnknownIds:
+    """An event naming a pid or fid that is not live is refused, with the
+    id's kind and value in the message, before either engine changes."""
+
+    @pytest.mark.parametrize("event", [event for event, _ in _LOOKUPS], ids=lambda e: type(e).__name__)
+    def test_the_valid_event_steps(self, event):
+        for stepper in _engines():
+            stepper.step(event)
+
+    @pytest.mark.parametrize(
+        "event, field",
+        [(event, name) for event, names in _LOOKUPS for name in names],
+        ids=[f"{type(event).__name__}.{name}" for event, names in _LOOKUPS for name in names],
+    )
+    def test_unknown_id_is_refused_and_changes_nothing(self, event, field):
+        kind = "pid" if field.endswith("pid") else "fid"
+        bad = replace(event, **{field: _UNKNOWN})
+        engine, lwm = _engines()
+        engine_before, lwm_before = _full_state(engine), _lwm_state(lwm)
+        for stepper in (engine, lwm):
+            with pytest.raises(TraceError) as caught:
+                stepper.step(bad)
+            assert str(caught.value) == f"event 50: unknown {kind} {_UNKNOWN}"
+            assert (caught.value.seq, caught.value.reason) == (50, f"unknown {kind} {_UNKNOWN}")
+        assert _full_state(engine) == engine_before
+        assert _lwm_state(lwm) == lwm_before
+
+    @pytest.mark.parametrize(
+        "event, names", [case for case in _LOOKUPS if len(case[1]) > 1],
+        ids=[type(event).__name__ for event, names in _LOOKUPS if len(names) > 1],
+    )
+    def test_the_first_unknown_field_is_named(self, event, names):
+        bad = replace(event, **{name: _UNKNOWN + i for i, name in enumerate(names)})
+        kind = "pid" if names[0].endswith("pid") else "fid"
+        for stepper in _engines():
+            with pytest.raises(TraceError, match=f"^event 50: unknown {kind} {_UNKNOWN}$"):
+                stepper.step(bad)
 
 
 class TestInvariants:

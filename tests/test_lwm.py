@@ -10,7 +10,7 @@ from cumac import scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceError
 from cumac.lwm import IntegrityLevel, LwmEngine, compare
-from cumac.model import Event, Fork, Verdict
+from cumac.model import Copy, Create, Event, Fork, Verdict
 from cumac.randomtrace import random_trace
 from cumac.replay import _BLOCK_ROWS, learn
 from cumac.store import ExceptionStore
@@ -138,6 +138,20 @@ class TestLevels:
         # Born at the Low creator's level, so the Low writer may write them.
         assert engine.object_levels[9] is IntegrityLevel.LOW
         assert engine.object_levels[10] is IntegrityLevel.LOW
+
+    @pytest.mark.parametrize("pid", [1, 2], ids=["low", "high"])
+    def test_a_missing_parent_directory_is_refused_at_every_level(self, pid):
+        trace = parse_trace(HEADER + "NET pid=1 peer=203.0.113.5\n")  # pid 1 starts Low
+        events = [
+            Create(1, pid, "/opt/made", "644", "root", False, 9),
+            Copy(1, pid, 6, "/opt/copied", "644", "root", 9),
+        ]
+        for event in events:
+            engine = LwmEngine(trace)
+            before = (dict(engine.subject_levels), dict(engine.object_levels))
+            with pytest.raises(TraceError, match="^event 1: parent directory of '/opt/"):
+                engine.step(event)
+            assert (engine.subject_levels, engine.object_levels) == before
 
 
 class TestUnknownEventKind:

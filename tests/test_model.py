@@ -102,6 +102,15 @@ class TestProtectionPredicates:
         assert executable(self._file("755", is_dir=True)) is False
         assert executable(self._file("001")) is True
 
+    def test_predicates_agree_with_the_bits_for_every_mode(self):
+        for mode in range(512):
+            bits = PermissionBits(mode)
+            for is_dir in (False, True):
+                f = FileRecord(fid=1, path="/x", perms=bits, is_directory=is_dir)
+                assert executable(f) is (bits.any_exec and not is_dir)
+                assert is_integrity_protected(f) is (not bits.other_write)
+                assert is_sensitivity_protected(f) is (not bits.other_read)
+
 
 class TestCapability:
     def test_valid(self):

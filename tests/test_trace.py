@@ -155,6 +155,29 @@ class TestEventParsing:
         with pytest.raises(TraceParseError, match="invalid segment"):
             parse_trace(SMALL + "CREATE pid=1 path=/tmp/../etc perms=644 owner=root dir=0\n")
 
+    @staticmethod
+    def _reference_path(token: str) -> str:
+        """The path check that tests every segment of every path."""
+        if not token.startswith("/"):
+            return "absolute path"
+        if token == "/":
+            return token
+        if token.endswith("/"):
+            return "must not end with"
+        if any(segment in ("", ".", "..") for segment in token[1:].split("/")):
+            return "invalid segment"
+        return token
+
+    @given(st.text(alphabet="/.a", max_size=8))
+    def test_path_check_matches_the_segment_loop(self, token):
+        try:
+            got = _Parser().path(3, "path", token)
+        except TraceParseError as exc:
+            assert exc.line == 3
+            assert self._reference_path(token) in exc.reason
+        else:
+            assert got == self._reference_path(token) == token
+
 
 class TestCheckPrecedence:
     """A line with two faults reports the one checked first: syntax, then a
