@@ -104,12 +104,13 @@ class LwmEngine:
         # Per prefix the trace mounts, the High files under it that its next
         # Mount makes Low. Levels never rise, so a Mount empties its list.
         self._high_below: dict[str, list[int]] = {prefix: [] for prefix in mobile_prefixes}
+        # What a path strictly below one of those prefixes starts with:
+        # the prefix and a slash, or "" for "/", which covers every path.
+        self._below = tuple("" if prefix == "/" else prefix + "/" for prefix in mobile_prefixes)
         for proc in trace.header.processes:
             self.subject_levels[proc.pid] = _LOW if proc.pid in low_pids else _HIGH
         for f in trace.header.files:
-            mobile = any(_covers(prefix, f.path) for prefix in mobile_prefixes)
-            level = _LOW if mobile else _HIGH
-            self._register(f.fid, f.path, level)
+            self._register(f.fid, f.path, _LOW if self._under_prefix(f.path) else _HIGH)
         self._low_pids = low_pids
 
     def _prescan(self, trace: Trace) -> tuple[set[int], set[str]]:
@@ -140,15 +141,15 @@ class LwmEngine:
     def _register(self, fid: int, path: str, level: IntegrityLevel) -> None:
         self.object_levels[fid] = level
         self._fid_by_path[path] = fid
-        if level is _HIGH:
-            prefix = path
-            while True:
-                high = self._high_below.get(prefix)
-                if high is not None:
+        if level is _HIGH and self._under_prefix(path):
+            for prefix, high in self._high_below.items():
+                if _covers(prefix, path):
                     high.append(fid)
-                if prefix == "/":
-                    break
-                prefix = _parent_path(prefix)
+
+    def _under_prefix(self, path: str) -> bool:
+        """Whether a prefix the trace mounts covers ``path``, as ``_covers``
+        says: the path is the prefix or lies below it."""
+        return path in self._high_below or path.startswith(self._below)
 
     # -- the step rule -------------------------------------------------------------
 

@@ -339,6 +339,14 @@ class ExceptionKind(Enum):
     __hash__ = object.__hash__
 
 
+_ALLOW = Verdict.ALLOW
+_DENY = Verdict.DENY
+_NO_REASON = DenyReason.NONE
+"""Members that ``Decision`` reads on every construction, bound once: a
+read of ``Verdict.DENY`` goes through the enum class, a module-level
+name does not."""
+
+
 TaintUpdate = tuple[str, TaintState, TaintState]
 """(entity id, old state, new state), recorded once per actual transition."""
 
@@ -366,9 +374,9 @@ class Decision:
     taint_updates: tuple[TaintUpdate, ...] = ()
 
     def __post_init__(self) -> None:
-        if (self.reason is DenyReason.NONE) != (self.verdict is Verdict.ALLOW):
+        if (self.reason is _NO_REASON) != (self.verdict is _ALLOW):
             raise ValueError("a decision carries a reason exactly when its verdict is not Allow")
-        if self.verdict is Verdict.DENY and self.taint_updates:
+        if self.verdict is _DENY and self.taint_updates:
             raise ValueError("a denied operation must not carry taint updates")
 
     @property

@@ -61,6 +61,12 @@ from .trace import EVENT_VERBS, Trace, collector_paused
 if TYPE_CHECKING:
     from .replay import ReplayReport
 
+_DENY = Verdict.DENY
+_SHARED_MEMORY = IpcChannel.SHARED_MEMORY
+"""Members the oracle and the export read per event, bound once: a read
+of ``Verdict.DENY`` goes through the enum class, a module-level name
+does not."""
+
 
 @dataclass(slots=True)
 class _FileFacts:
@@ -125,59 +131,57 @@ def _reached_entities(
 
     # The time-expanded graph. Nodes are numbered as they appear; node n is
     # one entity at one step, steps[n], and successors[n] lists the nodes
-    # it reaches (None while it has none). Processes and files are keyed
-    # by id, each kind in its own table of latest nodes.
+    # it reaches. Processes and files are keyed by id, each kind in its own
+    # table of latest nodes.
     steps: list[int] = []
-    successors: list[list[int] | None] = []
+    successors: list[list[int]] = []
     latest_proc: dict[int, int] = {}
     latest_file: dict[int, int] = {}
     sources: list[int] = []
 
     def node(latest: dict[int, int], ident: int, step: int) -> int:
         previous = latest.get(ident)
-        if previous is not None and steps[previous] == step:
-            return previous
-        current = latest[ident] = len(steps)
-        steps.append(step)
-        successors.append(None)
+        current = len(steps)
         if previous is not None:
+            if steps[previous] == step:
+                return previous
             # Persistence edge: an entity's earlier node reaches its later one.
-            edge(previous, current)
+            successors[previous].append(current)
+        latest[ident] = current
+        steps.append(step)
+        successors.append([])
         return current
-
-    def edge(src: int, dst: int) -> None:
-        out = successors[src]
-        if out is None:
-            successors[src] = [dst]
-        else:
-            out.append(dst)
 
     for ev, verdict in zip(trace.events, verdicts):
         kind = type(ev)
-        if kind is Read or kind is PrivOp or verdict is Verdict.DENY:
+        if kind is Read or kind is PrivOp or verdict is _DENY:
             # Reads and privileged operations propagate nothing, and
             # denied events contribute no edges.
             continue
         step = ev.seq
         if kind is Write:
             if files[ev.fid].is_executable:
-                edge(node(latest_proc, ev.pid, step), node(latest_file, ev.fid, step))
+                successors[node(latest_proc, ev.pid, step)].append(node(latest_file, ev.fid, step))
         elif kind is Fork:
-            edge(node(latest_proc, ev.parent_pid, step), node(latest_proc, ev.child_pid, step))
+            successors[node(latest_proc, ev.parent_pid, step)].append(
+                node(latest_proc, ev.child_pid, step)
+            )
         elif kind is Exec:
             file_node = node(latest_file, ev.fid, step)
             if observe_mobile(files[ev.fid]):
                 sources.append(file_node)
-            edge(file_node, node(latest_proc, ev.pid, step))
+            successors[file_node].append(node(latest_proc, ev.pid, step))
         elif kind is Ipc:
             a = node(latest_proc, ev.from_pid, step)
             b = node(latest_proc, ev.to_pid, step)
-            edge(a, b)
-            if ev.channel is IpcChannel.SHARED_MEMORY:
-                edge(b, a)
+            successors[a].append(b)
+            if ev.channel is _SHARED_MEMORY:
+                successors[b].append(a)
         elif kind is Create:
             if register(ev.new_fid, ev.path, ev.perms, ev.is_directory).is_executable:
-                edge(node(latest_proc, ev.pid, step), node(latest_file, ev.new_fid, step))
+                successors[node(latest_proc, ev.pid, step)].append(
+                    node(latest_file, ev.new_fid, step)
+                )
         elif kind is Copy:
             src = files[ev.src_fid]
             src_mobile = observe_mobile(src)
@@ -186,8 +190,8 @@ def _reached_entities(
                 dst = register(ev.dst_fid, ev.dst_path, ev.dst_perms, src.is_directory)
             if dst.is_executable:
                 dst_node = node(latest_file, ev.dst_fid, step)
-                edge(node(latest_proc, ev.pid, step), dst_node)
-                edge(node(latest_file, ev.src_fid, step), dst_node)
+                successors[node(latest_proc, ev.pid, step)].append(dst_node)
+                successors[node(latest_file, ev.src_fid, step)].append(dst_node)
                 if src_mobile:
                     sources.append(dst_node)
         elif kind is RemoteComm:
@@ -209,7 +213,7 @@ def _reached_entities(
         reached[n] = 1
     queue = deque(sources)
     while queue:
-        for nxt in successors[queue.popleft()] or ():
+        for nxt in successors[queue.popleft()]:
             if not reached[nxt]:
                 reached[nxt] = 1
                 queue.append(nxt)
@@ -261,42 +265,46 @@ def export_taint_graph(report: "ReplayReport", trace: Trace) -> str:
 
     for ev, decision in zip(report.events, report.decisions):
         kind = type(ev)
-        denied = decision.verdict is Verdict.DENY
+        denied = decision.verdict is _DENY
         try:
             verb = EVENT_VERBS[kind]
         except KeyError:
             raise TraceError(ev.seq, f"unknown event kind {kind.__name__}") from None
-        tail = f' [label="{ev.seq} {verb}{_EDGE_ENDINGS[denied]}'
+        ending = _EDGE_ENDINGS[denied]
         if kind is Read:
-            add(f'  "file:{ev.fid}" -> "proc:{ev.pid}"{tail}')
+            add(f'  "file:{ev.fid}" -> "proc:{ev.pid}" [label="{ev.seq} {verb}{ending}')
         elif kind is Write:
-            add(f'  "proc:{ev.pid}" -> "file:{ev.fid}"{tail}')
+            add(f'  "proc:{ev.pid}" -> "file:{ev.fid}" [label="{ev.seq} {verb}{ending}')
         elif kind is Fork:
             proc_pids.add(ev.child_pid)
-            add(f'  "proc:{ev.parent_pid}" -> "proc:{ev.child_pid}"{tail}')
+            add(f'  "proc:{ev.parent_pid}" -> "proc:{ev.child_pid}" [label="{ev.seq} {verb}{ending}')
         elif kind is Exec:
-            add(f'  "file:{ev.fid}" -> "proc:{ev.pid}"{tail}')
+            add(f'  "file:{ev.fid}" -> "proc:{ev.pid}" [label="{ev.seq} {verb}{ending}')
         elif kind is Ipc:
-            add(f'  "proc:{ev.from_pid}" -> "proc:{ev.to_pid}"{tail}')
-            if ev.channel is IpcChannel.SHARED_MEMORY:
-                add(f'  "proc:{ev.to_pid}" -> "proc:{ev.from_pid}"{tail}')
+            add(f'  "proc:{ev.from_pid}" -> "proc:{ev.to_pid}" [label="{ev.seq} {verb}{ending}')
+            if ev.channel is _SHARED_MEMORY:
+                add(f'  "proc:{ev.to_pid}" -> "proc:{ev.from_pid}" [label="{ev.seq} {verb}{ending}')
         elif kind is Create:
             if not denied:
                 file_labels[ev.new_fid] = ev.path
-                add(f'  "proc:{ev.pid}" -> "file:{ev.new_fid}"{tail}')
+                add(f'  "proc:{ev.pid}" -> "file:{ev.new_fid}" [label="{ev.seq} {verb}{ending}')
         elif kind is Copy:
             # A denied copy onto an existing file still shows its edges.
             dst = ev.dst_fid
             if not denied or dst in file_labels:
                 file_labels.setdefault(dst, ev.dst_path)
+                tail = f' [label="{ev.seq} {verb}{ending}'
                 add(f'  "proc:{ev.pid}" -> "file:{dst}"{tail}')
                 add(f'  "file:{ev.src_fid}" -> "file:{dst}"{tail}')
         elif kind is PrivOp:
-            add(f'  "proc:{ev.pid}" -> {extra_node(f"cap:{ev.capability}")}{tail}')
+            cap = extra_node(f"cap:{ev.capability}")
+            add(f'  "proc:{ev.pid}" -> {cap} [label="{ev.seq} {verb}{ending}')
         elif kind is RemoteComm:
-            add(f'  {extra_node(f"addr:{ev.peer_address}")} -> "proc:{ev.pid}"{tail}')
+            addr = extra_node(f"addr:{ev.peer_address}")
+            add(f'  {addr} -> "proc:{ev.pid}" [label="{ev.seq} {verb}{ending}')
         elif kind is Login:
-            add(f'  {extra_node(f"user:{ev.user}")} -> "proc:{ev.pid}"{tail}')
+            user = extra_node(f"user:{ev.user}")
+            add(f'  {user} -> "proc:{ev.pid}" [label="{ev.seq} {verb}{ending}')
         # Mount/Unmount carry no entity-to-entity flow.
 
     lines = ["digraph taint_trace {", "  rankdir=LR;"]

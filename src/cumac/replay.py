@@ -29,10 +29,13 @@ replay makes no reference cycles: the engine keeps its handler table at
 class level, so it holds no bound method that refers back to it, and it
 is freed by reference counting when the call returns. Collections there
 would reclaim nothing; they would only walk the trace and the collected
-decisions, again and again as both grow. After the loop, the outcome
-counts, the timing stats and the final taint come from C-level passes
-(``map``, ``operator.countOf``, ``itertools.compress``, one ``sorted``
-of the step times) rather than a Python loop per event.
+decisions, again and again as both grow. After the loop, the timing
+stats and the final taint come from C-level passes (one ``sorted`` of the
+step times, one of the tainted entities) rather than a Python loop per
+event. The outcome counts are not taken there: a report derives them from
+its decisions on first read, in C-level passes (``map``,
+``operator.countOf``, ``itertools.compress``), and keeps them, so a caller
+that never reads them never pays for them.
 """
 
 from __future__ import annotations
@@ -260,7 +263,8 @@ class TimingStats:
 @dataclass(slots=True)
 class ReplayReport(StructuredReport):
     """Everything one replay produced: the trace's own list of events, the
-    decision for each, final taint set, counters and timing. Counter totals
+    decision for each, final taint set, counters and timing. The outcome
+    counters are derived from the decisions on first read; their totals
     always equal the event count."""
 
     mode: EnvironmentBit
@@ -268,11 +272,13 @@ class ReplayReport(StructuredReport):
     events: list[Event]
     decisions: list[Decision]
     final_taint: list[str]
-    allows: int
-    denies_by_reason: dict[str, int]
-    exception_allows: int
     learned_exceptions: int
     timing: TimingStats = field(default_factory=TimingStats)
+    _counts: tuple[int, int, dict[str, int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    """The outcome counts, taken from ``decisions`` on first read: a
+    report's decisions do not change after its replay."""
 
     @property
     def event_count(self) -> int:
@@ -282,6 +288,27 @@ class ReplayReport(StructuredReport):
     def log(self) -> list[tuple[Event, Decision]]:
         """The ``(event, decision)`` pairs, built anew on each read."""
         return list(zip(self.events, self.decisions))
+
+    def _outcomes(self) -> tuple[int, int, dict[str, int]]:
+        counts = self._counts
+        if counts is None:
+            counts = self._counts = _outcome_counts(self.decisions)
+        return counts
+
+    @property
+    def allows(self) -> int:
+        """Decisions that allowed their event outright."""
+        return self._outcomes()[0]
+
+    @property
+    def exception_allows(self) -> int:
+        """Decisions that allowed their event by an exception grant."""
+        return self._outcomes()[1]
+
+    @property
+    def denies_by_reason(self) -> dict[str, int]:
+        """Denials per reason value, for the reasons that occur."""
+        return self._outcomes()[2]
 
     @property
     def deny_count(self) -> int:
@@ -407,16 +434,12 @@ def replay(
             append_decision(decision)
         wall = perf_counter() - wall_start
 
-        allows, exception_allows, denies = _outcome_counts(decisions)
         return ReplayReport(
             mode=mode,
             label=trace.header.label,
             events=trace.events,
             decisions=decisions,
             final_taint=engine.sorted_taint(),
-            allows=allows,
-            denies_by_reason=denies,
-            exception_allows=exception_allows,
             learned_exceptions=store.triple_count() - learned_before,
             timing=TimingStats.of_steps(durations, wall),
         )

@@ -80,7 +80,8 @@ import gc
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from itertools import chain
+from typing import Any, Callable, Iterator
 
 from .errors import PermsFormatError, TraceParseError
 from .model import (
@@ -578,12 +579,32 @@ class collector_paused:
             gc.enable()
 
 
+_PARSE_BLOCK = 64 * 1024
+"""Characters of trace text that ``parse_trace`` splits into lines at a
+time, so that the lines of the whole text never exist at once."""
+
+
+def _line_blocks(data: str) -> Iterator[list[str]]:
+    """The lines of ``data`` split at ``\n``, as ``data.split("\n")``
+    gives them, in lists of about ``_PARSE_BLOCK`` characters each."""
+    start = 0
+    while True:
+        end = data.find("\n", start + _PARSE_BLOCK)
+        if end < 0:
+            yield data[start:].split("\n")
+            return
+        yield data[start:end].split("\n")
+        start = end + 1
+
+
 def parse_trace(data: str | bytes) -> Trace:
     """Parse trace text into a Trace, or raise a positioned TraceParseError.
 
     The cyclic garbage collector is paused while the lines are read and
     then left as it was found: parsing makes no reference cycles, so
-    collections would only walk the growing event list again and again."""
+    collections would only walk the growing event list again and again.
+    The text is split into lines one block at a time (``_line_blocks``),
+    so a long trace never has all its line strings at once."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -596,7 +617,7 @@ def parse_trace(data: str | bytes) -> Trace:
     checkers = _checkers(parser)
     feed = parser.feed
     canonical = _CANONICAL.get
-    lines = enumerate(data.split("\n"), start=1)
+    lines = enumerate(chain.from_iterable(_line_blocks(data)), start=1)
     with collector_paused():
         for line_no, line in lines:  # up to the header
             feed(line_no, line)

@@ -5,16 +5,28 @@ import json
 
 import pytest
 from conftest import Writes, reference_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumac import scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceError
 from cumac.lwm import IntegrityLevel, LwmEngine, compare
-from cumac.model import Copy, Create, Event, Fork, Verdict
+from cumac.model import (
+    Copy,
+    Create,
+    Event,
+    FileRecord,
+    Fork,
+    Mount,
+    PermissionBits,
+    Verdict,
+    _parent_path,
+)
 from cumac.randomtrace import random_trace
 from cumac.replay import _BLOCK_ROWS, learn
 from cumac.store import ExceptionStore
-from cumac.trace import EVENT_VERBS, Trace, parse_trace
+from cumac.trace import EVENT_VERBS, Trace, TraceHeader, parse_trace
 
 HEADER = (
     "cumac-trace v1\n"
@@ -152,6 +164,79 @@ class TestLevels:
             with pytest.raises(TraceError, match="^event 1: parent directory of '/opt/"):
                 engine.step(event)
             assert (engine.subject_levels, engine.object_levels) == before
+
+
+def ancestor_walk(prefixes, path: str) -> list[str]:
+    """The prefixes among ``prefixes`` that ``path`` or one of its
+    ancestors equals, walking parent paths up to ``/``."""
+    found = []
+    while True:
+        if path in prefixes:
+            found.append(path)
+        if path == "/":
+            return found
+        path = _parent_path(path)
+
+
+def low_fids(engine: LwmEngine) -> set[int]:
+    return {fid for fid, level in engine.object_levels.items() if level is IntegrityLevel.LOW}
+
+
+# Paths over a few segments, so that prefixes, their children and
+# look-alikes ("usb" and "usbx") meet often.
+PATHS = st.lists(st.sampled_from(["mnt", "usb", "usbx", "a"]), max_size=4).map(
+    lambda segments: "/" + "/".join(segments)
+)
+
+
+class TestHighFileRegistration:
+    """A High file joins the list of every mounted prefix that covers it,
+    exactly the prefixes an ancestor walk of its path meets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefixes=st.lists(PATHS, min_size=1, max_size=4, unique=True),
+        snapshot=st.lists(PATHS, max_size=6, unique=True),
+        created=st.lists(PATHS, max_size=6, unique=True),
+    )
+    def test_registration_matches_the_ancestor_walk(self, prefixes, snapshot, created):
+        files = [
+            FileRecord(fid, path, PermissionBits.parse("755"))
+            for fid, path in enumerate(snapshot, start=1)
+        ]
+        mounts = [Mount(seq, seq, prefix) for seq, prefix in enumerate(prefixes, start=1)]
+        engine = LwmEngine(Trace(TraceHeader(files=files), mounts))
+        want = {prefix: [] for prefix in prefixes}
+        covered = {f.fid for f in files if ancestor_walk(prefixes, f.path)}
+        assert low_fids(engine) == covered
+        # Created files are registered High, as a High subject's creates are.
+        for fid, path in enumerate(created, start=len(files) + 1):
+            engine._register(fid, path, IntegrityLevel.HIGH)
+            for prefix in ancestor_walk(prefixes, path):
+                want[prefix].append(fid)
+                covered.add(fid)
+        assert engine._high_below == want
+        for ev in mounts:
+            engine.step(ev)
+        assert low_fids(engine) == covered
+
+    @pytest.mark.parametrize(
+        "prefix, path, covered",
+        [
+            ("/mnt/usb", "/mnt/usb/a/b", True),
+            ("/mnt/usb", "/mnt/usb", True),
+            ("/", "/a", True),
+            ("/", "/", True),
+            ("/mnt/usb", "/mnt/usbx", False),
+            ("/mnt/usb", "/mnt/usbx/a", False),
+            ("/mnt/usb", "/mnt", False),
+        ],
+    )
+    def test_named_cases(self, prefix, path, covered):
+        engine = LwmEngine(Trace(TraceHeader(), [Mount(1, 1, prefix)]))
+        engine._register(7, path, IntegrityLevel.HIGH)
+        assert engine._high_below == {prefix: [7] if covered else []}
+        assert bool(ancestor_walk({prefix}, path)) == covered
 
 
 class TestUnknownEventKind:

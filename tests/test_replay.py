@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import statistics
+import sys
 import tracemalloc
 from array import array
 from dataclasses import fields
@@ -14,16 +15,19 @@ from conftest import Writes, decision_rows, reference_json, structured_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cumac import scenarios
+from cumac import cli, scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceError
 from cumac.lwm import compare
 from cumac.model import ALLOW, Read, Verdict, entity_sort_key
-from cumac.oracle import taint_oracle
+from cumac.oracle import export_taint_graph, taint_oracle
 from cumac.randomtrace import random_trace
 from cumac.replay import _BLOCK_ROWS, ReplayReport, TimingStats, learn, replay
 from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
-from cumac.trace import parse_trace
+from cumac.trace import parse_trace, render_trace
+
+# ``cumac.replay`` as an attribute of the package is the replay() function.
+replay_module = sys.modules["cumac.replay"]
 
 # The third event writes a file that the denied create before it never made.
 DANGLING_WRITE_TRACE = (
@@ -442,8 +446,9 @@ class TestCollectorState:
 
 
 class TestBookkeeping:
-    """The counts, timing stats and final taint that ``replay`` computes
-    after its loop equal their plain references."""
+    """The timing stats and final taint that ``replay`` computes after its
+    loop, and the outcome counts a report derives from its decisions,
+    equal their plain references."""
 
     @pytest.mark.parametrize(
         "durations",
@@ -489,15 +494,81 @@ class TestBookkeeping:
         assert crossing == ({"file", "proc"} if mode is EnvironmentBit.SECURE else {"proc"})
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("store", ["empty", "learned"])
+    @pytest.mark.parametrize("store", ["empty", "learned", "learning", "partial"])
     def test_outcome_counts_match_the_decisions(self, seed, store):
+        # Enforcing with an empty store, with the whole learned store and
+        # with half of it, and learning in Secure mode.
         trace = random_trace(seed=seed, events=3000)
-        grants = learn(trace)[1] if store == "learned" else ExceptionStore()
-        report = replay(trace, EnvironmentBit.UNSECURE, grants)
+        mode, grants = EnvironmentBit.UNSECURE, ExceptionStore()
+        if store == "learning":
+            mode = EnvironmentBit.SECURE
+        elif store != "empty":
+            learned = learn(trace)[1]
+            if store == "learned":
+                grants = learned
+            else:
+                for fid, key, access in list(learned.iter_file_triples())[::2]:
+                    grants.record_file_exception(key, fid, access)
+                for key, capability in list(learned.iter_priv_pairs())[::2]:
+                    grants.record_priv_exception(key, capability)
+        report = replay(trace, mode, grants)
         verdicts = [d.verdict for d in report.decisions]
         denied = [d.reason.value for d in report.decisions if d.verdict is Verdict.DENY]
         assert report.allows == verdicts.count(Verdict.ALLOW)
         assert report.exception_allows == verdicts.count(Verdict.ALLOW_BY_EXCEPTION)
         assert report.denies_by_reason == {reason: denied.count(reason) for reason in set(denied)}
-        assert (report.exception_allows > 0) == (store == "learned")
-        assert (report.deny_count > 0) == (store == "empty")
+        assert report.deny_count == len(denied)
+        assert (report.exception_allows > 0) == (store in ("learned", "partial"))
+        assert (report.deny_count > 0) == (store in ("empty", "partial"))
+        summary = report.to_structured()["summary"]
+        assert summary["allows"] == report.allows
+        assert summary["exception_allows"] == report.exception_allows
+        assert summary["denies"] == dict(sorted(report.denies_by_reason.items()))
+        assert summary["deny_total"] == report.deny_count
+
+
+
+class TestDerivedCounts:
+    """A report derives its outcome counts from its decisions on the first
+    read and keeps them; a replay does not count."""
+
+    def test_the_counts_do_not_take_part_in_equality(self):
+        trace = random_trace(seed=1, events=300)
+        report = replay(trace, EnvironmentBit.UNSECURE)
+        twin = ReplayReport(
+            report.mode, report.label, report.events, report.decisions,
+            report.final_taint, report.learned_exceptions, report.timing,
+        )
+        assert report.allows > 0
+        assert twin == report
+
+    @pytest.fixture
+    def outcome_count_calls(self, monkeypatch):
+        calls = []
+        counts = replay_module._outcome_counts
+
+        def counted(decisions):
+            calls.append(len(decisions))
+            return counts(decisions)
+
+        monkeypatch.setattr(replay_module, "_outcome_counts", counted)
+        return calls
+
+    def test_the_audit_calls_count_nothing(self, outcome_count_calls):
+        trace = random_trace(seed=2, events=1000)
+        config = EngineConfig.from_trace(trace)
+        report = replay(trace, EnvironmentBit.UNSECURE, ExceptionStore(), config)
+        taint_oracle(trace, [d.verdict for d in report.decisions], config)
+        compare(trace, ExceptionStore(), config)
+        export_taint_graph(report, trace)
+        assert outcome_count_calls == []
+
+    def test_a_cli_enforce_counts_once(self, outcome_count_calls, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        path.write_text(render_trace(random_trace(seed=2, events=1000)))
+        report = tmp_path / "r.json"
+        cli.main(["enforce", "--trace", str(path), "--empty-store",
+                  "--format", "structured", "--report", str(report)])
+        assert "denied" in capsys.readouterr().out
+        assert json.loads(report.read_text())["summary"]["events"] == 1000
+        assert outcome_count_calls == [1000]

@@ -398,6 +398,51 @@ class TestLineEnds:
         assert bytes_error.value.line == bad_line
 
 
+class TestBlocks:
+    """``parse_trace`` splits its text into lines one block at a time; the
+    lines, and so the trace and the line numbers of errors, are those of
+    splitting the whole text at once."""
+
+    @staticmethod
+    def text() -> str:
+        # Comments, blank lines and CRLF endings take the general path.
+        lines = render_trace(random_trace(seed=11, events=8000)).split("\n")
+        lines[7:7] = ["# a comment", "", "   "]
+        lines[2000] += "\r"
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("block", [None, 1, 2, 37, 4096])
+    def test_any_block_size_gives_the_same_trace(self, monkeypatch, block):
+        text = self.text()
+        assert len(text) > 2 * trace_module._PARSE_BLOCK
+        monkeypatch.setattr(trace_module, "_PARSE_BLOCK", len(text))
+        whole = parse_trace(text)
+        monkeypatch.undo()
+        if block is not None:
+            monkeypatch.setattr(trace_module, "_PARSE_BLOCK", block)
+        assert parse_trace(text) == whole
+
+    def test_the_blocks_hold_the_lines_of_the_text(self):
+        text = self.text()
+        blocks = list(trace_module._line_blocks(text))
+        assert len(blocks) > 2
+        assert [line for block in blocks for line in block] == text.split("\n")
+        for ending in ("", "\n", "\n\n"):
+            assert [line for block in trace_module._line_blocks(ending) for line in block] == ending.split("\n")
+
+    @pytest.mark.parametrize("block", [None, 1, 64])
+    def test_a_bad_line_after_the_first_block_reports_its_own_line(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(trace_module, "_PARSE_BLOCK", block)
+        lines = self.text().split("\n")
+        first_block_lines = self.text()[: trace_module._PARSE_BLOCK].count("\n") + 1
+        for bad_line in (first_block_lines + 1, len(lines) - 1):
+            broken = lines[: bad_line - 1] + ["BOGUS pid=1"] + lines[bad_line - 1 :]
+            with pytest.raises(TraceParseError, match="unknown verb 'BOGUS'") as raised:
+                parse_trace("\n".join(broken))
+            assert raised.value.line == bad_line
+
+
 class TestCollectorState:
     """parse_trace() pauses the cyclic collector while it reads the lines
     and leaves it as it found it, whether the text parses or not."""
