@@ -191,7 +191,7 @@ class Engine:
         # Each seed record is copied field by field, positionally:
         # ``dataclasses.replace`` costs about 3 µs a record.
         for p in config.processes:
-            self.processes[p.pid] = ProcessRecord(p.pid, p.key, p.taint, p.user, p.parent)
+            self.processes[p.pid] = ProcessRecord(p.pid, p.key, p.taint, p.user)
         for f in config.files:
             self.files[f.fid] = FileRecord(
                 f.fid, f.path, f.perms, f.owner, f.taint, f.is_directory, f.on_mobile_mount
@@ -306,7 +306,7 @@ class Engine:
         parent = self._need_proc(ev.seq, ev.parent_pid)
         if ev.child_pid in self.processes:
             raise TraceError(ev.seq, f"pid {ev.child_pid} already live")
-        child = ProcessRecord(ev.child_pid, parent.key, _NI, parent.user, parent.pid)
+        child = ProcessRecord(ev.child_pid, parent.key, _NI, parent.user)
         self.processes[ev.child_pid] = child
         return _tainting(ALLOW, child) if parent.taint is _PI else ALLOW
 

@@ -114,13 +114,12 @@ class UserRecord:
 
 @dataclass(slots=True)
 class ProcessRecord:
-    """A live process: identity, application key, taint, owner, lineage."""
+    """A live process: identity, application key, taint, owner."""
 
     pid: int
     key: Key
     taint: TaintState = TaintState.NON_INTRUSION
     user: str = "root"
-    parent: int | None = None
 
 
 @dataclass(slots=True)

@@ -1,13 +1,15 @@
 """Independent taint oracle and taint-graph export.
 
-The oracle recomputes which entities end up tainted by breadth-first
-reachability over a time-expanded information-flow graph built straight
-from the trace in one pass. It runs no engine code: the caller passes the
-verdict sequence under test (denied events contribute no edges), and the
-structure the edges need (which files exist, which are executable, which
-sit on a mobile mount) is kept locally in that pass. Each node is one
-entity at one step, so that taint acquired late cannot flow backwards
-through earlier events.
+The oracle recomputes which entities end up tainted by reachability over
+a time-expanded information-flow graph: each node is one entity at one
+step, so that taint acquired late cannot flow backwards through earlier
+events. It never builds that graph. Every flow edge below joins two nodes
+of the same step and every persistence edge points forward in time, so
+one pass over the trace in order visits the graph in time order, keeping
+the set of entities reached so far. It runs no engine code: the caller
+passes the verdict sequence under test (denied events contribute no
+edges), and the structure the edges need (which files exist, which are
+executable, which sit on a mobile mount) is kept locally in that pass.
 
 Flow edges per allowed event:
 
@@ -28,7 +30,6 @@ Sources (entrances):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -83,14 +84,14 @@ def taint_oracle(
     verdicts: Sequence[Verdict],
     config: EngineConfig | None = None,
 ) -> set[str]:
-    """Recompute the final tainted-entity set by graph reachability.
+    """Recompute the final tainted-entity set by one pass in time order.
 
-    ``verdicts`` is the verdict sequence of the run under test, one per
-    event; ``config`` supplies only the users' trust flags. The cyclic
-    garbage collector is paused while the graph is built and searched,
-    then left as it was found: the graph holds no reference cycles, so
-    collections would only walk it again and again as it grows. It is
-    built in its own frame, so it is freed before the collector resumes.
+    The pass visits the time-expanded flow graph in time order and keeps
+    the entities reached so far. ``verdicts`` is the verdict sequence of
+    the run under test, one per event; ``config`` supplies only the users'
+    trust flags. The cyclic garbage collector is paused during the pass,
+    then left as it was found: what the pass keeps holds no reference
+    cycles and is freed, in its own frame, before the collector resumes.
     An allowed event of a kind that neither engine knows raises
     ``TraceError``, as the engines do.
     """
@@ -129,78 +130,51 @@ def _reached_entities(
             facts.mobile = True
         return facts.mobile
 
-    # The time-expanded graph. Nodes are numbered as they appear; node n is
-    # one entity at one step, steps[n], and successors[n] lists the nodes
-    # it reaches. Processes and files are keyed by id, each kind in its own
-    # table of latest nodes.
-    steps: list[int] = []
-    successors: list[list[int]] = []
-    latest_proc: dict[int, int] = {}
-    latest_file: dict[int, int] = {}
-    sources: list[int] = []
-
-    def node(latest: dict[int, int], ident: int, step: int) -> int:
-        previous = latest.get(ident)
-        current = len(steps)
-        if previous is not None:
-            if steps[previous] == step:
-                return previous
-            # Persistence edge: an entity's earlier node reaches its later one.
-            successors[previous].append(current)
-        latest[ident] = current
-        steps.append(step)
-        successors.append([])
-        return current
-
+    # The reached pids and fids: an entity joins when an entrance or an
+    # edge from a reached entity touches it, and never leaves.
+    procs: set[int] = set()
+    fids: set[int] = set()
     for ev, verdict in zip(trace.events, verdicts):
         kind = type(ev)
         if kind is Read or kind is PrivOp or verdict is _DENY:
             # Reads and privileged operations propagate nothing, and
             # denied events contribute no edges.
             continue
-        step = ev.seq
         if kind is Write:
-            if files[ev.fid].is_executable:
-                successors[node(latest_proc, ev.pid, step)].append(node(latest_file, ev.fid, step))
+            if files[ev.fid].is_executable and ev.pid in procs:
+                fids.add(ev.fid)
         elif kind is Fork:
-            successors[node(latest_proc, ev.parent_pid, step)].append(
-                node(latest_proc, ev.child_pid, step)
-            )
+            if ev.parent_pid in procs:
+                procs.add(ev.child_pid)
         elif kind is Exec:
-            file_node = node(latest_file, ev.fid, step)
             if observe_mobile(files[ev.fid]):
-                sources.append(file_node)
-            successors[file_node].append(node(latest_proc, ev.pid, step))
+                fids.add(ev.fid)
+            if ev.fid in fids:
+                procs.add(ev.pid)
         elif kind is Ipc:
-            a = node(latest_proc, ev.from_pid, step)
-            b = node(latest_proc, ev.to_pid, step)
-            successors[a].append(b)
-            if ev.channel is _SHARED_MEMORY:
-                successors[b].append(a)
+            if ev.from_pid in procs:
+                procs.add(ev.to_pid)
+            elif ev.channel is _SHARED_MEMORY and ev.to_pid in procs:
+                procs.add(ev.from_pid)
         elif kind is Create:
-            if register(ev.new_fid, ev.path, ev.perms, ev.is_directory).is_executable:
-                successors[node(latest_proc, ev.pid, step)].append(
-                    node(latest_file, ev.new_fid, step)
-                )
+            new = register(ev.new_fid, ev.path, ev.perms, ev.is_directory)
+            if new.is_executable and ev.pid in procs:
+                fids.add(ev.new_fid)
         elif kind is Copy:
             src = files[ev.src_fid]
             src_mobile = observe_mobile(src)
             dst = files.get(ev.dst_fid)
             if dst is None:
                 dst = register(ev.dst_fid, ev.dst_path, ev.dst_perms, src.is_directory)
-            if dst.is_executable:
-                dst_node = node(latest_file, ev.dst_fid, step)
-                successors[node(latest_proc, ev.pid, step)].append(dst_node)
-                successors[node(latest_file, ev.src_fid, step)].append(dst_node)
-                if src_mobile:
-                    sources.append(dst_node)
+            if dst.is_executable and (src_mobile or ev.pid in procs or ev.src_fid in fids):
+                fids.add(ev.dst_fid)
         elif kind is RemoteComm:
             if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
-                sources.append(node(latest_proc, ev.pid, step))
+                procs.add(ev.pid)
         elif kind is Login:
             user = users.get(ev.user)
             if user is None or not user.trusted:
-                sources.append(node(latest_proc, ev.pid, step))
+                procs.add(ev.pid)
         elif kind is Mount:
             mounts[ev.mount_id] = ev.path_prefix
         elif kind is Unmount:
@@ -208,19 +182,8 @@ def _reached_entities(
         else:
             raise TraceError(ev.seq, f"unknown event kind {kind.__name__}")
 
-    reached = bytearray(len(steps))
-    for n in sources:
-        reached[n] = 1
-    queue = deque(sources)
-    while queue:
-        for nxt in successors[queue.popleft()]:
-            if not reached[nxt]:
-                reached[nxt] = 1
-                queue.append(nxt)
-    # Persistence edges chain an entity's nodes, so an entity is reached
-    # exactly when its latest node is.
-    tainted = {proc_entity(pid) for pid, n in latest_proc.items() if reached[n]}
-    tainted.update(file_entity(fid) for fid, n in latest_file.items() if reached[n])
+    tainted = {proc_entity(pid) for pid in procs}
+    tainted.update(file_entity(fid) for fid in fids)
     return tainted
 
 

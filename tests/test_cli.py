@@ -10,6 +10,8 @@ from conftest import reference_json
 from cumac import cli
 from cumac.cli import main
 from cumac.lwm import ComparisonReport
+from cumac.model import entity_sort_key
+from cumac.oracle import taint_oracle
 from cumac.randomtrace import random_trace
 from cumac.replay import ReplayReport
 from cumac.store import AccessMode, ExceptionStore
@@ -45,6 +47,12 @@ class TestEnforce:
         )
         assert code == 0
         assert "by exception: 4" in out
+
+    def test_a_missing_store_is_a_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.cumac"
+        code, _, err = run_cli(capsys, "enforce", "--scenario", "usb-rootkit", "--store", str(missing))
+        assert code == 2
+        assert f"cannot read store {missing}: " in err
 
     def test_enforce_requires_a_store_decision(self, capsys):
         code, _, err = run_cli(capsys, "enforce", "--scenario", "usb-rootkit")
@@ -181,6 +189,33 @@ class TestOracleCheck:
         doc = json.loads(report_path.read_text())
         assert doc["summary"]["matched"] == 4
         assert [r["seed"] for r in doc["runs"]] == [7, 8, 9, 10]
+
+    def test_a_mismatch_exits_one_and_names_its_seed(self, capsys, tmp_path, monkeypatch):
+        sizes = []
+
+        def drops_an_entity_on_the_second_run(trace, verdicts, config):
+            tainted = taint_oracle(trace, verdicts, config)
+            sizes.append(len(tainted))
+            if len(sizes) == 2:
+                tainted.remove(min(tainted, key=entity_sort_key))
+            return tainted
+
+        monkeypatch.setattr(cli, "taint_oracle", drops_an_entity_on_the_second_run)
+        report_path = tmp_path / "oracle.json"
+        code, out, err = run_cli(
+            capsys, "oracle-check", "--runs", "4", "--events", "200", "--seed", "7",
+            "--report", str(report_path), "--format", "structured",
+        )
+        assert sizes[1] > 0
+        assert code == 1
+        assert "3/4 runs matched" in out
+        assert "mismatched seeds: [8]" in err
+        doc = json.loads(report_path.read_text())
+        assert doc["summary"]["mismatched"] == 1
+        assert doc["summary"]["matched"] == 3
+        assert [(r["seed"], r["match"]) for r in doc["runs"]] == [
+            (7, True), (8, False), (9, True), (10, True)
+        ]
 
 
 class TestReportFiles:

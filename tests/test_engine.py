@@ -65,7 +65,7 @@ class TestNewEngine:
 
     def test_seed_records_are_copied_field_by_field(self):
         f = FileRecord(10, "/mnt", PermissionBits.parse("751"), "alice", NI, True, True)
-        p = ProcessRecord(3, 10, NI, "alice", 1)
+        p = ProcessRecord(3, 10, NI, "alice")
         config = EngineConfig(users={"alice": UserRecord("alice")}, files=[f], processes=[p])
         engine = Engine(config, ExceptionStore())
         assert engine.files[10] == f and engine.files[10] is not f
@@ -73,7 +73,7 @@ class TestNewEngine:
         assert [x.name for x in fields(FileRecord)] == [
             "fid", "path", "perms", "owner", "taint", "is_directory", "on_mobile_mount"
         ]
-        assert [x.name for x in fields(ProcessRecord)] == ["pid", "key", "taint", "user", "parent"]
+        assert [x.name for x in fields(ProcessRecord)] == ["pid", "key", "taint", "user"]
 
     def test_duplicate_fid_rejected(self):
         config = EngineConfig(
@@ -122,7 +122,7 @@ class TestFork:
         driver.fork(1, 31)
         assert driver.proc(30).key == driver.proc(1).key == SH
         assert driver.proc(31).taint is NI
-        assert driver.proc(30).parent == 1
+        assert driver.proc(30).user == driver.proc(1).user
 
     def test_live_child_pid_is_trace_error(self, driver):
         with pytest.raises(TraceError, match="already live"):
@@ -498,7 +498,7 @@ class TestSecureLearning:
 
 
 def _state_fingerprint(engine: Engine):
-    procs = {p.pid: (p.key, p.taint, p.user, p.parent) for p in engine.processes.values()}
+    procs = {p.pid: (p.key, p.taint, p.user) for p in engine.processes.values()}
     files = {
         f.fid: (f.path, f.perms, f.taint, f.is_directory, f.on_mobile_mount)
         for f in engine.files.values()

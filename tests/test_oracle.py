@@ -199,13 +199,12 @@ class TestRandomizedEquivalence:
 
 
 class TestCollectorState:
-    """taint_oracle() pauses the cyclic collector while it builds the graph
-    and searches it, and leaves it as it found it, whether it returns or
-    refuses its verdicts."""
+    """taint_oracle() pauses the cyclic collector during its pass and leaves
+    it as it found it, whether it returns or refuses its verdicts."""
 
     def test_clean_pass_restores_collector_state(self, collector, monkeypatch):
         seen_during_pass = set()
-        proc_entity, deque = oracle_module.proc_entity, oracle_module.deque
+        proc_entity = oracle_module.proc_entity
 
         def observed(original):
             def call(*args):
@@ -213,9 +212,8 @@ class TestCollectorState:
                 return original(*args)
             return call
 
-        # proc_entity names nodes while the graph is built; deque starts the search.
+        # proc_entity names the reached processes at the end of the pass.
         monkeypatch.setattr(oracle_module, "proc_entity", observed(proc_entity))
-        monkeypatch.setattr(oracle_module, "deque", observed(deque))
         trace = scenarios.load_trace("usb-rootkit")
         report = replay(trace, EnvironmentBit.UNSECURE)
         tainted = taint_oracle(trace, [d.verdict for _, d in report.log])
