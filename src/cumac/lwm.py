@@ -15,14 +15,13 @@ Mapping choices, also disclosed in every comparison report:
   everything else starts High.
 * Privileged operations are treated as writes to a notional High object,
   so a Low subject's privileged operation is refused.
-* Create checks the parent directory's level and the new object adopts
-  the creator's level (Low when created under a live mobile mount).
 * Copy is read-then-write: the subject's level first drops to the
-  source's, then the write/create check runs against the destination.
-* Denials are inert, matching the tracing engine's discipline, except that
-  a refused create, and a refused copy to a fresh path, still registers
-  the object under the id its event carries, at the level it would have
-  been born with, so that later references to it resolve.
+  source's, then the write check runs against the destination.
+* Create and a copy to a fresh path take one fresh-file step: it checks
+  the parent directory's level and, refused or not, registers the new
+  object under its event's id at the creator's level (Low under a live
+  mobile mount), so that later references resolve. Denials are otherwise
+  inert, matching the tracing engine's discipline.
 """
 
 from __future__ import annotations
@@ -134,9 +133,17 @@ class LwmEngine:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _birth_level(self, subject: IntegrityLevel, path: str) -> IntegrityLevel:
+    def _create(self, seq: int, subject: IntegrityLevel, fid: int, path: str) -> bool:
+        """The fresh-file step of Create and of a copy to a fresh path at
+        level ``subject``: register the file at its birth level, and say
+        whether the write on its parent is refused."""
+        parent_fid = self._fid_by_path.get(_parent_path(path))
+        if parent_fid is None:
+            raise TraceError(seq, f"parent directory of {path!r} does not exist")
+        denied = subject is _LOW and self.object_levels[parent_fid] is _HIGH
         mounts = self._mounts
-        return _LOW if mounts and under_live_mount(mounts, path) else subject
+        self._register(fid, path, _LOW if mounts and under_live_mount(mounts, path) else subject)
+        return denied
 
     def _register(self, fid: int, path: str, level: IntegrityLevel) -> None:
         self.object_levels[fid] = level
@@ -185,11 +192,7 @@ class LwmEngine:
         subject = self.subject_levels.get(ev.pid)
         if subject is None:
             raise _unknown(ev.seq, "pid", ev.pid)
-        parent = self._parent_level(ev.seq, ev.path)
-        denied = subject is _LOW and parent is _HIGH
-        # Register the object either way so later references resolve.
-        self._register(ev.new_fid, ev.path, self._birth_level(subject, ev.path))
-        return _WRITE_DENIED if denied else ALLOW
+        return _WRITE_DENIED if self._create(ev.seq, subject, ev.new_fid, ev.path) else ALLOW
 
     def _on_copy(self, ev: Copy) -> Decision:
         subject = self.subject_levels.get(ev.pid)
@@ -201,10 +204,7 @@ class LwmEngine:
         dropped = subject if subject is _LOW else src
         dst = self.object_levels.get(ev.dst_fid)
         if dst is None:
-            # A fresh destination is registered either way, as for Create.
-            parent = self._parent_level(ev.seq, ev.dst_path)
-            denied = dropped is _LOW and parent is _HIGH
-            self._register(ev.dst_fid, ev.dst_path, self._birth_level(dropped, ev.dst_path))
+            denied = self._create(ev.seq, dropped, ev.dst_fid, ev.dst_path)
         else:
             denied = dropped is _LOW and dst is _HIGH
         if denied:
@@ -252,12 +252,6 @@ class LwmEngine:
         if ev.to_pid not in subject_levels:
             raise _unknown(ev.seq, "pid", ev.to_pid)
         return ALLOW
-
-    def _parent_level(self, seq: int, path: str) -> IntegrityLevel:
-        parent_fid = self._fid_by_path.get(_parent_path(path))
-        if parent_fid is None:
-            raise TraceError(seq, f"parent directory of {path!r} does not exist")
-        return self.object_levels[parent_fid]
 
     _handlers = {
         Fork: _on_fork,

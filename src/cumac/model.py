@@ -57,7 +57,8 @@ _ANY_EXEC = 0o111
 _OTHER_READ = 0o004
 _OTHER_WRITE = 0o002
 """Masks of a mode's exec bits and of its read and write bits for others,
-read by ``PermissionBits``' properties and by the predicates on files."""
+read by the predicates on files; ``PermissionBits.any_exec`` reads the
+first too, for the oracle, which derives executability itself on purpose."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,14 +90,6 @@ class PermissionBits:
     @property
     def any_exec(self) -> bool:
         return (self.mode & _ANY_EXEC) != 0
-
-    @property
-    def other_read(self) -> bool:
-        return (self.mode & _OTHER_READ) != 0
-
-    @property
-    def other_write(self) -> bool:
-        return (self.mode & _OTHER_WRITE) != 0
 
 
 _PARSED_PERMS: dict[str, PermissionBits] = {}

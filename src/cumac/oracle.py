@@ -92,8 +92,8 @@ def taint_oracle(
     trust flags. The cyclic garbage collector is paused during the pass,
     then left as it was found: what the pass keeps holds no reference
     cycles and is freed, in its own frame, before the collector resumes.
-    An allowed event of a kind that neither engine knows raises
-    ``TraceError``, as the engines do.
+    An allowed event of a kind that neither engine knows, or one that
+    names a fid no file carries, raises ``TraceError``, as the engines do.
     """
     if len(verdicts) != len(trace.events):
         raise ValueError("one verdict per event is required")
@@ -134,53 +134,57 @@ def _reached_entities(
     # edge from a reached entity touches it, and never leaves.
     procs: set[int] = set()
     fids: set[int] = set()
-    for ev, verdict in zip(trace.events, verdicts):
-        kind = type(ev)
-        if kind is Read or kind is PrivOp or verdict is _DENY:
-            # Reads and privileged operations propagate nothing, and
-            # denied events contribute no edges.
-            continue
-        if kind is Write:
-            if files[ev.fid].is_executable and ev.pid in procs:
-                fids.add(ev.fid)
-        elif kind is Fork:
-            if ev.parent_pid in procs:
-                procs.add(ev.child_pid)
-        elif kind is Exec:
-            if observe_mobile(files[ev.fid]):
-                fids.add(ev.fid)
-            if ev.fid in fids:
-                procs.add(ev.pid)
-        elif kind is Ipc:
-            if ev.from_pid in procs:
-                procs.add(ev.to_pid)
-            elif ev.channel is _SHARED_MEMORY and ev.to_pid in procs:
-                procs.add(ev.from_pid)
-        elif kind is Create:
-            new = register(ev.new_fid, ev.path, ev.perms, ev.is_directory)
-            if new.is_executable and ev.pid in procs:
-                fids.add(ev.new_fid)
-        elif kind is Copy:
-            src = files[ev.src_fid]
-            src_mobile = observe_mobile(src)
-            dst = files.get(ev.dst_fid)
-            if dst is None:
-                dst = register(ev.dst_fid, ev.dst_path, ev.dst_perms, src.is_directory)
-            if dst.is_executable and (src_mobile or ev.pid in procs or ev.src_fid in fids):
-                fids.add(ev.dst_fid)
-        elif kind is RemoteComm:
-            if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
-                procs.add(ev.pid)
-        elif kind is Login:
-            user = users.get(ev.user)
-            if user is None or not user.trusted:
-                procs.add(ev.pid)
-        elif kind is Mount:
-            mounts[ev.mount_id] = ev.path_prefix
-        elif kind is Unmount:
-            mounts.pop(ev.mount_id, None)
-        else:
-            raise TraceError(ev.seq, f"unknown event kind {kind.__name__}")
+    try:
+        for ev, verdict in zip(trace.events, verdicts):
+            kind = type(ev)
+            if kind is Read or kind is PrivOp or verdict is _DENY:
+                # Reads and privileged operations propagate nothing, and
+                # denied events contribute no edges.
+                continue
+            if kind is Write:
+                if files[ev.fid].is_executable and ev.pid in procs:
+                    fids.add(ev.fid)
+            elif kind is Fork:
+                if ev.parent_pid in procs:
+                    procs.add(ev.child_pid)
+            elif kind is Exec:
+                if observe_mobile(files[ev.fid]):
+                    fids.add(ev.fid)
+                if ev.fid in fids:
+                    procs.add(ev.pid)
+            elif kind is Ipc:
+                if ev.from_pid in procs:
+                    procs.add(ev.to_pid)
+                elif ev.channel is _SHARED_MEMORY and ev.to_pid in procs:
+                    procs.add(ev.from_pid)
+            elif kind is Create:
+                new = register(ev.new_fid, ev.path, ev.perms, ev.is_directory)
+                if new.is_executable and ev.pid in procs:
+                    fids.add(ev.new_fid)
+            elif kind is Copy:
+                src = files[ev.src_fid]
+                src_mobile = observe_mobile(src)
+                dst = files.get(ev.dst_fid)
+                if dst is None:
+                    dst = register(ev.dst_fid, ev.dst_path, ev.dst_perms, src.is_directory)
+                if dst.is_executable and (src_mobile or ev.pid in procs or ev.src_fid in fids):
+                    fids.add(ev.dst_fid)
+            elif kind is RemoteComm:
+                if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
+                    procs.add(ev.pid)
+            elif kind is Login:
+                user = users.get(ev.user)
+                if user is None or not user.trusted:
+                    procs.add(ev.pid)
+            elif kind is Mount:
+                mounts[ev.mount_id] = ev.path_prefix
+            elif kind is Unmount:
+                mounts.pop(ev.mount_id, None)
+            else:
+                raise TraceError(ev.seq, f"unknown event kind {kind.__name__}")
+    except KeyError as exc:
+        # A fid that names no file, such as one a denied create used up.
+        raise TraceError(ev.seq, f"unknown fid {exc.args[0]}") from None
 
     tainted = {proc_entity(pid) for pid in procs}
     tainted.update(file_entity(fid) for fid in fids)

@@ -46,6 +46,8 @@ from .model import (
     Unmount,
     UserRecord,
     Write,
+    executable,
+    is_integrity_protected,
 )
 from .store import EnvironmentBit, ExceptionStore
 from .trace import Trace, TraceHeader
@@ -158,13 +160,13 @@ def random_trace(
     def add_file(f: FileRecord) -> None:
         if f.is_directory:
             all_dirs.append(f.fid)
-            if f.perms.other_write:
+            if not is_integrity_protected(f):
                 open_dirs.append(f.fid)
         else:
             plain_files.append(f.fid)
-            if f.perms.other_write:
+            if not is_integrity_protected(f):
                 writable_files.append(f.fid)
-            if f.perms.any_exec:
+            if executable(f):
                 exec_files.append(f.fid)
 
     for f in header.files:

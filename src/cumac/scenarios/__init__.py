@@ -19,6 +19,8 @@ NAMES: tuple[str, ...] = (
     "benign-webserver",
     "admin-remote-upgrade",
     "self-revocation",
+    "script-payload",
+    "loopback-relay",
 )
 
 

@@ -50,10 +50,11 @@ it. A pattern's value is a run of characters that are not whitespace to
 The checkers are generated from ``_EVENTS`` at import, one per verb with
 its fields written out in line order, and made afresh for each parse. A
 checker runs a field's check unless a table shows that the token passes
-it: a number that is already a known pid or fid, or a token whose check
-depends on nothing but the token and which passed it before. A check that
-runs is the parser's own, so the errors, their order and their line
-numbers are those of running every check in turn.
+it: a number that is already a known pid or fid, or a token that passed
+before, in one parse, a check that depends on nothing but the token
+(``_PASSED``). A check that runs is the parser's own, so the errors,
+their order and their line numbers are those of running every check in
+turn.
 
 Files created mid-trace (CREATE, or COPY to a fresh path) receive ids from
 a monotone counter starting past the highest snapshot fid; later lines
@@ -152,15 +153,9 @@ class _Parser:
     def __init__(self) -> None:
         self.header = TraceHeader()
         self.events: list[Event] = []
-        # Tokens that passed their check, mapped to the value every event
-        # gets for them, so that equal values share one object. Only
-        # tokens that passed are kept, so a hit skips only checks the
-        # same token already passed. The keys of ``users`` are the known
-        # users.
+        # Numbers that passed ``uint``, mapped to one shared value each.
         self.ints: dict[str, int] = {}
-        self.texts: dict[str, str] = {}
-        self.perms_texts: dict[str, str] = {}
-        self.users: dict[str, str] = {}
+        self.users: set[str] = set()
         self.pids: set[int] = set()
         self.fids: set[int] = set()
         self.fid_by_path: dict[str, int] = {}
@@ -256,14 +251,11 @@ class _Parser:
         return path
 
     def perms(self, line_no: int, key: str, token: str, values=()) -> str:
-        perms = self.perms_texts.get(token)
-        if perms is None:
-            try:
-                PermissionBits.parse(token)
-            except PermsFormatError as exc:
-                raise TraceParseError(line_no, str(exc)) from None
-            perms = self.perms_texts[token] = token
-        return perms
+        try:
+            PermissionBits.parse(token)
+        except PermsFormatError as exc:
+            raise TraceParseError(line_no, str(exc)) from None
+        return token
 
     def flag(self, line_no: int, key: str, token: str, values=()) -> bool:
         if token not in ("0", "1"):
@@ -271,13 +263,12 @@ class _Parser:
         return token == "1"
 
     def text(self, line_no: int, key: str, token: str, values=()) -> str:
-        return self.texts.setdefault(token, token)
+        return token
 
     def user(self, line_no: int, key: str, token: str, values=()) -> str:
-        user = self.users.get(token)
-        if user is None:
+        if token not in self.users:
             raise TraceParseError(line_no, f"unknown user {token!r}")
-        return user
+        return token
 
     def new_mount(self, line_no: int, key: str, token: str, values=()) -> int:
         mount_id = self.uint(line_no, key, token)
@@ -380,7 +371,7 @@ class _Parser:
             fields = self.split_fields(line_no, verb, tokens[1:], _SNAPSHOT_FIELDS["USER"])
             if name in self.users:
                 raise TraceParseError(line_no, f"duplicate user {name!r}")
-            self.users[name] = name
+            self.users.add(name)
             trusted = self.flag(line_no, "trusted", fields["trusted"])
             self.header.users.append(UserRecord(name, trusted))
             return
@@ -450,20 +441,14 @@ _KNOWN_IDS = {_Parser.pid: "parser.pids", _Parser.fid: "parser.fids"}
 """Checks that accept the ids of a parser set: a checker skips one when
 ``ints`` maps the token to an id in that set."""
 
-_PASSED = {
-    _Parser.text: "parser.texts",
-    _Parser.perms: "parser.perms_texts",
-    _Parser.user: "parser.users",
-    _Parser.channel: "_CHANNELS",
-    _Parser.flag: None,
-    _Parser.path: None,
-    _Parser.capability: None,
-}
-"""Checks whose outcome depends on the token alone, each with a table of
-tokens that pass it, mapped to their values: one the parser keeps, the
-channel table, or (``None``) a table of one parse that the checker fills.
-A checker skips such a check for a token in its table. Every other check
-runs on every line."""
+_PASSED = {_Parser.text, _Parser.perms, _Parser.user, _Parser.channel, _Parser.flag,
+           _Parser.path, _Parser.capability}
+"""Checks whose outcome depends on the token alone within one parse (all
+users are declared before the first event). The checkers keep one table
+per such check per parse, filled after a pass, mapping each token that
+passed to its value: a token in it skips the check, and equal values
+share one object. Pids and fids keep the ``ints`` probe of ``_KNOWN_IDS``;
+every other check runs on every line."""
 
 _WRITES = {
     Create: "file_at(line_no, path, is_directory)",
@@ -490,9 +475,8 @@ def _checkers_source() -> str:
         *(f"    check_{name} = parser.{name}" for name in checks),
         *(f"    {check.__name__}_known = {ids}" for check, ids in _KNOWN_IDS.items()),
     ]
-    for check, table in _PASSED.items():
-        name = check.__name__
-        lines += [f"    {name}_passed = {table or '{}'}", f"    {name}_get = {name}_passed.get"]
+    for name in sorted(check.__name__ for check in _PASSED):
+        lines += [f"    {name}_passed = {{}}", f"    {name}_get = {name}_passed.get"]
     for verb, (cls, spec) in _EVENTS.items():
         attrs = [attr for attr, _ in spec.values()]
         lines.append(f"    def {verb}(line_no, texts):")
@@ -508,11 +492,10 @@ def _checkers_source() -> str:
                     f"            {attr} = {run}",
                 ]
             elif check in _PASSED:
-                store = "" if _PASSED[check] else f"{name}_passed[{attr}_text] = "
                 lines += [
                     f"        {attr} = {name}_get({attr}_text)",
                     f"        if {attr} is None:",
-                    f"            {attr} = {store}{run}",
+                    f"            {attr} = {name}_passed[{attr}_text] = {run}",
                 ]
             else:
                 lines.append(f"        {attr} = {run}")
@@ -522,7 +505,7 @@ def _checkers_source() -> str:
     return "\n".join(lines) + "\n"
 
 
-_namespace = {"_CHANNELS": _CHANNELS, **{cls.__name__: cls for cls, _ in _EVENTS.values()}}
+_namespace = {cls.__name__: cls for cls, _ in _EVENTS.values()}
 exec(compile(_checkers_source(), "<cumac.trace checkers>", "exec"), _namespace)
 _checkers: Callable[[_Parser], dict[str, Callable[..., None]]] = _namespace.pop("_checkers")
 del _namespace

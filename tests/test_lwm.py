@@ -166,6 +166,44 @@ class TestLevels:
             assert (engine.subject_levels, engine.object_levels) == before
 
 
+class TestFreshFileStep:
+    """Create and a copy to a fresh path take one fresh-file step: with
+    the copy's dropped level equal to the creator's, both give the same
+    verdict and register the file at the same level."""
+
+    # Per parent level and live mount, the lines before the fresh file
+    # and its path: a mounted prefix makes /mnt/usb Low, and a mount of
+    # the path itself leaves its parent /var High.
+    PLACES = {
+        ("high-parent", "no-mount"): ("", "/var/new"),
+        ("high-parent", "live-mount"): ("MOUNT id=1 prefix=/var/new\n", "/var/new"),
+        ("low-parent", "no-mount"): (
+            "MOUNT id=1 prefix=/mnt/usb\nUNMOUNT id=1\n", "/mnt/usb/new"
+        ),
+        ("low-parent", "live-mount"): ("MOUNT id=1 prefix=/mnt/usb\n", "/mnt/usb/new"),
+    }
+
+    @pytest.mark.parametrize("place", PLACES, ids="-".join)
+    @pytest.mark.parametrize("subject", [IntegrityLevel.LOW, IntegrityLevel.HIGH], ids=["low", "high"])
+    def test_create_and_fresh_copy_agree(self, subject, place):
+        before, path = self.PLACES[place]
+        pid = 1 if subject is IntegrityLevel.LOW else 2
+        outcomes = []
+        for line in (
+            f"CREATE pid={pid} path={path} perms=644 owner=root dir=0",
+            f"COPY pid={pid} src=8 dst={path} perms=644 owner=root",  # /bin/tool is High
+        ):
+            engine, log = run(HEADER + "NET pid=1 peer=203.0.113.5\n" + before + line + "\n")
+            assert engine.subject_levels[pid] is subject
+            outcomes.append((log[-1].verdict, engine.object_levels[9]))
+        refused = subject is IntegrityLevel.LOW and place[0] == "high-parent"
+        born_low = subject is IntegrityLevel.LOW or place[1] == "live-mount"
+        assert outcomes[0] == outcomes[1] == (
+            Verdict.DENY if refused else Verdict.ALLOW,
+            IntegrityLevel.LOW if born_low else IntegrityLevel.HIGH,
+        )
+
+
 def ancestor_walk(prefixes, path: str) -> list[str]:
     """The prefixes among ``prefixes`` that ``path`` or one of its
     ancestors equals, walking parent paths up to ``/``."""

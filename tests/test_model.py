@@ -28,7 +28,7 @@ from cumac.model import (
 class TestPermissionBits:
     def test_755(self):
         bits = PermissionBits.parse("755")
-        assert bits.any_exec and bits.other_read and not bits.other_write
+        assert bits.any_exec and bits.mode == 0o755
         assert bits.render() == "755"
 
     def test_000_all_false(self):
@@ -37,8 +37,8 @@ class TestPermissionBits:
 
     def test_644(self):
         bits = PermissionBits.parse("644")
-        assert bits.other_read is True
-        assert bits.other_write is False
+        assert bits.mode == 0o644
+        assert not bits.any_exec
 
     def test_round_trip_all_512(self):
         for value in range(512):
@@ -47,8 +47,6 @@ class TestPermissionBits:
             assert bits.render() == text
             assert bits.mode == value
             assert bits.any_exec == any(int(digit) & 1 for digit in text)
-            assert bits.other_read == bool(int(text[2]) & 4)
-            assert bits.other_write == bool(int(text[2]) & 2)
 
     def test_one_field(self):
         assert [f.name for f in fields(PermissionBits)] == ["mode"]
@@ -107,9 +105,9 @@ class TestProtectionPredicates:
             bits = PermissionBits(mode)
             for is_dir in (False, True):
                 f = FileRecord(fid=1, path="/x", perms=bits, is_directory=is_dir)
-                assert executable(f) is (bits.any_exec and not is_dir)
-                assert is_integrity_protected(f) is (not bits.other_write)
-                assert is_sensitivity_protected(f) is (not bits.other_read)
+                assert executable(f) is (bool(mode & 0o111) and not is_dir)
+                assert is_integrity_protected(f) is (not mode & 0o002)
+                assert is_sensitivity_protected(f) is (not mode & 0o004)
 
 
 class TestCapability:

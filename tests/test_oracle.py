@@ -7,7 +7,7 @@ import pytest
 
 from cumac import oracle as oracle_module
 from cumac import scenarios
-from cumac.engine import EngineConfig
+from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceError
 from cumac.model import Event, Verdict, entity_sort_key
 from cumac.oracle import export_taint_graph, taint_oracle
@@ -225,6 +225,35 @@ class TestCollectorState:
         trace = scenarios.load_trace("usb-rootkit")
         with pytest.raises(ValueError, match="one verdict per event"):
             taint_oracle(trace, [])
+        assert gc.isenabled() is collector
+
+
+class TestDanglingFid:
+    """A fid that a denied create used up names no file, so the oracle
+    refuses a later allowed event that names it, with the engine's error,
+    and leaves the collector as it found it."""
+
+    @pytest.mark.parametrize("line", [
+        "WRITE pid=2 fid=9",
+        "EXEC pid=2 fid=9",
+        "COPY pid=2 src=9 dst=/tmp/copy perms=755 owner=root",
+    ], ids=["write", "exec", "copy-source"])
+    def test_the_oracle_refuses_it_as_the_engine_does(self, collector, line):
+        trace = parse_trace(
+            HEADER
+            + "NET pid=1 peer=203.0.113.9\n"
+            + "CREATE pid=1 path=/bin/evil perms=755 owner=root dir=0\n"  # fid 9, refused
+            + line + "\n"
+        )
+        engine = Engine(EngineConfig.from_trace(trace), ExceptionStore())
+        verdicts = [engine.step(ev).verdict for ev in trace.events[:2]]
+        assert verdicts == [Verdict.ALLOW, Verdict.DENY]
+        with pytest.raises(TraceError) as engine_error:
+            engine.step(trace.events[2])
+        with pytest.raises(TraceError) as oracle_error:
+            taint_oracle(trace, verdicts + [Verdict.ALLOW])
+        assert str(oracle_error.value) == str(engine_error.value) == "event 3: unknown fid 9"
+        assert oracle_error.value.seq == 3
         assert gc.isenabled() is collector
 
 

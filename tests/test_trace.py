@@ -625,6 +625,44 @@ class TestCanonicalPath:
         assert all(fid is fids[0] for fid in fids)
         assert all(pid is pids[0] for pid in pids)
 
+    def test_equal_texts_share_one_object_on_both_paths(self):
+        text = (
+            SMALL
+            + "NET pid=1 peer=203.0.113.80\n"  # canonical
+            + "NET  pid=1 peer=203.0.113.80\n"  # two spaces
+            + "LOGIN pid=1 user=root\n"
+            + "LOGIN user=root pid=1\n"  # fields reordered
+            + "CREATE pid=1 path=/tmp/a perms=755 owner=alice dir=0\n"
+            + "CREATE path=/tmp/b pid=1 perms=755 owner=alice dir=0\n"
+            + "COPY pid=1 src=3 dst=/tmp/c perms=755 owner=alice\r\n"  # CRLF
+            + "COPY pid=1 src=3 dst=/tmp/d perms=755 owner=alice\n"
+        )
+        trace = parse_trace(text)
+        assert trace == feed_every_line(text)
+        net, login, create, copy = (trace.events[at : at + 2] for at in range(0, 8, 2))
+        for texts in (
+            [ev.peer_address for ev in net],
+            [ev.user for ev in login],
+            [ev.owner for ev in create] + [ev.dst_owner for ev in copy],
+            [ev.perms for ev in create] + [ev.dst_perms for ev in copy],
+        ):
+            assert all(text is texts[0] for text in texts), texts
+
+    def test_a_user_of_one_parse_is_unknown_to_the_next(self):
+        parse_trace(SMALL + "USER bob trusted=0\nLOGIN pid=1 user=bob\n")
+        with pytest.raises(TraceParseError, match="unknown user 'bob'"):
+            parse_trace(SMALL + "LOGIN pid=1 user=bob\n")
+
+    @pytest.mark.parametrize("line", [
+        "CREATE pid=1 path=/tmp/a perms=755 owner=root dir=0",
+        "CREATE  pid=1 path=/tmp/a perms=755 owner=root dir=0",
+    ])
+    def test_a_path_passed_as_a_copy_destination_is_still_checked_as_new(self, line):
+        text = SMALL + "COPY pid=1 src=3 dst=/tmp/a perms=755 owner=root\n" + line + "\n"
+        with pytest.raises(TraceParseError, match="path '/tmp/a' already exists") as raised:
+            parse_trace(text)
+        assert raised.value.line == 9
+
 
 def _keys_checked_by(*checks):
     return {(verb, key) for verb, (_, spec) in _EVENTS.items() for key, (_, check) in spec.items()
