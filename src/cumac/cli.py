@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from . import scenarios
-from .engine import EngineConfig
 from .errors import CumacError
 from .lwm import compare
 from .model import Copy, Create, entity_sort_key
@@ -33,7 +32,7 @@ from .oracle import export_taint_graph, taint_oracle
 from .randomtrace import random_trace
 from .replay import ReplayReport, replay, write_document
 from .store import EnvironmentBit, ExceptionStore
-from .trace import Trace, collector_paused, parse_trace
+from .trace import Trace, TraceHeader, collector_paused, parse_trace
 
 _OPTIONS: dict[str, dict[str, Any]] = {
     "--trace": {"metavar": "P", "help": "trace file to replay"},
@@ -85,9 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_inputs(
     args: argparse.Namespace, store_required: bool = False
-) -> tuple[Trace, str, ExceptionStore, EngineConfig]:
+) -> tuple[Trace, str, ExceptionStore, TraceHeader]:
     """Load a replay command's trace and its name, then its store, then its
-    engine config with any --trusted-users; a failure is a CumacError."""
+    starting snapshot with any --trusted-users; a failure is a CumacError."""
     if bool(args.trace) == bool(args.scenario):
         raise CumacError("exactly one of --trace or --scenario is required")
     if args.scenario:
@@ -128,7 +127,7 @@ def _load_inputs(
         trusted = {
             line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
         }
-    return trace, name, store, EngineConfig.from_trace(trace, trusted_users=trusted)
+    return trace, name, store, TraceHeader.from_trace(trace, trusted_users=trusted)
 
 
 def _write_stream(label: str, path: str, write: Callable[[TextIO], None]) -> None:
@@ -242,10 +241,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     for index in range(args.runs):
         seed = args.seed + index
         trace = random_trace(seed=seed, events=args.events)
-        config = EngineConfig.from_trace(trace)
-        report = replay(trace, EnvironmentBit.UNSECURE, ExceptionStore(), config)
+        report = replay(trace, EnvironmentBit.UNSECURE, ExceptionStore())
         verdicts = [decision.verdict for decision in report.decisions]
-        oracle = sorted(taint_oracle(trace, verdicts, config), key=entity_sort_key)
+        oracle = sorted(taint_oracle(trace, verdicts), key=entity_sort_key)
         match = oracle == report.final_taint
         if not match:
             mismatches += 1

@@ -34,11 +34,10 @@ Rules that are deliberate choices rather than forced ones:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import attrgetter, is_
 
-from .errors import ConfigError, TraceError
+from .errors import TraceError
 from .model import (
     ALLOW,
     BY_EXCEPTION,
@@ -63,7 +62,6 @@ from .model import (
     RemoteComm,
     TaintState,
     Unmount,
-    UserRecord,
     Verdict,
     Write,
     _covers,
@@ -76,6 +74,7 @@ from .model import (
     under_live_mount,
 )
 from .store import AccessMode, EnvironmentBit, ExceptionStore
+from .trace import TraceHeader
 
 _PI = TaintState.POTENTIAL_INTRUSION
 _NI = TaintState.NON_INTRUSION
@@ -112,56 +111,8 @@ def _unknown(seq: int, kind: str, ident: int) -> TraceError:
     return TraceError(seq, f"unknown {kind} {ident}")
 
 
-@dataclass(slots=True)
-class EngineConfig:
-    """Initial snapshot for one engine run.
-
-    The snapshot must be internally consistent (unique ids and paths) and
-    start clean: no seed may carry a potential-intrusion label.
-    """
-
-    users: dict[str, UserRecord] = field(default_factory=dict)
-    files: list[FileRecord] = field(default_factory=list)
-    processes: list[ProcessRecord] = field(default_factory=list)
-
-    @classmethod
-    def from_trace(cls, trace, trusted_users: set[str] | None = None) -> "EngineConfig":
-        """Build a config from a parsed trace header.
-
-        When ``trusted_users`` is given it overrides the header's trust
-        flags entirely: exactly the listed names are trusted, and listed
-        names missing from the header are added as known users.
-        """
-        header = trace.header
-        users = {u.name: UserRecord(u.name, u.trusted) for u in header.users}
-        if trusted_users is not None:
-            for user in users.values():
-                user.trusted = user.name in trusted_users
-            for name in trusted_users:
-                users.setdefault(name, UserRecord(name, True))
-        return cls(users=users, files=list(header.files), processes=list(header.processes))
-
-    def validate(self) -> None:
-        seen_pids: set[int] = set()
-        for proc in self.processes:
-            if proc.pid in seen_pids:
-                raise ConfigError(f"duplicate pid {proc.pid} in initial processes")
-            seen_pids.add(proc.pid)
-            if proc.taint is not _NI:
-                raise ConfigError(f"seed process {proc.pid} must start non-intrusion")
-            if proc.user not in self.users:
-                raise ConfigError(f"seed process {proc.pid} names unknown user {proc.user!r}")
-        seen_fids: set[int] = set()
-        seen_paths: set[str] = set()
-        for f in self.files:
-            if f.fid in seen_fids:
-                raise ConfigError(f"duplicate fid {f.fid} in initial snapshot")
-            seen_fids.add(f.fid)
-            if f.path in seen_paths:
-                raise ConfigError(f"duplicate path {f.path!r} in initial snapshot")
-            seen_paths.add(f.path)
-            if f.taint is not _NI:
-                raise ConfigError(f"seed file {f.fid} must start non-intrusion")
+EngineConfig = TraceHeader
+"""The initial snapshot of an engine run: the trace header type itself."""
 
 
 class Engine:
@@ -177,7 +128,7 @@ class Engine:
     __slots__ = ("config", "store", "mode", "processes", "files", "mounts", "_files_by_path")
 
     def __init__(
-        self, config: EngineConfig, store: ExceptionStore,
+        self, config: TraceHeader, store: ExceptionStore,
         mode: EnvironmentBit = EnvironmentBit.UNSECURE,
     ):
         config.validate()

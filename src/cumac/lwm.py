@@ -31,7 +31,7 @@ from enum import IntEnum
 from functools import partial
 from typing import Any, TextIO
 
-from .engine import Engine, EngineConfig, _unknown
+from .engine import Engine, _unknown
 from .errors import TraceError
 from .model import (
     ALLOW,
@@ -59,7 +59,7 @@ from .model import (
 )
 from .replay import StructuredReport, _write_verdict_rows_json, write_document
 from .store import ExceptionStore
-from .trace import Trace, collector_paused
+from .trace import Trace, TraceHeader, collector_paused
 
 MAPPING_NOTES = (
     "low-water-mark mapping: initial levels mirror intrusion entrances"
@@ -90,10 +90,11 @@ class LwmEngine:
     mounts ahead, and a Mount of a prefix the trace never mounts relabels
     nothing. It steps once per event, so each handler looks up its levels
     in place, raises ``_unknown``'s error for an id that is not live, and
-    compares levels by identity."""
+    compares levels by identity. Its seed levels and its users' trust
+    come from ``config``, by default the trace's header."""
 
-    def __init__(self, trace: Trace, config: EngineConfig | None = None):
-        self.config = config or EngineConfig.from_trace(trace)
+    def __init__(self, trace: Trace, config: TraceHeader | None = None):
+        self.config = config = config or trace.header
         self.subject_levels: dict[int, IntegrityLevel] = {}
         self.object_levels: dict[int, IntegrityLevel] = {}
         self._fid_by_path: dict[str, int] = {}
@@ -106,9 +107,9 @@ class LwmEngine:
         # What a path strictly below one of those prefixes starts with:
         # the prefix and a slash, or "" for "/", which covers every path.
         self._below = tuple("" if prefix == "/" else prefix + "/" for prefix in mobile_prefixes)
-        for proc in trace.header.processes:
+        for proc in config.processes:
             self.subject_levels[proc.pid] = _LOW if proc.pid in low_pids else _HIGH
-        for f in trace.header.files:
+        for f in config.files:
             self._register(f.fid, f.path, _LOW if self._under_prefix(f.path) else _HIGH)
         self._low_pids = low_pids
 
@@ -351,10 +352,11 @@ class ComparisonReport(StructuredReport):
 def compare(
     trace: Trace,
     store: ExceptionStore | None = None,
-    config: EngineConfig | None = None,
+    config: TraceHeader | None = None,
 ) -> ComparisonReport:
     """Run the tracing engine and the low-water-mark baseline over the
-    same trace and diff their denials.
+    same trace and diff their denials. Both start from ``config``, by
+    default the trace's header.
 
     The tracing engine runs Unsecure: it enforces the supplied store, one
     just filled by learning too, and writes nothing to it. A missing store
@@ -366,7 +368,7 @@ def compare(
     the collection that the pause deferred (``trace.collector_paused``)."""
     if store is None:
         store = ExceptionStore()
-    config = config or EngineConfig.from_trace(trace)
+    config = config or trace.header
     with collector_paused():
         cumac_engine = Engine(config, store)
         lwm_engine = LwmEngine(trace, config)

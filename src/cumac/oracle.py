@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .engine import EngineConfig
 from .errors import TraceError
 from .model import (
     LOOPBACK_PREFIXES,
@@ -50,14 +49,13 @@ from .model import (
     Read,
     RemoteComm,
     Unmount,
-    UserRecord,
     Verdict,
     Write,
     file_entity,
     proc_entity,
     under_live_mount,
 )
-from .trace import EVENT_VERBS, Trace, collector_paused
+from .trace import EVENT_VERBS, Trace, TraceHeader, collector_paused
 
 if TYPE_CHECKING:
     from .replay import ReplayReport
@@ -82,35 +80,35 @@ class _FileFacts:
 def taint_oracle(
     trace: Trace,
     verdicts: Sequence[Verdict],
-    config: EngineConfig | None = None,
+    config: TraceHeader | None = None,
 ) -> set[str]:
     """Recompute the final tainted-entity set by one pass in time order.
 
     The pass visits the time-expanded flow graph in time order and keeps
     the entities reached so far. ``verdicts`` is the verdict sequence of
-    the run under test, one per event; ``config`` supplies only the users'
-    trust flags. The cyclic garbage collector is paused during the pass,
-    then left as it was found: what the pass keeps holds no reference
-    cycles and is freed, in its own frame, before the collector resumes.
+    the run under test, one per event; ``config`` is the snapshot that run
+    started from (its users' trust flags and its seed files), by default
+    the trace's header. The cyclic garbage collector is paused during the
+    pass, then left as it was found: what the pass keeps holds no
+    reference cycles and is freed, in its own frame, before the collector
+    resumes.
     An allowed event of a kind that neither engine knows, or one that
     names a fid no file carries, raises ``TraceError``, as the engines do.
     """
     if len(verdicts) != len(trace.events):
         raise ValueError("one verdict per event is required")
-    users = (config or EngineConfig.from_trace(trace)).users
     with collector_paused():
-        return _reached_entities(trace, verdicts, users)
+        return _reached_entities(trace, verdicts, config or trace.header)
 
 
-def _reached_entities(
-    trace: Trace, verdicts: Sequence[Verdict], users: dict[str, UserRecord]
-) -> set[str]:
+def _reached_entities(trace: Trace, verdicts: Sequence[Verdict], snapshot: TraceHeader) -> set[str]:
     # Structure: which files exist, what is executable, what sits on a
     # mobile mount. Created files take the ids their events carry.
     files = {
         f.fid: _FileFacts(f.path, f.perms.any_exec and not f.is_directory, f.is_directory, False)
-        for f in trace.header.files
+        for f in snapshot.files
     }
+    users = snapshot.users
     mounts: dict[int, str] = {}
 
     def register(fid: int, path: str, perms: str, is_directory: bool) -> _FileFacts:

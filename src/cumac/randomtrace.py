@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 
-from .engine import Engine, EngineConfig
+from .engine import Engine
 from .model import (
     Copy,
     Create,
@@ -84,13 +84,8 @@ _PI = TaintState.POTENTIAL_INTRUSION
 
 
 def _snapshot(rng: random.Random) -> TraceHeader:
-    header = TraceHeader(label="benign")
-    header.users = [
-        UserRecord("root", True),
-        UserRecord("alice", True),
-        UserRecord("mallory", False),
-        UserRecord("eve", False),
-    ]
+    users = [("root", True), ("alice", True), ("mallory", False), ("eve", False)]
+    header = TraceHeader({name: UserRecord(name, trusted) for name, trusted in users})
 
     def add(path: str, perms: str, is_dir: bool) -> int:
         fid = len(header.files) + 1
@@ -145,8 +140,7 @@ def random_trace(
     """Generate a valid trace of exactly ``events`` events."""
     rng = random.Random(seed)
     header = _snapshot(rng)
-    config = EngineConfig.from_trace(Trace(header))
-    engine = Engine(config, ExceptionStore(), EnvironmentBit.SECURE)
+    engine = Engine(header, ExceptionStore(), EnvironmentBit.SECURE)
     verbs = [v for v in DEFAULT_WEIGHTS if include_entrances or v not in ("MOUNT", "UNMOUNT")]
     verb_weights = [DEFAULT_WEIGHTS[v] for v in verbs]
 

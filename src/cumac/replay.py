@@ -53,12 +53,12 @@ from statistics import fmean
 from time import perf_counter, perf_counter_ns
 from typing import Any, Callable, TextIO
 
-from .engine import Engine, EngineConfig
+from .engine import Engine
 from .model import (
     ALLOW, BY_EXCEPTION, DENIED, Decision, DenyReason, Event, Verdict
 )
 from .store import EnvironmentBit, ExceptionStore
-from .trace import _EVENTS, EVENT_VERBS, Trace, collector_paused
+from .trace import _EVENTS, EVENT_VERBS, Trace, TraceHeader, collector_paused
 
 # -- decision rows --------------------------------------------------------------
 #
@@ -401,12 +401,13 @@ def replay(
     trace: Trace,
     mode: EnvironmentBit,
     store: ExceptionStore | None = None,
-    config: EngineConfig | None = None,
+    config: TraceHeader | None = None,
 ) -> ReplayReport:
     """Replay a trace in the given environment.
 
-    The engine runs in ``mode`` for the whole replay: Secure adds what it
-    learns to ``store``, Unsecure only reads it. A missing store means an
+    The engine starts from ``config``, by default the trace's header, and
+    runs in ``mode`` for the whole replay: Secure adds what it learns to
+    ``store``, Unsecure only reads it. A missing store means an
     empty one. Trace errors abort the replay and propagate with the
     offending sequence number. The cyclic garbage collector is paused for
     the call and left as it was found. The engine is freed by reference
@@ -416,7 +417,7 @@ def replay(
     """
     if store is None:
         store = ExceptionStore()
-    config = config or EngineConfig.from_trace(trace)
+    config = config or trace.header
     with collector_paused():
         engine = Engine(config, store, mode)
         learned_before = store.triple_count()
@@ -445,7 +446,7 @@ def replay(
         )
 
 
-def learn(trace: Trace, store: ExceptionStore | None = None, config: EngineConfig | None = None) -> tuple[ReplayReport, ExceptionStore]:
+def learn(trace: Trace, store: ExceptionStore | None = None, config: TraceHeader | None = None) -> tuple[ReplayReport, ExceptionStore]:
     """Convenience wrapper: replay in the Secure environment, returning the
     augmented store alongside the report."""
     if store is None:

@@ -30,6 +30,7 @@ with one is ignored.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterator
 
@@ -64,6 +65,7 @@ _MODES_OF = {
 """Per mode vector of a file entry, its access modes, read first."""
 
 _GRANT_KEY = itemgetter(1)  # the key of a (fid, key, mode) file grant
+_GRANT_PAIR = itemgetter(0, 1)  # the (fid, key) pair of a file grant
 _PRIV_KEY = itemgetter(0)  # the key of a (key, capability) privilege grant
 
 
@@ -92,11 +94,7 @@ class ExceptionStore:
         return [(key, mode) for f, key, mode in self.iter_file_triples() if f == fid]
 
     def iter_file_triples(self) -> Iterator[tuple[int, Key, AccessMode]]:
-        return (
-            (fid, key, mode)
-            for (fid, key), letters in sorted(self._file_modes().items())
-            for mode in _MODES_OF[letters]
-        )
+        return iter(sorted(self._file_grants, key=_grant_order))
 
     def iter_priv_pairs(self) -> Iterator[tuple[Key, str]]:
         return iter(sorted(self._priv_grants))
@@ -140,22 +138,11 @@ class ExceptionStore:
         lines = [FORMAT_HEADER]
         for key in sorted(self.key_paths):
             lines.append(f"# key {key} {self.key_paths[key]}")
-        for (fid, key), letters in sorted(self._file_modes().items()):
-            lines.append(f"F {fid} {key} {letters}")
+        for (fid, key), grants in groupby(self.iter_file_triples(), _GRANT_PAIR):
+            lines.append(f"F {fid} {key} {''.join(mode.value for _, _, mode in grants)}")
         for key, cap in self.iter_priv_pairs():
             lines.append(f"P {key} {cap}")
         return "\n".join(lines) + "\n"
-
-    def _file_modes(self) -> dict[tuple[int, Key], str]:
-        """Per (fid, key) pair with a file grant, its mode vector: ``r``,
-        ``w`` or ``rw``. A pair holds at most one grant per mode, so a pair
-        seen twice holds both."""
-        read = AccessMode.READ
-        modes: dict[tuple[int, Key], str] = {}
-        for fid, key, mode in self._file_grants:
-            pair = (fid, key)
-            modes[pair] = "rw" if pair in modes else "r" if mode is read else "w"
-        return modes
 
     @classmethod
     def load(cls, text: str | bytes) -> "ExceptionStore":
@@ -217,6 +204,13 @@ class ExceptionStore:
             self._priv_grants.add((key, parts[2]))
         else:
             raise StoreFormatError(line_no, f"unknown entry kind {kind!r}")
+
+
+def _grant_order(grant: tuple[int, Key, AccessMode]) -> tuple[int, Key, str]:
+    """A file grant's place in sorted order: by fid, key, then mode
+    letter, so ``r`` comes before ``w``."""
+    fid, key, mode = grant
+    return fid, key, mode.value
 
 
 def _add(grants: set, grant: tuple) -> bool:

@@ -84,7 +84,7 @@ from enum import Enum
 from itertools import chain
 from typing import Any, Callable, Iterator
 
-from .errors import PermsFormatError, TraceParseError
+from .errors import ConfigError, PermsFormatError, TraceParseError
 from .model import (
     Copy,
     Create,
@@ -101,6 +101,7 @@ from .model import (
     ProcessRecord,
     Read,
     RemoteComm,
+    TaintState,
     Unmount,
     UserRecord,
     Write,
@@ -123,13 +124,59 @@ _CHANNELS = {c.value: c for c in IpcChannel}
 
 @dataclass(slots=True)
 class TraceHeader:
-    """The snapshot section: users, files and processes alive at step 0,
-    plus the benign/attack label."""
+    """The snapshot section: users by name, files and processes alive at
+    step 0, plus the benign/attack label. It is the one snapshot type:
+    both engines and the oracle start from a header (``engine.EngineConfig``
+    is another name for this class), by default their trace's own.
 
-    users: list[UserRecord] = field(default_factory=list)
+    A snapshot must be internally consistent (unique ids and paths) and
+    start clean: no seed may carry a potential-intrusion label. Nothing
+    mutates a snapshot; an engine copies the records it changes.
+    """
+
+    users: dict[str, UserRecord] = field(default_factory=dict)
     files: list[FileRecord] = field(default_factory=list)
     processes: list[ProcessRecord] = field(default_factory=list)
     label: str = "benign"
+
+    @classmethod
+    def from_trace(cls, trace: "Trace", trusted_users: set[str] | None = None) -> "TraceHeader":
+        """The snapshot a run of ``trace`` starts from: the trace's header
+        itself when ``trusted_users`` is None. Otherwise a new header that
+        shares the trace's file and process lists and whose trust flags
+        ``trusted_users`` overrides entirely: exactly the listed names are
+        trusted, and listed names missing from the header are added as
+        known users."""
+        header = trace.header
+        if trusted_users is None:
+            return header
+        users = {name: UserRecord(name, name in trusted_users) for name in header.users}
+        for name in trusted_users:
+            users.setdefault(name, UserRecord(name, True))
+        return cls(users, header.files, header.processes, header.label)
+
+    def validate(self) -> None:
+        clean = TaintState.NON_INTRUSION
+        seen_pids: set[int] = set()
+        for proc in self.processes:
+            if proc.pid in seen_pids:
+                raise ConfigError(f"duplicate pid {proc.pid} in initial processes")
+            seen_pids.add(proc.pid)
+            if proc.taint is not clean:
+                raise ConfigError(f"seed process {proc.pid} must start non-intrusion")
+            if proc.user not in self.users:
+                raise ConfigError(f"seed process {proc.pid} names unknown user {proc.user!r}")
+        seen_fids: set[int] = set()
+        seen_paths: set[str] = set()
+        for f in self.files:
+            if f.fid in seen_fids:
+                raise ConfigError(f"duplicate fid {f.fid} in initial snapshot")
+            seen_fids.add(f.fid)
+            if f.path in seen_paths:
+                raise ConfigError(f"duplicate path {f.path!r} in initial snapshot")
+            seen_paths.add(f.path)
+            if f.taint is not clean:
+                raise ConfigError(f"seed file {f.fid} must start non-intrusion")
 
 
 @dataclass(slots=True)
@@ -155,7 +202,6 @@ class _Parser:
         self.events: list[Event] = []
         # Numbers that passed ``uint``, mapped to one shared value each.
         self.ints: dict[str, int] = {}
-        self.users: set[str] = set()
         self.pids: set[int] = set()
         self.fids: set[int] = set()
         self.fid_by_path: dict[str, int] = {}
@@ -266,7 +312,7 @@ class _Parser:
         return token
 
     def user(self, line_no: int, key: str, token: str, values=()) -> str:
-        if token not in self.users:
+        if token not in self.header.users:
             raise TraceParseError(line_no, f"unknown user {token!r}")
         return token
 
@@ -369,11 +415,10 @@ class _Parser:
             if "=" in name:
                 raise TraceParseError(line_no, f"USER name must come first, got {name!r}")
             fields = self.split_fields(line_no, verb, tokens[1:], _SNAPSHOT_FIELDS["USER"])
-            if name in self.users:
+            if name in self.header.users:
                 raise TraceParseError(line_no, f"duplicate user {name!r}")
-            self.users.add(name)
             trusted = self.flag(line_no, "trusted", fields["trusted"])
-            self.header.users.append(UserRecord(name, trusted))
+            self.header.users[name] = UserRecord(name, trusted)
             return
         fields = self.split_fields(line_no, verb, tokens, _SNAPSHOT_FIELDS[verb])
         if verb == "FILE":
@@ -638,7 +683,7 @@ def render_event(ev: Event) -> str:
 def render_trace(trace: Trace) -> str:
     """Render a Trace back to its text form (parse/render round-trips)."""
     lines = [FORMAT_HEADER, f"LABEL {trace.header.label}"]
-    for user in trace.header.users:
+    for user in trace.header.users.values():
         lines.append(f"USER {user.name} trusted={int(user.trusted)}")
     for f in trace.header.files:
         lines.append(

@@ -193,7 +193,7 @@ class TestOracleCheck:
     def test_a_mismatch_exits_one_and_names_its_seed(self, capsys, tmp_path, monkeypatch):
         sizes = []
 
-        def drops_an_entity_on_the_second_run(trace, verdicts, config):
+        def drops_an_entity_on_the_second_run(trace, verdicts, config=None):
             tainted = taint_oracle(trace, verdicts, config)
             sizes.append(len(tainted))
             if len(sizes) == 2:

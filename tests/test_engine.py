@@ -42,7 +42,7 @@ from cumac.model import (
     Write,
 )
 from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
-from cumac.trace import Trace, TraceHeader
+from cumac.trace import Trace
 
 PI = TaintState.POTENTIAL_INTRUSION
 NI = TaintState.NON_INTRUSION
@@ -590,9 +590,7 @@ def _engines():
     d = make_driver(mode=EnvironmentBit.SECURE)
     d.taint_via_net(1)
     d.mount(1, "/mnt/usb")
-    config = small_config()
-    header = TraceHeader(list(config.users.values()), config.files, config.processes)
-    lwm = LwmEngine(Trace(header), config)
+    lwm = LwmEngine(Trace(small_config()))
     lwm.step(d.log[-1][0])
     return d.engine, lwm
 

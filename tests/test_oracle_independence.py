@@ -1,7 +1,8 @@
 """The taint oracle stays an independent reference: it reads the trace as
-the engine's handlers do, so it must share no code with them. From
-``engine`` it imports ``EngineConfig`` alone, and it imports ``replay``,
-``lwm`` and ``randomtrace`` only for type checking."""
+the engine's handlers do, so it must share no code with them. It imports
+nothing from ``engine``: the snapshot it starts from is the trace
+header's type. It imports ``replay``, ``lwm`` and ``randomtrace`` only
+for type checking."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from cumac import oracle
 
-ENGINE_NAMES = {"EngineConfig"}
+ENGINE_NAMES: set[str] = set()
 TYPING_ONLY = {"replay", "lwm", "randomtrace"}
 
 
@@ -71,7 +72,8 @@ def test_the_oracle_shares_no_code_with_the_engines():
 @pytest.mark.parametrize(
     "source, fault",
     [
-        ("from .engine import EngineConfig, _tainting\n", "line 1: engine._tainting"),
+        ("from .engine import EngineConfig\n", "line 1: engine.EngineConfig"),
+        ("from .engine import _tainting\n", "line 1: engine._tainting"),
         ("from . import engine\n", "line 1: engine.*module*"),
         ("import cumac.engine\n", "line 1: engine.*module*"),
         ("from cumac.engine import Engine\n", "line 1: engine.Engine"),
