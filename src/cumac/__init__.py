@@ -28,7 +28,6 @@ from .model import (
     PermissionBits,
     ProcessRecord,
     TaintState,
-    UserRecord,
     Verdict,
     executable,
     is_integrity_protected,
@@ -69,7 +68,6 @@ __all__ = [
     "TraceError",
     "TraceHeader",
     "TraceParseError",
-    "UserRecord",
     "Verdict",
     "compare",
     "executable",

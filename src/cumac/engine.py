@@ -125,14 +125,14 @@ class Engine:
     single-threaded; distinct instances may run in parallel.
     """
 
-    __slots__ = ("config", "store", "mode", "processes", "files", "mounts", "_files_by_path")
+    __slots__ = ("users", "store", "mode", "processes", "files", "mounts", "_files_by_path")
 
     def __init__(
         self, config: TraceHeader, store: ExceptionStore,
         mode: EnvironmentBit = EnvironmentBit.UNSECURE,
     ):
         config.validate()
-        self.config = config
+        self.users = config.users
         self.store = store
         self.mode = mode
         self.processes: dict[int, ProcessRecord] = {}
@@ -279,11 +279,11 @@ class Engine:
 
     def _on_login(self, ev: Login) -> Decision:
         proc = self._need_proc(ev.seq, ev.pid)
-        user = self.config.users.get(ev.user)
-        if user is None:
+        trusted = self.users.get(ev.user)
+        if trusted is None:
             raise TraceError(ev.seq, f"unknown user {ev.user!r}")
-        proc.user = user.name
-        return ALLOW if user.trusted else _tainting(ALLOW, proc)
+        proc.user = ev.user
+        return ALLOW if trusted else _tainting(ALLOW, proc)
 
     def _on_mount(self, ev: Mount) -> Decision:
         if ev.mount_id in self.mounts:

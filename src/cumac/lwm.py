@@ -94,13 +94,13 @@ class LwmEngine:
     come from ``config``, by default the trace's header."""
 
     def __init__(self, trace: Trace, config: TraceHeader | None = None):
-        self.config = config = config or trace.header
+        config = config or trace.header
         self.subject_levels: dict[int, IntegrityLevel] = {}
         self.object_levels: dict[int, IntegrityLevel] = {}
         self._fid_by_path: dict[str, int] = {}
         self._mounts: dict[int, str] = {}
 
-        low_pids, mobile_prefixes = self._prescan(trace)
+        low_pids, mobile_prefixes = self._prescan(trace, config.users)
         # Per prefix the trace mounts, the High files under it that its next
         # Mount makes Low. Levels never rise, so a Mount empties its list.
         self._high_below: dict[str, list[int]] = {prefix: [] for prefix in mobile_prefixes}
@@ -113,20 +113,18 @@ class LwmEngine:
             self._register(f.fid, f.path, _LOW if self._under_prefix(f.path) else _HIGH)
         self._low_pids = low_pids
 
-    def _prescan(self, trace: Trace) -> tuple[set[int], set[str]]:
+    def _prescan(self, trace: Trace, users: dict[str, bool]) -> tuple[set[int], set[str]]:
         """Entrance-mirroring initial assignment: which pids ever face the
         network or an untrusted login, and which prefixes ever mount."""
         low_pids: set[int] = set()
         prefixes: set[str] = set()
-        users = self.config.users
         for ev in trace.events:
             kind = type(ev)
             if kind is RemoteComm:
                 if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
                     low_pids.add(ev.pid)
             elif kind is Login:
-                user = users.get(ev.user)
-                if user is None or not user.trusted:
+                if not users.get(ev.user):
                     low_pids.add(ev.pid)
             elif kind is Mount:
                 prefixes.add(ev.path_prefix)

@@ -98,14 +98,6 @@ validation; the values are immutable and there are at most 512 of them."""
 
 
 @dataclass(slots=True)
-class UserRecord:
-    """A configured account; trust is a configuration input, not derived."""
-
-    name: str
-    trusted: bool = False
-
-
-@dataclass(slots=True)
 class ProcessRecord:
     """A live process: identity, application key, taint, owner."""
 

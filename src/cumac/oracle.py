@@ -171,8 +171,7 @@ def _reached_entities(trace: Trace, verdicts: Sequence[Verdict], snapshot: Trace
                 if not ev.peer_address.startswith(LOOPBACK_PREFIXES):
                     procs.add(ev.pid)
             elif kind is Login:
-                user = users.get(ev.user)
-                if user is None or not user.trusted:
+                if not users.get(ev.user):
                     procs.add(ev.pid)
             elif kind is Mount:
                 mounts[ev.mount_id] = ev.path_prefix

@@ -6,7 +6,10 @@ exception store. A create or copy is only emitted when it is guaranteed to
 be allowed (the writer is untainted, or the target parent/file is
 other-writable), so the same trace can be replayed in learning mode, in
 enforcement mode with any store, and against the oracle, without
-references dangling in one variant but not another.
+references dangling in one variant but not another. That holds under the
+trace's own header only: a trust override that untrusts a user can taint
+a writer the generator counted as clean, refuse its create, and leave a
+later event naming a fid that was never made.
 
 To make those guarantees the generator steps an engine in the Secure
 environment over every event it emits and reads taint, files and mounts
@@ -44,7 +47,6 @@ from .model import (
     RemoteComm,
     TaintState,
     Unmount,
-    UserRecord,
     Write,
     executable,
     is_integrity_protected,
@@ -84,8 +86,7 @@ _PI = TaintState.POTENTIAL_INTRUSION
 
 
 def _snapshot(rng: random.Random) -> TraceHeader:
-    users = [("root", True), ("alice", True), ("mallory", False), ("eve", False)]
-    header = TraceHeader({name: UserRecord(name, trusted) for name, trusted in users})
+    header = TraceHeader({"root": True, "alice": True, "mallory": False, "eve": False})
 
     def add(path: str, perms: str, is_dir: bool) -> int:
         fid = len(header.files) + 1
@@ -137,7 +138,8 @@ def random_trace(
     events: int = 1000,
     include_entrances: bool = True,
 ) -> Trace:
-    """Generate a valid trace of exactly ``events`` events."""
+    """Generate a trace of exactly ``events`` events, valid with any store
+    under its own header."""
     rng = random.Random(seed)
     header = _snapshot(rng)
     engine = Engine(header, ExceptionStore(), EnvironmentBit.SECURE)

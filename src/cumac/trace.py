@@ -103,7 +103,6 @@ from .model import (
     RemoteComm,
     TaintState,
     Unmount,
-    UserRecord,
     Write,
     _parent_path,
     validate_capability,
@@ -124,17 +123,19 @@ _CHANNELS = {c.value: c for c in IpcChannel}
 
 @dataclass(slots=True)
 class TraceHeader:
-    """The snapshot section: users by name, files and processes alive at
-    step 0, plus the benign/attack label. It is the one snapshot type:
-    both engines and the oracle start from a header (``engine.EngineConfig``
-    is another name for this class), by default their trace's own.
+    """The snapshot section: each user's name mapped to whether that user
+    is trusted, the files and processes alive at step 0, and the
+    benign/attack label. It is the one snapshot type: both engines and
+    the oracle start from a header (``engine.EngineConfig`` is another
+    name for this class), by default their trace's own.
 
     A snapshot must be internally consistent (unique ids and paths) and
-    start clean: no seed may carry a potential-intrusion label. Nothing
+    start clean: no seed may carry a potential-intrusion label, and no
+    seed file may start flagged as seen on a mobile mount. Nothing
     mutates a snapshot; an engine copies the records it changes.
     """
 
-    users: dict[str, UserRecord] = field(default_factory=dict)
+    users: dict[str, bool] = field(default_factory=dict)
     files: list[FileRecord] = field(default_factory=list)
     processes: list[ProcessRecord] = field(default_factory=list)
     label: str = "benign"
@@ -150,9 +151,7 @@ class TraceHeader:
         header = trace.header
         if trusted_users is None:
             return header
-        users = {name: UserRecord(name, name in trusted_users) for name in header.users}
-        for name in trusted_users:
-            users.setdefault(name, UserRecord(name, True))
+        users = dict.fromkeys(header.users, False) | dict.fromkeys(trusted_users, True)
         return cls(users, header.files, header.processes, header.label)
 
     def validate(self) -> None:
@@ -177,6 +176,8 @@ class TraceHeader:
             seen_paths.add(f.path)
             if f.taint is not clean:
                 raise ConfigError(f"seed file {f.fid} must start non-intrusion")
+            if f.on_mobile_mount:
+                raise ConfigError(f"seed file {f.fid} must not start flagged mobile")
 
 
 @dataclass(slots=True)
@@ -417,8 +418,7 @@ class _Parser:
             fields = self.split_fields(line_no, verb, tokens[1:], _SNAPSHOT_FIELDS["USER"])
             if name in self.header.users:
                 raise TraceParseError(line_no, f"duplicate user {name!r}")
-            trusted = self.flag(line_no, "trusted", fields["trusted"])
-            self.header.users[name] = UserRecord(name, trusted)
+            self.header.users[name] = self.flag(line_no, "trusted", fields["trusted"])
             return
         fields = self.split_fields(line_no, verb, tokens, _SNAPSHOT_FIELDS[verb])
         if verb == "FILE":
@@ -683,8 +683,8 @@ def render_event(ev: Event) -> str:
 def render_trace(trace: Trace) -> str:
     """Render a Trace back to its text form (parse/render round-trips)."""
     lines = [FORMAT_HEADER, f"LABEL {trace.header.label}"]
-    for user in trace.header.users.values():
-        lines.append(f"USER {user.name} trusted={int(user.trusted)}")
+    for name, trusted in trace.header.users.items():
+        lines.append(f"USER {name} trusted={int(trusted)}")
     for f in trace.header.files:
         lines.append(
             f"FILE fid={f.fid} path={f.path} perms={f.perms.render()}"

@@ -32,7 +32,6 @@ from cumac.model import (
     Read,
     RemoteComm,
     Unmount,
-    UserRecord,
     Write,
 )
 from cumac.replay import ReplayReport
@@ -78,8 +77,8 @@ def small_files() -> list[FileRecord]:
 def small_config() -> EngineConfig:
     return EngineConfig(
         users={
-            "root": UserRecord("root", True),
-            "mallory": UserRecord("mallory", False),
+            "root": True,
+            "mallory": False,
         },
         files=small_files(),
         processes=[

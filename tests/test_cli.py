@@ -576,3 +576,23 @@ class TestCollectorPause:
         code, _, _ = run_cli(capsys, "enforce", "--no-such-option")
         assert code == 2
         assert gc.isenabled() is collector
+
+    def test_a_generated_trace_can_dangle_under_an_override(self, capsys, tmp_path):
+        # random_trace promises a valid trace under its own header only.
+        # Untrusting alice refuses a create the generator counted on, and
+        # a later event names the fid that create never made.
+        trace = tmp_path / "random.trace"
+        trace.write_text(render_trace(random_trace(seed=0, events=1000)))
+        trusted = tmp_path / "trusted.txt"
+        trusted.write_text("root\n")
+        code, _, err = run_cli(
+            capsys,
+            "enforce",
+            "--trace",
+            str(trace),
+            "--empty-store",
+            "--trusted-users",
+            str(trusted),
+        )
+        assert code == 2
+        assert err == "error: event 90: unknown fid 35\n"

@@ -37,7 +37,6 @@ from cumac.model import (
     Read,
     RemoteComm,
     TaintState,
-    UserRecord,
     Verdict,
     Write,
 )
@@ -56,7 +55,7 @@ class TestNewEngine:
 
     def test_seed_identity(self):
         config = EngineConfig(
-            users={"root": UserRecord("root", True)},
+            users={"root": True},
             files=[FileRecord(fid=10, path="/bin/sh", perms=PermissionBits.parse("755"))],
         )
         engine = Engine(config, ExceptionStore())
@@ -64,9 +63,9 @@ class TestNewEngine:
         assert engine.files[10].taint is NI
 
     def test_seed_records_are_copied_field_by_field(self):
-        f = FileRecord(10, "/mnt", PermissionBits.parse("751"), "alice", NI, True, True)
+        f = FileRecord(10, "/mnt", PermissionBits.parse("751"), "alice", NI, True, False)
         p = ProcessRecord(3, 10, NI, "alice")
-        config = EngineConfig(users={"alice": UserRecord("alice")}, files=[f], processes=[p])
+        config = EngineConfig(users={"alice": False}, files=[f], processes=[p])
         engine = Engine(config, ExceptionStore())
         assert engine.files[10] == f and engine.files[10] is not f
         assert engine.processes[3] == p and engine.processes[3] is not p

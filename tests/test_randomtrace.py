@@ -99,7 +99,7 @@ class TestDeterminism:
 class TestEntranceSuppression:
     def test_no_entrance_events_when_suppressed(self):
         trace = random_trace(seed=3, events=2000, include_entrances=False)
-        untrusted = {u.name for u in trace.header.users.values() if not u.trusted}
+        untrusted = {name for name, trusted in trace.header.users.items() if not trusted}
         for ev in trace.events:
             assert not isinstance(ev, (Mount, Unmount))
             if isinstance(ev, RemoteComm):

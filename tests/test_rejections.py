@@ -18,7 +18,6 @@ from cumac.model import (
     PermissionBits,
     ProcessRecord,
     TaintState,
-    UserRecord,
 )
 from cumac.trace import Trace, TraceHeader, parse_trace, render_event
 
@@ -35,12 +34,12 @@ SMALL = (
 
 
 def validate(processes=(), files=()):
-    users = {"root": UserRecord("root", True)}
+    users = {"root": True}
     EngineConfig(users=users, files=list(files), processes=list(processes)).validate()
 
 
-def sh(taint=TaintState.NON_INTRUSION):
-    return FileRecord(3, "/bin/sh", PermissionBits.parse("755"), taint=taint)
+def sh(taint=TaintState.NON_INTRUSION, mobile=False):
+    return FileRecord(3, "/bin/sh", PermissionBits.parse("755"), taint=taint, on_mobile_mount=mobile)
 
 
 def lwm_fork_to_a_live_pid():
@@ -62,6 +61,11 @@ CASES = {
         lambda: validate(files=[sh(PI)]),
         ConfigError,
         "seed file 3 must start non-intrusion",
+    ),
+    "seed-file-flagged-mobile": (
+        lambda: validate(files=[sh(mobile=True)]),
+        ConfigError,
+        "seed file 3 must not start flagged mobile",
     ),
     "seed-process-of-unknown-user": (
         lambda: validate([ProcessRecord(1, 3, user="eve")]),

@@ -7,8 +7,9 @@ import pytest
 
 from cumac import EngineConfig, TraceHeader
 from cumac.errors import TraceError
+from cumac.engine import Engine
 from cumac.lwm import LwmEngine, compare
-from cumac.model import FileRecord, PermissionBits, RemoteComm, Verdict, Write
+from cumac.model import FileRecord, Login, PermissionBits, RemoteComm, Verdict, Write
 from cumac.oracle import taint_oracle
 from cumac.replay import replay
 from cumac.store import EnvironmentBit, ExceptionStore
@@ -48,11 +49,11 @@ class TestFromTrace:
         assert config.files is TRACE.header.files
         assert config.processes is TRACE.header.processes
         assert config.label == TRACE.header.label
-        assert {name: u.trusted for name, u in config.users.items()} == {
+        assert config.users == {
             "root": False, "alice": False, "mallory": True, "bob": True,
         }
         # The trace's own header is left as parsed.
-        assert {name: u.trusted for name, u in TRACE.header.users.items()} == {
+        assert TRACE.header.users == {
             "root": True, "alice": True, "mallory": False,
         }
 
@@ -113,3 +114,26 @@ def test_a_seed_file_only_the_config_holds():
     # The trace's own header does not hold the file.
     with pytest.raises(TraceError, match="unknown fid 2"):
         compare(trace)
+
+
+def test_neither_engine_keeps_the_snapshot():
+    """The tracing engine keeps the header's trust map and its own copies
+    of the seeds; the baseline keeps nothing of the header."""
+    config = TraceHeader.from_trace(TRACE, {"root"})
+    engine = Engine(config, ExceptionStore())
+    assert not hasattr(engine, "config")
+    assert engine.users is config.users
+    snapshot = (config, config.users, config.files, config.processes)
+    lwm = LwmEngine(TRACE, config)
+    assert not any(value is part for value in vars(lwm).values() for part in snapshot)
+
+
+def test_a_login_as_an_unknown_user():
+    """The parser refuses an undeclared user, but a hand-built trace can
+    hold one: the tracing engine refuses it, and the baseline and the
+    oracle count it as untrusted."""
+    trace = Trace(TRACE.header, [Login(1, 1, "ghost")])
+    with pytest.raises(TraceError, match="^event 1: unknown user 'ghost'$"):
+        Engine(trace.header, ExceptionStore()).step(trace.events[0])
+    assert LwmEngine(trace)._low_pids == {1}
+    assert taint_oracle(trace, [Verdict.ALLOW]) == {"proc:1"}

@@ -64,7 +64,7 @@ class TestHeaderAndSnapshot:
 
     def test_comments_and_blanks_skipped(self):
         trace = parse_trace(HEADER + "# hello\n\n" + "USER root trusted=1\n")
-        assert [u.name for u in trace.header.users.values()] == ["root"]
+        assert list(trace.header.users) == ["root"]
 
     def test_duplicate_fid(self):
         text = SMALL + "FILE fid=3 path=/bin/cp perms=755 owner=root dir=0\n"
