@@ -13,26 +13,33 @@ else runs Unsecure, so the two cannot be combined contradictorily.
 Exit codes are a stable contract: 0 = ran with zero denials (for
 oracle-check: all runs matched), 1 = ran with at least one denial (or an
 oracle mismatch), 2 = usage, parse or configuration error.
+
+learn and enforce replay one parse block at a time and then drop it, so
+they never hold the whole trace's events. Their first error in this
+order is reported: trace read, parse, options/store/snapshot, engine,
+store write, report write. The other commands need the whole trace.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json  # noqa: F401  (unused here; perfbench/tracer.py times cli.json.dumps)
+import os
 import sys
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from . import scenarios
-from .errors import CumacError
+from .errors import ConfigError, CumacError, TraceError
 from .lwm import compare
-from .model import Copy, Create, entity_sort_key
+from .model import entity_sort_key
 from .oracle import export_taint_graph, taint_oracle
 from .randomtrace import random_trace
-from .replay import ReplayReport, replay, write_document
+from .replay import DecisionRows, Outcomes, ReplayReport, ReplayRun, replay, write_document
 from .store import EnvironmentBit, ExceptionStore
-from .trace import Trace, TraceHeader, collector_paused, parse_trace
+from .trace import Trace, TraceHeader, _Parser, collector_paused, decode_trace, parse_trace
 
 _OPTIONS: dict[str, dict[str, Any]] = {
     "--trace": {"metavar": "P", "help": "trace file to replay"},
@@ -84,15 +91,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_inputs(
     args: argparse.Namespace, store_required: bool = False
-) -> tuple[Trace, str, ExceptionStore, TraceHeader]:
-    """Load a replay command's trace and its name, then its store, then its
-    starting snapshot with any --trusted-users; a failure is a CumacError."""
+) -> tuple[str, str, ExceptionStore, set[str] | None]:
+    """Load a replay command's trace name and text, then its store and any
+    --trusted-users names; a failure is a CumacError, and one after the
+    text is read waits for the text to parse, as a parse error comes first."""
     if bool(args.trace) == bool(args.scenario):
         raise CumacError("exactly one of --trace or --scenario is required")
     if args.scenario:
         name = args.scenario
         try:
-            trace = scenarios.load_trace(name)
+            text = scenarios.load(name)
         except KeyError as exc:
             raise CumacError(str(exc.args[0])) from None
     else:
@@ -101,33 +109,146 @@ def _load_inputs(
             data = path.read_bytes()
         except OSError as exc:
             raise CumacError(f"cannot read trace {path}: {exc}") from None
-        trace, name = parse_trace(data), str(path)
+        name, text = str(path), decode_trace(data)
+        del data  # the bytes go once decoded
+    try:
+        if args.store and args.empty_store:
+            raise CumacError("--store and --empty-store are mutually exclusive")
+        if args.store:
+            path = Path(args.store)
+            try:
+                data = path.read_bytes()
+            except OSError as exc:
+                raise CumacError(f"cannot read store {path}: {exc}") from None
+            store = ExceptionStore.load(data)
+        elif store_required and not args.empty_store:
+            raise CumacError("this command needs --store P or an explicit --empty-store")
+        else:
+            store = ExceptionStore()
 
-    if args.store and args.empty_store:
-        raise CumacError("--store and --empty-store are mutually exclusive")
-    if args.store:
-        path = Path(args.store)
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise CumacError(f"cannot read store {path}: {exc}") from None
-        store = ExceptionStore.load(data)
-    elif store_required and not args.empty_store:
-        raise CumacError("this command needs --store P or an explicit --empty-store")
-    else:
-        store = ExceptionStore()
+        trusted: set[str] | None = None
+        if args.trusted_users:
+            path = Path(args.trusted_users)
+            try:
+                lines = path.read_bytes().decode("utf-8").split("\n")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CumacError(f"cannot read trusted-users file {path}: {exc}") from None
+            trusted = {
+                line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
+            }
+    except CumacError:
+        parse_trace(text)
+        raise
+    return name, text, store, trusted
 
-    trusted: set[str] | None = None
-    if args.trusted_users:
-        path = Path(args.trusted_users)
+
+def _load_trace(args: argparse.Namespace) -> tuple[Trace, str, ExceptionStore, TraceHeader]:
+    """The parsed trace of ``compare`` or ``graph``, its name, store and snapshot."""
+    name, text, store, trusted = _load_inputs(args)
+    trace = parse_trace(text)
+    return trace, name, store, TraceHeader.from_trace(trace, trusted)
+
+
+def _replay_blocks(
+    args: argparse.Namespace, mode: EnvironmentBit, out: _ReportOut, store_required: bool = False
+) -> tuple[str, ReplayReport, ExceptionStore, dict[str, int]]:
+    """Load the inputs of ``learn`` or ``enforce``, open ``out``, then per
+    parse block: step its events, write their rows and count their
+    outcomes into ``out``, and drop them. An engine error waits for the
+    rest of the text to parse, as a parse error comes first. Returns the
+    name, the report, the store and the parser's ``fid_by_path``."""
+    name, text, store, trusted = _load_inputs(args, store_required)
+    out.open()  # after the store is read, as --report may name it
+    parser = _Parser()
+    blocks = parser.blocks(text)
+    run = None
+    for events in blocks:
         try:
-            lines = path.read_bytes().decode("utf-8").split("\n")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CumacError(f"cannot read trusted-users file {path}: {exc}") from None
-        trusted = {
-            line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
-        }
-    return trace, name, store, TraceHeader.from_trace(trace, trusted_users=trusted)
+            if run is None:  # the header is complete at the first block
+                run = ReplayRun(TraceHeader.from_trace(Trace(parser.header), trusted), store, mode)
+            decisions = run.step(events)
+        except (ConfigError, TraceError):
+            for _ in blocks:
+                pass
+            raise
+        out.outcomes.add(events, decisions)
+        if out.rows is not None:
+            out.rows.add(events, decisions)
+        del events, decisions  # before the next block is parsed
+    label, fid_by_path = parser.header.label, parser.fid_by_path
+    del text, parser, blocks
+    return name, run.report(label, [], [], out.outcomes), store, fid_by_path
+
+
+class _ReportOut:
+    """The --report of ``learn`` and ``enforce`` and the outcome counts it
+    reads. A structured report is opened before the run and gets its
+    rows as the run goes; its first OSError is kept, and raised by
+    ``finish``, so that any earlier error in the order comes first. A
+    failed run leaves it truncated. A text report is written at the end,
+    and so is a structured one whose file the command also writes after
+    the run, stdout or learn's store (``held``), so that it comes last as
+    before."""
+
+    __slots__ = ("args", "stream", "error", "rows", "outcomes", "held")
+
+    def __init__(self, args: argparse.Namespace):
+        self.args, self.stream, self.error, self.rows, self.held = args, None, None, None, None
+        self.outcomes = Outcomes(keep_denials=bool(args.report) and args.format == "text")
+
+    def __enter__(self) -> "_ReportOut":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def open(self) -> None:
+        if self.args.report and self.args.format == "structured":
+            try:
+                self.stream = open(self.args.report, "w", encoding="utf-8")
+            except OSError as exc:
+                self.error = exc
+            else:
+                if _written_after_the_run(self.stream, self.args):
+                    self.held = io.StringIO()
+            self.rows = DecisionRows(self.held or self)
+
+    def write(self, text: str) -> None:
+        if self.error is None:
+            try:
+                self.stream.write(text)
+            except OSError as exc:
+                self.error = exc
+
+    def close(self) -> None:
+        stream, self.stream = self.stream, None
+        if stream is not None:
+            try:
+                stream.close()
+            except OSError as exc:
+                self.error = self.error or exc
+
+    def finish(self, report: ReplayReport) -> None:
+        if self.rows is None:
+            if self.args.report:
+                _write_file("report", self.args.report, report.to_text())
+            return
+        self.rows.close(report)
+        if self.held is not None:
+            self.write(self.held.getvalue())
+        self.close()
+        if self.error is not None:
+            raise CumacError(f"cannot write report {self.args.report}: {self.error}")
+
+
+def _written_after_the_run(stream: TextIO, args: argparse.Namespace) -> bool:
+    store_out = getattr(args, "store_out", None)
+    try:
+        return os.path.sameopenfile(stream.fileno(), 1) or bool(
+            store_out and os.path.samefile(store_out, args.report)
+        )
+    except OSError:  # no stdout, or no store file yet
+        return False
 
 
 def _write_stream(label: str, path: str, write: Callable[[TextIO], None]) -> None:
@@ -176,41 +297,38 @@ def _print_replay_summary(name: str, report: ReplayReport) -> None:
 def _cmd_learn(args: argparse.Namespace) -> int:
     if not args.store_out:
         raise CumacError("learn needs --store-out P (a writable store path)")
-    trace, name, store, config = _load_inputs(args)
-    report = replay(trace, EnvironmentBit.SECURE, store, config)
-    _annotate_key_paths(store, trace)
-    _write_file("store", args.store_out, store.save())
-    _print_replay_summary(name, report)
-    print(f"store written: {args.store_out}")
-    _emit_report(args, report.write_json, report.to_text)
+    with _ReportOut(args) as out:
+        name, report, store, fid_by_path = _replay_blocks(args, EnvironmentBit.SECURE, out)
+        _annotate_key_paths(store, fid_by_path)
+        _write_file("store", args.store_out, store.save())
+        _print_replay_summary(name, report)
+        print(f"store written: {args.store_out}")
+        out.finish(report)
     return 0 if report.deny_count == 0 else 1
 
 
-def _annotate_key_paths(store: ExceptionStore, trace: Trace) -> None:
+def _annotate_key_paths(store: ExceptionStore, fid_by_path: dict[str, int]) -> None:
     # Advisory path comments for human review of the saved store: a key is
-    # the fid of an executable in the snapshot or made by a create or copy.
-    paths = {f.fid: f.path for f in trace.header.files}
-    for ev in trace.events:
-        kind = type(ev)
-        if kind is Create:
-            paths.setdefault(ev.new_fid, ev.path)
-        elif kind is Copy:
-            paths.setdefault(ev.dst_fid, ev.dst_path)
-    for key in store.granted_keys():
-        if key in paths:
-            store.key_paths.setdefault(key, paths[key])
+    # the fid of an executable in the snapshot or made by a create or copy,
+    # and the parser maps the path of every such file to its fid.
+    keys = store.granted_keys()
+    for path, fid in fid_by_path.items():
+        if fid in keys:
+            store.key_paths.setdefault(fid, path)
 
 
 def _cmd_enforce(args: argparse.Namespace) -> int:
-    trace, name, store, config = _load_inputs(args, store_required=True)
-    report = replay(trace, EnvironmentBit.UNSECURE, store, config)
-    _print_replay_summary(name, report)
-    _emit_report(args, report.write_json, report.to_text)
+    with _ReportOut(args) as out:
+        name, report, _, _ = _replay_blocks(
+            args, EnvironmentBit.UNSECURE, out, store_required=True
+        )
+        _print_replay_summary(name, report)
+        out.finish(report)
     return 0 if report.deny_count == 0 else 1
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    trace, name, store, config = _load_inputs(args)
+    trace, name, store, config = _load_trace(args)
     result = compare(trace, store, config)
     print(f"trace: {name} ({result.label}), {result.event_count} events")
     print(f"cumac denials: {result.cumac_deny_count}, lwm denials: {result.lwm_deny_count}")
@@ -222,7 +340,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    trace, _, store, config = _load_inputs(args)
+    trace, _, store, config = _load_trace(args)
     report = replay(trace, EnvironmentBit.UNSECURE, store, config)
     dot = export_taint_graph(report, trace)
     if args.report:

@@ -91,10 +91,16 @@ class LwmEngine:
     nothing. It steps once per event, so each handler looks up its levels
     in place, raises ``_unknown``'s error for an id that is not live, and
     compares levels by identity. Its seed levels and its users' trust
-    come from ``config``, by default the trace's header."""
+    come from ``config``, by default the trace's header, which must pass
+    ``TraceHeader.validate`` as for ``Engine``; ``validated`` says that the
+    caller has already checked it."""
 
-    def __init__(self, trace: Trace, config: TraceHeader | None = None):
+    def __init__(
+        self, trace: Trace, config: TraceHeader | None = None, *, validated: bool = False
+    ):
         config = config or trace.header
+        if not validated:
+            config.validate()
         self.subject_levels: dict[int, IntegrityLevel] = {}
         self.object_levels: dict[int, IntegrityLevel] = {}
         self._fid_by_path: dict[str, int] = {}
@@ -368,8 +374,8 @@ def compare(
         store = ExceptionStore()
     config = config or trace.header
     with collector_paused():
-        cumac_engine = Engine(config, store)
-        lwm_engine = LwmEngine(trace, config)
+        cumac_engine = Engine(config, store)  # validates the snapshot for both
+        lwm_engine = LwmEngine(trace, config, validated=True)
         verdicts: list[tuple[Verdict, Verdict]] = []
         lwm_only: list[int] = []
         both: list[int] = []

@@ -88,17 +88,20 @@ def taint_oracle(
     the entities reached so far. ``verdicts`` is the verdict sequence of
     the run under test, one per event; ``config`` is the snapshot that run
     started from (its users' trust flags and its seed files), by default
-    the trace's header. The cyclic garbage collector is paused during the
-    pass, then left as it was found: what the pass keeps holds no
-    reference cycles and is freed, in its own frame, before the collector
-    resumes.
+    the trace's header, and is refused as ``Engine`` refuses it
+    (``TraceHeader.validate``). The cyclic garbage collector is paused
+    during the pass, then left as it was found: what the pass keeps holds
+    no reference cycles and is freed, in its own frame, before the
+    collector resumes.
     An allowed event of a kind that neither engine knows, or one that
     names a fid no file carries, raises ``TraceError``, as the engines do.
     """
     if len(verdicts) != len(trace.events):
         raise ValueError("one verdict per event is required")
+    config = config or trace.header
+    config.validate()
     with collector_paused():
-        return _reached_entities(trace, verdicts, config or trace.header)
+        return _reached_entities(trace, verdicts, config)
 
 
 def _reached_entities(trace: Trace, verdicts: Sequence[Verdict], snapshot: TraceHeader) -> set[str]:

@@ -3,9 +3,13 @@
 A replay is deterministic: the same trace, config and store contents yield
 the same decision log byte for byte. In Secure mode the store is augmented
 with learned exceptions; in Unsecure mode it is strictly read-only. The
-engine keeps no log: the replay loop collects each step's decision, and
-the report keeps that list beside the trace's own list of events, the
-``i``-th decision for the ``i``-th event.
+engine keeps no log. A ``ReplayRun`` steps a list of events through the
+engine and returns their decisions: ``replay`` runs it once over the
+trace's whole list, and its report keeps the decisions beside the trace's
+own list of events, the ``i``-th decision for the ``i``-th event. The CLI's
+``learn`` and ``enforce`` run it once per parse block, write the block's
+decision rows (``DecisionRows``), add its outcomes to running counts
+(``Outcomes``) and drop it, so their report keeps no events or decisions.
 
 ``write_document`` streams a structured report, small sections and one
 row section, to a text stream without building it: its bytes equal
@@ -14,11 +18,13 @@ section goes through ``json.dumps`` alone, and the rows are rendered from
 strings prepared once per event kind and outcome and written
 ``_BLOCK_ROWS`` at a time. So writing a report holds one block of rows,
 not a second copy of the report, nor a third as encoded bytes. The replay
-report here and the comparison report in ``lwm`` share this writer.
+report here and the comparison report in ``lwm`` share this writer; a
+replay report's rows come first in key order, so ``DecisionRows`` can
+write them while the run goes, before its summary is known.
 
-Timing covers the engine loop alone, on a monotonic clock.
-``wall_seconds`` is the loop's wall time and ``events_per_second`` is the
-event count divided by it, so every pause inside the loop lowers the
+Timing covers the engine loops alone, on a monotonic clock.
+``wall_seconds`` is the loops' wall time and ``events_per_second`` is the
+event count divided by it, so every pause inside a loop lowers the
 throughput. ``median_us``, ``mean_us`` and ``max_us`` summarise the time of
 each ``Engine.step`` call; only the median resists a stray slow event.
 
@@ -27,15 +33,16 @@ the assembly of the report, and then restored to its prior state
 (``trace.collector_paused``, which also says what the pause defers). A
 replay makes no reference cycles: the engine keeps its handler table at
 class level, so it holds no bound method that refers back to it, and it
-is freed by reference counting when the call returns. Collections there
-would reclaim nothing; they would only walk the trace and the collected
-decisions, again and again as both grow. After the loop, the timing
-stats and the final taint come from C-level passes (one ``sorted`` of the
-step times, one of the tainted entities) rather than a Python loop per
-event. The outcome counts are not taken there: a report derives them from
-its decisions on first read, in C-level passes (``map``,
-``operator.countOf``, ``itertools.compress``), and keeps them, so a caller
-that never reads them never pays for them.
+is freed by reference counting once the report has read it. Collections
+there would reclaim nothing; they would only walk the trace and the
+collected decisions, again and again as both grow. After the loop, the
+timing stats and the final taint come from C-level passes (one ``sorted``
+of the step times, one of the tainted entities) rather than a Python loop
+per event. The outcome counts are taken the same way (``map``,
+``operator.countOf``, ``itertools.compress``, ``bytearray.count``): the
+CLI keeps one verdict byte per decision block by block, a library report
+takes them from its decisions on first read, and either counts the
+allows once, so a caller that never reads them never pays for them.
 """
 
 from __future__ import annotations
@@ -45,13 +52,12 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from json.encoder import encode_basestring_ascii
 from itertools import compress, repeat
 from operator import attrgetter, countOf, is_
 from statistics import fmean
 from time import perf_counter, perf_counter_ns
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Iterable, TextIO
 
 from .engine import Engine
 from .model import (
@@ -134,16 +140,17 @@ def _taint_updates_json(updates: tuple) -> str:
 
 
 def _write_rows_json(
-    events: list[Event], decisions: list[Decision], write: Callable[[str], Any]
+    events: list[Event], decisions: list[Decision], write: Callable[[str], Any], written: int
 ) -> None:
-    """Write the JSON text of the ``decisions`` list, ``_BLOCK_ROWS`` rows
-    joined per write."""
+    """Write the JSON text of the rows of ``decisions`` that follow
+    ``written`` rows already written, ``_BLOCK_ROWS`` rows joined per
+    write; the list's opening comes before the first row."""
     rows = _ROW_JSON
     fast = _ARG_JSON_BY_TYPE
     outcomes = _OUTCOME_JSON
     updates_key = f',{_ROW}"taint_updates": '
     for start in range(0, len(events), _BLOCK_ROWS):
-        parts = ["," if start else "["]
+        parts = ["," if start or written else "["]
         append = parts.append
         block = zip(events[start : start + _BLOCK_ROWS], decisions[start : start + _BLOCK_ROWS])
         for index, (ev, decision) in enumerate(block):
@@ -163,7 +170,6 @@ def _write_rows_json(
             append(_taint_updates_json(updates) if updates else "[]")
             append(tail)
         write("".join(parts))
-    write("\n  ]" if events else "[]")
 
 
 _VERDICT_ROW_JSON: dict[tuple[type, Verdict, Verdict], str] = {
@@ -192,13 +198,15 @@ def _write_verdict_rows_json(
     write("\n  ]" if events else "[]")
 
 
-def write_document(stream: TextIO, sections: dict[str, Any]) -> None:
+def write_document(stream: TextIO, sections: dict[str, Any], continued: bool = False) -> None:
     """Write ``sections`` as a JSON document to ``stream``, byte for byte
     ``json.dumps(sections, sort_keys=True, indent=2) + "\n"``. A section
     whose value is callable is a row section: it is handed
-    ``stream.write`` and writes its JSON list itself."""
+    ``stream.write`` and writes its JSON list itself. With ``continued``,
+    the document's opening and the sections that sort before these are
+    already written (``DecisionRows``), and these follow them."""
     write = stream.write
-    opening = "{"
+    opening = "," if continued else "{"
     for name in sorted(sections):
         write(f"{opening}\n  {encode_basestring_ascii(name)}: ")
         opening = ","
@@ -260,12 +268,77 @@ class TimingStats:
         }
 
 
+_VERDICT = attrgetter("verdict")
+_REASON = attrgetter("reason")
+
+
+_VERDICT_CODE = {Verdict.ALLOW: 0, Verdict.ALLOW_BY_EXCEPTION: 1, Verdict.DENY: 2}
+"""The byte that stands for each verdict in ``Outcomes.verdicts``."""
+
+
+def _outcome_counts(verdicts: bytearray) -> tuple[int, int]:
+    """Allows and allows by exception among ``verdicts``, one
+    ``_VERDICT_CODE`` per decision, counted in C-level passes."""
+    return verdicts.count(_VERDICT_CODE[Verdict.ALLOW]), verdicts.count(
+        _VERDICT_CODE[Verdict.ALLOW_BY_EXCEPTION]
+    )
+
+
+def _denied(items: Iterable, decisions: list[Decision]) -> compress:
+    """The items whose decision, at the same index, is a denial."""
+    return compress(items, map(is_, map(_VERDICT, decisions), repeat(Verdict.DENY)))
+
+
+class Outcomes:
+    """Decisions counted by outcome. ``add`` takes a list of them at a
+    time, for the CLI one parse block: it keeps each verdict as one byte
+    (``verdicts``), counts the denials per reason and, if
+    ``keep_denials``, keeps each denial with its event (else ``denials`` is
+    None; a text report lists them). The allows and allows by exception
+    are counted once, at the first read after the last ``add``. The
+    totals always equal the event count."""
+
+    __slots__ = ("verdicts", "denies_by_reason", "denials", "_counts")
+
+    def __init__(self, keep_denials: bool = True):
+        self.verdicts = bytearray()
+        self.denies_by_reason: dict[str, int] = {}
+        self.denials: list[tuple[Event, Decision]] | None = [] if keep_denials else None
+        self._counts: tuple[int, int] | None = None
+
+    def add(self, events: list[Event], decisions: list[Decision]) -> None:
+        """Add ``decisions``, one per event of ``events``, in C-level
+        passes: the verdicts, then the denials' reasons per reason."""
+        start = len(self.verdicts)
+        self.verdicts.extend(map(_VERDICT_CODE.__getitem__, map(_VERDICT, decisions)))
+        if self.verdicts.find(_VERDICT_CODE[Verdict.DENY], start) >= 0:
+            reasons = list(map(_REASON, _denied(decisions, decisions)))
+            by_reason = self.denies_by_reason
+            for reason in DENIED:
+                count = countOf(reasons, reason)
+                if count:
+                    by_reason[reason.value] = by_reason.get(reason.value, 0) + count
+            if self.denials is not None:
+                self.denials += _denied(zip(events, decisions), decisions)
+
+    def counts(self) -> tuple[int, int]:
+        """Allows and allows by exception."""
+        if self._counts is None:
+            self._counts = _outcome_counts(self.verdicts)
+        return self._counts
+
+
 @dataclass(slots=True)
 class ReplayReport(StructuredReport):
-    """Everything one replay produced: the trace's own list of events, the
-    decision for each, final taint set, counters and timing. The outcome
-    counters are derived from the decisions on first read; their totals
-    always equal the event count."""
+    """Everything one replay produced: the trace's events and the decision
+    for each, when the report keeps them, the outcome counts, final taint
+    set and timing.
+
+    A library ``replay`` keeps the trace's own list of events beside the
+    loop's list of decisions, and derives ``outcomes`` from them on first
+    read. A CLI ``learn`` or ``enforce`` keeps neither list: it counts the
+    outcomes and writes the decision rows a parse block at a time, as it
+    steps them (``DecisionRows``)."""
 
     mode: EnvironmentBit
     label: str
@@ -274,48 +347,48 @@ class ReplayReport(StructuredReport):
     final_taint: list[str]
     learned_exceptions: int
     timing: TimingStats = field(default_factory=TimingStats)
-    _counts: tuple[int, int, dict[str, int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    """The outcome counts, taken from ``decisions`` on first read: a
-    report's decisions do not change after its replay."""
-
-    @property
-    def event_count(self) -> int:
-        return len(self.events)
+    outcomes: Outcomes | None = field(default=None, repr=False, compare=False)
+    """The outcome counts, taken from ``decisions`` on first read when not
+    given: a report's decisions do not change after its replay."""
 
     @property
     def log(self) -> list[tuple[Event, Decision]]:
         """The ``(event, decision)`` pairs, built anew on each read."""
         return list(zip(self.events, self.decisions))
 
-    def _outcomes(self) -> tuple[int, int, dict[str, int]]:
-        counts = self._counts
-        if counts is None:
-            counts = self._counts = _outcome_counts(self.decisions)
-        return counts
+    def _outcomes(self) -> Outcomes:
+        outcomes = self.outcomes
+        if outcomes is None:
+            outcomes = self.outcomes = Outcomes()
+            outcomes.add(self.events, self.decisions)
+        return outcomes
+
+    @property
+    def event_count(self) -> int:
+        return len(self._outcomes().verdicts)
 
     @property
     def allows(self) -> int:
         """Decisions that allowed their event outright."""
-        return self._outcomes()[0]
+        return self._outcomes().counts()[0]
 
     @property
     def exception_allows(self) -> int:
         """Decisions that allowed their event by an exception grant."""
-        return self._outcomes()[1]
+        return self._outcomes().counts()[1]
 
     @property
     def denies_by_reason(self) -> dict[str, int]:
         """Denials per reason value, for the reasons that occur."""
-        return self._outcomes()[2]
+        return self._outcomes().denies_by_reason
 
     @property
     def deny_count(self) -> int:
         return sum(self.denies_by_reason.values())
 
-    def denials(self) -> list[tuple[Event, Decision]]:
-        return [(ev, d) for ev, d in zip(self.events, self.decisions) if d.verdict is Verdict.DENY]
+    def denials(self) -> list[tuple[Event, Decision]] | None:
+        """Each denial with its event, None if the run did not keep them."""
+        return self._outcomes().denials
 
     def to_structured(self) -> dict[str, Any]:
         """The report's sections but its decision rows."""
@@ -337,8 +410,9 @@ class ReplayReport(StructuredReport):
     def write_json(self, stream: TextIO) -> None:
         """Stream the structured report into ``stream``, decisions and all,
         holding no more than a block of decision rows."""
-        rows = partial(_write_rows_json, self.events, self.decisions)
-        write_document(stream, {**self.to_structured(), "decisions": rows})
+        rows = DecisionRows(stream)
+        rows.add(self.events, self.decisions)
+        rows.close(self)
 
     def to_text(self) -> str:
         lines = [
@@ -373,28 +447,88 @@ class ReplayReport(StructuredReport):
         return "\n".join(lines) + "\n"
 
 
-_VERDICT = attrgetter("verdict")
-_REASON = attrgetter("reason")
+class DecisionRows:
+    """The structured form of a replay report, written into a text stream
+    as the replay goes: ``add`` writes the decision rows of a list of
+    events, and ``close`` ends the rows and writes the report's other
+    sections. ``decisions`` is the first section in key order, so its rows
+    go out before the summary is known; the bytes are those of
+    ``write_document`` with every row at once."""
+
+    __slots__ = ("write", "rows")
+
+    def __init__(self, stream: TextIO):
+        self.write = stream.write
+        self.rows = 0
+        self.write('{\n  "decisions": ')
+
+    def add(self, events: list[Event], decisions: list[Decision]) -> None:
+        _write_rows_json(events, decisions, self.write, self.rows)
+        self.rows += len(events)
+
+    def close(self, report: ReplayReport) -> None:
+        self.write("\n  ]" if self.rows else "[]")
+        write_document(self, report.to_structured(), continued=True)
 
 
-def _outcome_counts(decisions: list[Decision]) -> tuple[int, int, dict[str, int]]:
-    """Allows, allows by exception and denials per reason value, counted in
-    C-level passes: one over the verdicts per verdict that occurs, and one
-    over the denials' reasons per reason."""
-    n = len(decisions)
-    allows = countOf(map(_VERDICT, decisions), Verdict.ALLOW)
-    exception_allows = 0
-    if allows < n:
-        exception_allows = countOf(map(_VERDICT, decisions), Verdict.ALLOW_BY_EXCEPTION)
-    denies: dict[str, int] = {}
-    if allows + exception_allows < n:
-        denied = compress(decisions, map(is_, map(_VERDICT, decisions), repeat(Verdict.DENY)))
-        reasons = list(map(_REASON, denied))
-        for reason in DENIED:
-            count = countOf(reasons, reason)
-            if count:
-                denies[reason.value] = count
-    return allows, exception_allows, denies
+class ReplayRun:
+    """One replay under way: an engine started from ``config`` in ``mode``
+    with ``store``, and the time of each of its steps. ``step`` runs a list
+    of events through the engine, a trace's whole list for ``replay`` or
+    one parse block at a time for the CLI, and ``report`` sums the run up.
+
+    Timing covers the engine loops alone: ``wall`` adds up the wall time
+    of each ``step`` call's loop."""
+
+    __slots__ = ("engine", "learned_before", "durations", "wall")
+
+    def __init__(self, config: TraceHeader, store: ExceptionStore, mode: EnvironmentBit):
+        self.engine = Engine(config, store, mode)
+        self.learned_before = store.triple_count()
+        self.durations = array("q")
+        self.wall = 0.0
+
+    def step(self, events: list[Event]) -> list[Decision]:
+        """The engine's decision for each of ``events``, stepped in order.
+        A trace error propagates with the offending sequence number."""
+        append_duration = self.durations.append
+        decisions: list[Decision] = []
+        append_decision = decisions.append
+        step = self.engine.step
+        wall_start = perf_counter()
+        for ev in events:
+            t0 = perf_counter_ns()
+            decision = step(ev)
+            append_duration(perf_counter_ns() - t0)
+            append_decision(decision)
+        self.wall += perf_counter() - wall_start
+        return decisions
+
+    def report(
+        self,
+        label: str,
+        events: list[Event],
+        decisions: list[Decision],
+        outcomes: Outcomes | None = None,
+    ) -> ReplayReport:
+        """The report of the run, keeping ``events`` and ``decisions``, both
+        empty for a run whose ``outcomes`` were counted as it went. It ends
+        the run: the engine is let go once its final taint and learned
+        grants are read, before the step times are summed up."""
+        engine, self.engine = self.engine, None
+        mode, final_taint = engine.mode, engine.sorted_taint()
+        learned = engine.store.triple_count() - self.learned_before
+        del engine
+        return ReplayReport(
+            mode=mode,
+            label=label,
+            events=events,
+            decisions=decisions,
+            final_taint=final_taint,
+            learned_exceptions=learned,
+            timing=TimingStats.of_steps(self.durations, self.wall),
+            outcomes=outcomes,
+        )
 
 
 def replay(
@@ -403,7 +537,8 @@ def replay(
     store: ExceptionStore | None = None,
     config: TraceHeader | None = None,
 ) -> ReplayReport:
-    """Replay a trace in the given environment.
+    """Replay a trace in the given environment: one ``ReplayRun`` step
+    over the trace's whole list of events.
 
     The engine starts from ``config``, by default the trace's header, and
     runs in ``mode`` for the whole replay: Secure adds what it learns to
@@ -417,33 +552,10 @@ def replay(
     """
     if store is None:
         store = ExceptionStore()
-    config = config or trace.header
     with collector_paused():
-        engine = Engine(config, store, mode)
-        learned_before = store.triple_count()
-
-        durations = array("q")
-        append_duration = durations.append
-        decisions: list[Decision] = []
-        append_decision = decisions.append
-        step = engine.step
-        wall_start = perf_counter()
-        for ev in trace.events:
-            t0 = perf_counter_ns()
-            decision = step(ev)
-            append_duration(perf_counter_ns() - t0)
-            append_decision(decision)
-        wall = perf_counter() - wall_start
-
-        return ReplayReport(
-            mode=mode,
-            label=trace.header.label,
-            events=trace.events,
-            decisions=decisions,
-            final_taint=engine.sorted_taint(),
-            learned_exceptions=store.triple_count() - learned_before,
-            timing=TimingStats.of_steps(durations, wall),
-        )
+        run = ReplayRun(config or trace.header, store, mode)
+        decisions = run.step(trace.events)
+        return run.report(trace.header.label, trace.events, decisions)
 
 
 def learn(trace: Trace, store: ExceptionStore | None = None, config: TraceHeader | None = None) -> tuple[ReplayReport, ExceptionStore]:

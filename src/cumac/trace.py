@@ -71,6 +71,13 @@ each number has one spelling; ``int`` would also read other scripts'
 digits and padded ones. The parser hands every event one shared object
 per distinct number, owner, peer, permission string and user name.
 
+The parser reads the text one block of lines at a time (``_line_blocks``,
+about 4 KiB each) and hands out each block's events together
+(``_Parser.blocks``), numbered on from the blocks before it. So the lines
+of the whole text never exist at once. ``parse_trace`` joins the blocks
+into one list; the CLI's ``learn`` and ``enforce`` replay each block and
+drop it, so they never hold the events of the whole trace either.
+
 Parsing is total: arbitrary bytes yield either a Trace or a positioned
 TraceParseError, never a crash.
 """
@@ -81,7 +88,6 @@ import gc
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Any, Callable, Iterator
 
 from .errors import ConfigError, PermsFormatError, TraceParseError
@@ -147,11 +153,11 @@ class TraceHeader:
         shares the trace's file and process lists and whose trust flags
         ``trusted_users`` overrides entirely: exactly the listed names are
         trusted, and listed names missing from the header are added as
-        known users."""
+        known users, after the header's own, in sorted order."""
         header = trace.header
         if trusted_users is None:
             return header
-        users = dict.fromkeys(header.users, False) | dict.fromkeys(trusted_users, True)
+        users = dict.fromkeys(header.users, False) | dict.fromkeys(sorted(trusted_users), True)
         return cls(users, header.files, header.processes, header.label)
 
     def validate(self) -> None:
@@ -196,11 +202,14 @@ class Trace:
 
 
 class _Parser:
-    """Single-pass parser with static reference validation."""
+    """Single-pass parser with static reference validation. ``blocks``
+    hands out the events a block at a time: ``events`` holds those of the
+    current block and ``seq`` counts those of the blocks before it."""
 
     def __init__(self) -> None:
         self.header = TraceHeader()
         self.events: list[Event] = []
+        self.seq = 0
         # Numbers that passed ``uint``, mapped to one shared value each.
         self.ints: dict[str, int] = {}
         self.pids: set[int] = set()
@@ -375,7 +384,7 @@ class _Parser:
         """Read one line. An event line is only split: its verb and its
         value texts in ``_EVENTS`` order are returned, for the caller's
         checker to check and append. Any other line is read whole. An
-        event line that fails ends the parse, so once ``events`` has one,
+        event line that fails ends the parse, so once an event is parsed,
         no snapshot line may follow."""
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -394,7 +403,7 @@ class _Parser:
             fields = self.split_fields(line_no, verb, tokens[1:], spec)
             return verb, [fields[key] for key in spec]
         if verb == "LABEL" or verb in _SNAPSHOT_FIELDS:
-            if self.events:
+            if self.events or self.seq:
                 raise TraceParseError(line_no, f"snapshot line {verb} after first event")
             self.snapshot_line(line_no, verb, tokens[1:])
             return None
@@ -453,6 +462,47 @@ class _Parser:
             self.pids.add(pid)
             self.header.processes.append(ProcessRecord(pid=pid, key=key, user=user))
 
+    # -- blocks -------------------------------------------------------------------
+
+    def blocks(self, text: str) -> Iterator[list[Event]]:
+        """The events of ``text``, one list per line block (``_line_blocks``)
+        that has any, with ``seq`` counted on across blocks, or one empty
+        list for a trace without events. The header is complete at the
+        first list, as no snapshot line may follow an event, and
+        ``fid_by_path`` then maps the path of every file made so far to
+        its id. A bad line raises its positioned TraceParseError when its
+        block is read."""
+        # The checkers hold the parser, so the parser must not hold them:
+        # that would make a reference cycle. They go with this generator.
+        checkers = _checkers(self)
+        events = self.events
+        feed = self.feed
+        canonical = _CANONICAL.get
+        line_no = 0
+        for lines in _line_blocks(text):
+            numbered = enumerate(lines, line_no + 1)
+            if not self.saw_header:
+                for line_no, line in numbered:
+                    feed(line_no, line)
+                    if self.saw_header:
+                        break
+            for line_no, line in numbered:
+                verb, _, rest = line.partition(" ")
+                fullmatch = canonical(verb)
+                if fullmatch is not None and (found := fullmatch(rest)):
+                    checkers[verb](line_no, found.groups())
+                elif (event := feed(line_no, line)) is not None:
+                    checkers[event[0]](line_no, event[1])
+            del lines, numbered  # the block's line strings go before it is used
+            if events:
+                self.seq += len(events)
+                yield events.copy()
+                events.clear()  # so the parser holds no block while it reads the next
+        if not self.saw_header:
+            raise TraceParseError(0, f"missing format header {FORMAT_HEADER!r}")
+        if not self.seq:
+            yield []
+
 
 _EVENTS: dict[str, tuple[type[Event], dict[str, tuple[str, Callable[..., Any]]]]] = {
     "FORK": (Fork, {"parent": ("parent_pid", _Parser.pid),
@@ -508,7 +558,9 @@ def _checkers_source() -> str:
     verb for one parse. A checker takes the line number and the line's
     value texts in ``_EVENTS`` order, runs the field checks in that order
     (skipping the ones its tables show the token passes), and appends the
-    event. A check that runs gets the values read before it on the line."""
+    event to ``parser.events``, the current block, numbered on from the
+    ``parser.seq`` events of the blocks before it. A check that runs gets
+    the values read before it on the line."""
     checks = sorted({check.__name__ for _, spec in _EVENTS.values() for _, check in spec.values()})
     lines = [
         "def _checkers(parser):",
@@ -544,7 +596,7 @@ def _checkers_source() -> str:
                 ]
             else:
                 lines.append(f"        {attr} = {run}")
-        values = ["len(events) + 1", *attrs, *([_WRITES[cls]] if cls in _WRITES else [])]
+        values = ["parser.seq + len(events) + 1", *attrs, *([_WRITES[cls]] if cls in _WRITES else [])]
         lines.append(f"        append({cls.__name__}({', '.join(values)}))")
     lines.append(f"    return {{{', '.join(f'{verb!r}: {verb}' for verb in _EVENTS)}}}")
     return "\n".join(lines) + "\n"
@@ -607,9 +659,13 @@ class collector_paused:
             gc.enable()
 
 
-_PARSE_BLOCK = 64 * 1024
-"""Characters of trace text that ``parse_trace`` splits into lines at a
-time, so that the lines of the whole text never exist at once."""
+_PARSE_BLOCK = 4 * 1024
+"""Characters of trace text that the parser splits into lines at a time,
+so that the lines of the whole text never exist at once; the events of
+one such block are handed out together. A streamed run holds one block's
+lines, events and rows beside the text and the engine state, so a small
+block (about 125 lines) keeps that share small; it costs a few
+microseconds of bookkeeping per block."""
 
 
 def _line_blocks(data: str) -> Iterator[list[str]]:
@@ -625,42 +681,32 @@ def _line_blocks(data: str) -> Iterator[list[str]]:
         start = end + 1
 
 
+def decode_trace(data: str | bytes) -> str:
+    """Trace text from ``data``: UTF-8 bytes are decoded, or a positioned
+    TraceParseError is raised."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise TraceParseError(line, f"document is not valid UTF-8 at byte {exc.start}") from None
+
+
 def parse_trace(data: str | bytes) -> Trace:
-    """Parse trace text into a Trace, or raise a positioned TraceParseError.
+    """Parse trace text into a Trace, or raise a positioned TraceParseError:
+    the events of ``_Parser.blocks`` joined into one list.
 
     The cyclic garbage collector is paused while the lines are read and
     then left as it was found: parsing makes no reference cycles, so
-    collections would only walk the growing event list again and again.
-    The text is split into lines one block at a time (``_line_blocks``),
-    so a long trace never has all its line strings at once."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data[: exc.start].count(b"\n") + 1
-            raise TraceParseError(line, f"document is not valid UTF-8 at byte {exc.start}") from None
+    collections would only walk the growing event list again and again."""
+    text = decode_trace(data)
     parser = _Parser()
-    # The checkers hold the parser, so the parser must not hold them: that
-    # would make a reference cycle. They go when this call returns.
-    checkers = _checkers(parser)
-    feed = parser.feed
-    canonical = _CANONICAL.get
-    lines = enumerate(chain.from_iterable(_line_blocks(data)), start=1)
+    events: list[Event] = []
     with collector_paused():
-        for line_no, line in lines:  # up to the header
-            feed(line_no, line)
-            if parser.saw_header:
-                break
-        for line_no, line in lines:
-            verb, _, rest = line.partition(" ")
-            fullmatch = canonical(verb)
-            if fullmatch is not None and (found := fullmatch(rest)):
-                checkers[verb](line_no, found.groups())
-            elif (event := feed(line_no, line)) is not None:
-                checkers[event[0]](line_no, event[1])
-    if not parser.saw_header:
-        raise TraceParseError(0, f"missing format header {FORMAT_HEADER!r}")
-    return Trace(parser.header, parser.events)
+        for block in parser.blocks(text):
+            events += block
+    return Trace(parser.header, events)
 
 
 def render_event(ev: Event) -> str:

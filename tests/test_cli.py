@@ -218,21 +218,50 @@ class TestOracleCheck:
         ]
 
 
+def _kept_run(reports: list) -> type:
+    """A replay run that keeps every event it steps and every decision, and
+    hands them to the report it makes, appended to ``reports``, as a
+    library replay does: the CLI's own runs drop each parse block once its
+    rows are written."""
+
+    class KeptRun(cli.ReplayRun):
+        __slots__ = ("kept",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.kept = ([], [])
+
+        def step(self, events):
+            decisions = super().step(events)
+            self.kept[0].extend(events)
+            self.kept[1].extend(decisions)
+            return decisions
+
+        def report(self, label, events=None, decisions=None, outcomes=None):
+            reports.append(super().report(label, *self.kept, outcomes))
+            return reports[-1]
+
+    return KeptRun
+
+
 class TestReportFiles:
     """The structured report a command streams into its file is byte for
     byte the json.dumps of the document of the report it made."""
 
     def assert_report_is_the_json_dump(
-        self, capsys, tmp_path, monkeypatch, argv, code, maker="replay"
+        self, capsys, tmp_path, monkeypatch, argv, code, maker="ReplayRun"
     ):
         reports = []
-        real_maker = getattr(cli, maker)
+        if maker == "ReplayRun":  # learn and enforce make their report through a run
+            monkeypatch.setattr(cli, maker, _kept_run(reports))
+        else:
+            real_maker = getattr(cli, maker)
 
-        def kept_maker(*args, **kwargs):
-            reports.append(real_maker(*args, **kwargs))
-            return reports[-1]
+            def kept_maker(*args, **kwargs):
+                reports.append(real_maker(*args, **kwargs))
+                return reports[-1]
 
-        monkeypatch.setattr(cli, maker, kept_maker)
+            monkeypatch.setattr(cli, maker, kept_maker)
         report_path = tmp_path / "report.json"
         result = run_cli(capsys, *argv, "--format", "structured", "--report", str(report_path))
         assert result[0] == code

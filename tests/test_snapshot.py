@@ -3,10 +3,15 @@ and the oracle all start from the header they are handed, by default the
 trace's own, and ``TraceHeader.from_trace`` overrides only the trust
 flags."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cumac import EngineConfig, TraceHeader
-from cumac.errors import TraceError
+from cumac.errors import ConfigError, TraceError
 from cumac.engine import Engine
 from cumac.lwm import LwmEngine, compare
 from cumac.model import FileRecord, Login, PermissionBits, RemoteComm, Verdict, Write
@@ -56,6 +61,23 @@ class TestFromTrace:
         assert TRACE.header.users == {
             "root": True, "alice": True, "mallory": False,
         }
+
+    def test_added_names_follow_in_sorted_order_under_any_hash_seed(self):
+        code = (
+            "from cumac.trace import Trace, TraceHeader, render_trace\n"
+            "trace = Trace(TraceHeader({'root': True}))\n"
+            "header = TraceHeader.from_trace(trace, {'e', 'c', 'a', 'd', 'b'})\n"
+            "text = render_trace(Trace(header))\n"
+            "print(*(line.split()[1] for line in text.splitlines() if line.startswith('USER ')))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        for hash_seed in ("0", "4242"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+            run = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, check=True, timeout=60,
+            )
+            assert run.stdout == "root a b c d e\n"
 
 
 @pytest.mark.parametrize(
@@ -137,3 +159,48 @@ def test_a_login_as_an_unknown_user():
         Engine(trace.header, ExceptionStore()).step(trace.events[0])
     assert LwmEngine(trace)._low_pids == {1}
     assert taint_oracle(trace, [Verdict.ALLOW]) == {"proc:1"}
+
+
+ROOT_DIR = FileRecord(1, "/", PermissionBits.parse("755"), is_directory=True)
+TOOL = FileRecord(2, "/tool", PermissionBits.parse("755"))
+
+
+@pytest.mark.parametrize(
+    "files, message",
+    [
+        (
+            [ROOT_DIR, TOOL, FileRecord(2, "/other", PermissionBits.parse("755"))],
+            "duplicate fid 2 in initial snapshot",
+        ),
+        (
+            [ROOT_DIR, FileRecord(2, "/tool", PermissionBits.parse("755"), on_mobile_mount=True)],
+            "seed file 2 must not start flagged mobile",
+        ),
+    ],
+    ids=["duplicate-fid", "seed-flagged-mobile"],
+)
+def test_every_consumer_refuses_a_snapshot_the_engine_refuses(files, message):
+    header = TraceHeader(TRACE.header.users, files, TRACE.header.processes)
+    trace = Trace(header, [RemoteComm(1, 1, "203.0.113.7")])
+    pattern = f"^{message}$"
+    with pytest.raises(ConfigError, match=pattern):
+        Engine(header, ExceptionStore())
+    with pytest.raises(ConfigError, match=pattern):
+        LwmEngine(trace)
+    with pytest.raises(ConfigError, match=pattern):
+        taint_oracle(trace, [Verdict.ALLOW])
+    with pytest.raises(ConfigError, match=pattern):
+        compare(trace)
+
+
+def test_compare_validates_the_snapshot_once(monkeypatch):
+    calls = []
+    validate = TraceHeader.validate
+
+    def counted(header):
+        calls.append(header)
+        validate(header)
+
+    monkeypatch.setattr(TraceHeader, "validate", counted)
+    compare(TRACE)
+    assert calls == [TRACE.header]

@@ -249,10 +249,14 @@ class TestSavedBytes:
             "from cumac.cli import _annotate_key_paths\n"
             "from cumac.randomtrace import random_trace\n"
             "from cumac.replay import learn\n"
+            "from cumac.trace import _Parser, render_trace\n"
             "from test_store import reference_save\n"
             "trace = random_trace(seed=5, events=2000)\n"
             "_, store = learn(trace)\n"
-            "_annotate_key_paths(store, trace)\n"
+            "parser = _Parser()\n"
+            "for _ in parser.blocks(render_trace(trace)):\n"
+            "    pass\n"
+            "_annotate_key_paths(store, parser.fid_by_path)\n"
             "saved = store.save()\n"
             "assert saved == reference_save(store)\n"
             "print(saved, end='')\n"
