@@ -12,12 +12,19 @@ else runs Unsecure, so the two cannot be combined contradictorily.
 
 Exit codes are a stable contract: 0 = ran with zero denials (for
 oracle-check: all runs matched), 1 = ran with at least one denial (or an
-oracle mismatch), 2 = usage, parse or configuration error.
+oracle mismatch), 2 = usage, parse or configuration error, or an output
+that could not be written (a closed stdout included).
 
 learn and enforce replay one parse block at a time and then drop it, so
 they never hold the whole trace's events. Their first error in this
 order is reported: trace read, parse, options/store/snapshot, engine,
 store write, report write. The other commands need the whole trace.
+
+An output path that is the file behind stdout (/dev/stdout, or the file
+stdout is redirected to) is never opened: what it would get is written
+through stdout, a report after the summary. The modules that only compare, graph and
+oracle-check use (lwm, oracle, randomtrace) are imported by those
+commands, so that learn and enforce start without them.
 """
 
 from __future__ import annotations
@@ -33,10 +40,7 @@ from typing import Any, Callable, TextIO
 
 from . import scenarios
 from .errors import ConfigError, CumacError, TraceError
-from .lwm import compare
 from .model import entity_sort_key
-from .oracle import export_taint_graph, taint_oracle
-from .randomtrace import random_trace
 from .replay import DecisionRows, Outcomes, ReplayReport, ReplayRun, replay, write_document
 from .store import EnvironmentBit, ExceptionStore
 from .trace import Trace, TraceHeader, _Parser, collector_paused, decode_trace, parse_trace
@@ -187,8 +191,8 @@ class _ReportOut:
     ``finish``, so that any earlier error in the order comes first. A
     failed run leaves it truncated. A text report is written at the end,
     and so is a structured one whose file the command also writes after
-    the run, stdout or learn's store (``held``), so that it comes last as
-    before."""
+    the run (``held``): stdout, which is never opened and gets it through
+    ``sys.stdout``, or learn's store, so that it comes last as before."""
 
     __slots__ = ("args", "stream", "error", "rows", "outcomes", "held")
 
@@ -204,13 +208,16 @@ class _ReportOut:
 
     def open(self) -> None:
         if self.args.report and self.args.format == "structured":
-            try:
-                self.stream = open(self.args.report, "w", encoding="utf-8")
-            except OSError as exc:
-                self.error = exc
+            if _is_stdout(self.args.report):
+                self.held = io.StringIO()  # and finish writes it to stdout
             else:
-                if _written_after_the_run(self.stream, self.args):
-                    self.held = io.StringIO()
+                try:
+                    self.stream = open(self.args.report, "w", encoding="utf-8")
+                except OSError as exc:
+                    self.error = exc
+                else:
+                    if _is_the_store_out(self.args):
+                        self.held = io.StringIO()
             self.rows = DecisionRows(self.held or self)
 
     def write(self, text: str) -> None:
@@ -235,25 +242,37 @@ class _ReportOut:
             return
         self.rows.close(report)
         if self.held is not None:
-            self.write(self.held.getvalue())
+            write = sys.stdout.write if self.stream is None else self.write
+            write(self.held.getvalue())
         self.close()
         if self.error is not None:
             raise CumacError(f"cannot write report {self.args.report}: {self.error}")
 
 
-def _written_after_the_run(stream: TextIO, args: argparse.Namespace) -> bool:
+def _is_the_store_out(args: argparse.Namespace) -> bool:
     store_out = getattr(args, "store_out", None)
     try:
-        return os.path.sameopenfile(stream.fileno(), 1) or bool(
-            store_out and os.path.samefile(store_out, args.report)
-        )
-    except OSError:  # no stdout, or no store file yet
+        return bool(store_out and os.path.samefile(store_out, args.report))
+    except OSError:  # no store file yet
+        return False
+
+
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` is the file behind stdout. Opening it again would
+    truncate what stdout wrote, or write past what it still buffers."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file, or no file behind stdout
         return False
 
 
 def _write_stream(label: str, path: str, write: Callable[[TextIO], None]) -> None:
     """Open ``path`` as UTF-8 text and let ``write`` write the payload into
-    it; an OSError at any point is a CumacError."""
+    it; an OSError at any point is a CumacError. A path that is stdout
+    (``_is_stdout``) is not opened: the payload goes through ``sys.stdout``."""
+    if _is_stdout(path):
+        write(sys.stdout)
+        return
     try:
         with open(path, "w", encoding="utf-8") as stream:
             write(stream)
@@ -328,6 +347,8 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .lwm import compare
+
     trace, name, store, config = _load_trace(args)
     result = compare(trace, store, config)
     print(f"trace: {name} ({result.label}), {result.event_count} events")
@@ -340,6 +361,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from .oracle import export_taint_graph
+
     trace, _, store, config = _load_trace(args)
     report = replay(trace, EnvironmentBit.UNSECURE, store, config)
     dot = export_taint_graph(report, trace)
@@ -352,6 +375,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    from .oracle import taint_oracle
+    from .randomtrace import random_trace
+
     if args.runs < 0 or args.events < 0:
         raise CumacError("--runs and --events must not be negative")
     runs = []
@@ -409,7 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     collector is paused from parsing the arguments to the return, and then
     left as it was found (``trace.collector_paused``): a command makes no
     reference cycles, so collections would only walk its trace, decisions
-    and store."""
+    and store. stdout is flushed before the return, so that a closed
+    stdout is an error here (exit 2), not a traceback at exit."""
     with collector_paused():
         parser = _build_parser()
         try:
@@ -418,9 +445,19 @@ def main(argv: list[str] | None = None) -> int:
             # argparse already printed usage to stderr
             return 2 if exc.code not in (0, None) else int(exc.code or 0)
         try:
-            return _HANDLERS[args.command](args)
+            code = _HANDLERS[args.command](args)
+            sys.stdout.flush()
+            return code
         except CumacError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError as exc:
+            # Python's "Note on SIGPIPE": point stdout at devnull, so that
+            # the interpreter's own flush at exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
             return 2
 
 

@@ -157,11 +157,6 @@ class Engine:
             raise TraceError(event.seq, f"unknown event kind {type(event).__name__}")
         return handler(self, event)
 
-    def tainted_entities(self) -> set[str]:
-        tainted = {proc_entity(p.pid) for p in self.processes.values() if p.taint is _PI}
-        tainted.update(file_entity(f.fid) for f in self.files.values() if f.taint is _PI)
-        return tainted
-
     def sorted_taint(self) -> list[str]:
         """The tainted entities in ``entity_sort_key`` order: files, then
         processes, each by id. The ids are picked and sorted as integers in

@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from typing import Any, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, TextIO
 
 from .engine import Engine, _unknown
 from .errors import TraceError
@@ -57,9 +58,9 @@ from .model import (
     _parent_path,
     under_live_mount,
 )
-from .replay import StructuredReport, _write_verdict_rows_json, write_document
+from .replay import _BLOCK_ROWS, _ITEM, _ROW, StructuredReport, write_document
 from .store import ExceptionStore
-from .trace import Trace, TraceHeader, collector_paused
+from .trace import EVENT_VERBS, Trace, TraceHeader, collector_paused
 
 MAPPING_NOTES = (
     "low-water-mark mapping: initial levels mirror intrusion entrances"
@@ -278,6 +279,32 @@ class LwmEngine:
 
 
 # -- side-by-side comparison ----------------------------------------------------
+
+
+_VERDICT_ROW_JSON: dict[tuple[type, Verdict, Verdict], str] = {
+    (cls, cumac, lwm): f'{_ITEM}{{{_ROW}"cumac": {encode_basestring_ascii(cumac.value)},'
+    f'{_ROW}"event": {encode_basestring_ascii(verb)},'
+    f'{_ROW}"lwm": {encode_basestring_ascii(lwm.value)},{_ROW}"seq": '
+    for cls, verb in EVENT_VERBS.items()
+    for cumac in Verdict
+    for lwm in Verdict
+}
+"""Per event kind and verdict pair, the JSON text of a comparison row up
+to the value of ``seq``."""
+
+
+def _write_verdict_rows_json(
+    events: list[Event], verdicts: list[tuple[Verdict, Verdict]], write: Callable[[str], Any]
+) -> None:
+    """Write the JSON text of a comparison's ``rows`` list, ``_BLOCK_ROWS``
+    rows joined per write."""
+    heads, tail = _VERDICT_ROW_JSON, _ITEM + "}"
+    for start in range(0, len(events), _BLOCK_ROWS):
+        block = zip(events[start : start + _BLOCK_ROWS], verdicts[start : start + _BLOCK_ROWS])
+        write(("," if start else "[") + ",".join(
+            f"{heads[type(ev), cumac, lwm]}{ev.seq}{tail}" for ev, (cumac, lwm) in block
+        ))
+    write("\n  ]" if events else "[]")
 
 
 @dataclass(slots=True)

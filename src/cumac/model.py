@@ -211,36 +211,48 @@ class Event:
 
 @dataclass(slots=True)
 class Fork(Event):
+    """``parent_pid`` starts ``child_pid``, which inherits its key, user and taint."""
+
     parent_pid: int
     child_pid: int
 
 
 @dataclass(slots=True)
 class Exec(Event):
+    """``pid`` runs the executable ``fid``, which becomes its application key."""
+
     pid: int
     fid: int
 
 
 @dataclass(slots=True)
 class RemoteComm(Event):
+    """``pid`` talks to the network peer ``peer_address`` (trace verb NET)."""
+
     pid: int
     peer_address: str
 
 
 @dataclass(slots=True)
 class Login(Event):
+    """``pid`` takes on ``user`` through a login."""
+
     pid: int
     user: str
 
 
 @dataclass(slots=True)
 class Mount(Event):
+    """Mobile storage is mounted at ``path_prefix`` as mount ``mount_id``."""
+
     mount_id: int
     path_prefix: str
 
 
 @dataclass(slots=True)
 class Unmount(Event):
+    """Mount ``mount_id`` is unmounted."""
+
     mount_id: int
 
 
@@ -272,18 +284,24 @@ class Create(Event):
 
 @dataclass(slots=True)
 class Write(Event):
+    """``pid`` writes the file ``fid``."""
+
     pid: int
     fid: int
 
 
 @dataclass(slots=True)
 class Read(Event):
+    """``pid`` reads the file ``fid``."""
+
     pid: int
     fid: int
 
 
 @dataclass(slots=True)
 class Ipc(Event):
+    """``from_pid`` sends to ``to_pid`` over ``channel``."""
+
     from_pid: int
     to_pid: int
     channel: IpcChannel
@@ -291,6 +309,8 @@ class Ipc(Event):
 
 @dataclass(slots=True)
 class PrivOp(Event):
+    """``pid`` uses the capability ``capability`` (trace verb PRIV)."""
+
     pid: int
     capability: str
 

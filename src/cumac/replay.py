@@ -54,8 +54,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from itertools import compress, repeat
+from math import fsum
 from operator import attrgetter, countOf, is_
-from statistics import fmean
 from time import perf_counter, perf_counter_ns
 from typing import Any, Callable, Iterable, TextIO
 
@@ -172,32 +172,6 @@ def _write_rows_json(
         write("".join(parts))
 
 
-_VERDICT_ROW_JSON: dict[tuple[type, Verdict, Verdict], str] = {
-    (cls, cumac, lwm): f'{_ITEM}{{{_ROW}"cumac": {encode_basestring_ascii(cumac.value)},'
-    f'{_ROW}"event": {encode_basestring_ascii(verb)},'
-    f'{_ROW}"lwm": {encode_basestring_ascii(lwm.value)},{_ROW}"seq": '
-    for cls, verb in EVENT_VERBS.items()
-    for cumac in Verdict
-    for lwm in Verdict
-}
-"""Per event kind and verdict pair, the JSON text of a comparison row up
-to the value of ``seq``."""
-
-
-def _write_verdict_rows_json(
-    events: list[Event], verdicts: list[tuple[Verdict, Verdict]], write: Callable[[str], Any]
-) -> None:
-    """Write the JSON text of a comparison's ``rows`` list, ``_BLOCK_ROWS``
-    rows joined per write."""
-    heads, tail = _VERDICT_ROW_JSON, _ITEM + "}"
-    for start in range(0, len(events), _BLOCK_ROWS):
-        block = zip(events[start : start + _BLOCK_ROWS], verdicts[start : start + _BLOCK_ROWS])
-        write(("," if start else "[") + ",".join(
-            f"{heads[type(ev), cumac, lwm]}{ev.seq}{tail}" for ev, (cumac, lwm) in block
-        ))
-    write("\n  ]" if events else "[]")
-
-
 def write_document(stream: TextIO, sections: dict[str, Any], continued: bool = False) -> None:
     """Write ``sections`` as a JSON document to ``stream``, byte for byte
     ``json.dumps(sections, sort_keys=True, indent=2) + "\n"``. A section
@@ -232,6 +206,8 @@ class StructuredReport:
 
 @dataclass(slots=True)
 class TimingStats:
+    """The step times of a replay, summed up (``of_steps``)."""
+
     wall_seconds: float = 0.0
     events_per_second: float = 0.0
     median_us: float = 0.0
@@ -254,7 +230,7 @@ class TimingStats:
             wall_seconds=wall,
             events_per_second=n / wall if wall > 0 else 0.0,
             median_us=median / 1000.0,
-            mean_us=fmean(ordered) / 1000.0,
+            mean_us=fsum(ordered) / n / 1000.0,
             max_us=ordered[-1] / 1000.0,
         )
 

@@ -8,8 +8,6 @@ each one shows.
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .. import trace as _trace
 
 NAMES: tuple[str, ...] = (
@@ -29,7 +27,10 @@ def available() -> tuple[str, ...]:
 
 
 def load(name: str) -> str:
-    """The raw trace text of a bundled scenario."""
+    """The raw trace text of a bundled scenario. ``importlib.resources``
+    is imported here, as a run that reads a trace file never needs it."""
+    from importlib import resources
+
     if name not in NAMES:
         raise KeyError(f"unknown scenario {name!r}; available: {', '.join(NAMES)}")
     return resources.files(__package__).joinpath(f"{name}.trace").read_text("utf-8")

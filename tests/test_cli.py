@@ -7,7 +7,7 @@ import os
 import pytest
 from conftest import reference_json
 
-from cumac import cli
+from cumac import cli, lwm, oracle
 from cumac.cli import main
 from cumac.lwm import ComparisonReport
 from cumac.model import entity_sort_key
@@ -200,7 +200,7 @@ class TestOracleCheck:
                 tainted.remove(min(tainted, key=entity_sort_key))
             return tainted
 
-        monkeypatch.setattr(cli, "taint_oracle", drops_an_entity_on_the_second_run)
+        monkeypatch.setattr(oracle, "taint_oracle", drops_an_entity_on_the_second_run)
         report_path = tmp_path / "oracle.json"
         code, out, err = run_cli(
             capsys, "oracle-check", "--runs", "4", "--events", "200", "--seed", "7",
@@ -249,19 +249,20 @@ class TestReportFiles:
     byte the json.dumps of the document of the report it made."""
 
     def assert_report_is_the_json_dump(
-        self, capsys, tmp_path, monkeypatch, argv, code, maker="ReplayRun"
+        self, capsys, tmp_path, monkeypatch, argv, code, maker=(cli, "ReplayRun")
     ):
         reports = []
-        if maker == "ReplayRun":  # learn and enforce make their report through a run
-            monkeypatch.setattr(cli, maker, _kept_run(reports))
+        owner, name = maker
+        if name == "ReplayRun":  # learn and enforce make their report through a run
+            monkeypatch.setattr(owner, name, _kept_run(reports))
         else:
-            real_maker = getattr(cli, maker)
+            real_maker = getattr(owner, name)
 
             def kept_maker(*args, **kwargs):
                 reports.append(real_maker(*args, **kwargs))
                 return reports[-1]
 
-            monkeypatch.setattr(cli, maker, kept_maker)
+            monkeypatch.setattr(owner, name, kept_maker)
         report_path = tmp_path / "report.json"
         result = run_cli(capsys, *argv, "--format", "structured", "--report", str(report_path))
         assert result[0] == code
@@ -281,7 +282,9 @@ class TestReportFiles:
         self, capsys, tmp_path, monkeypatch, name, code
     ):
         argv = ["compare", "--scenario", name]
-        self.assert_report_is_the_json_dump(capsys, tmp_path, monkeypatch, argv, code, "compare")
+        self.assert_report_is_the_json_dump(
+            capsys, tmp_path, monkeypatch, argv, code, (lwm, "compare")
+        )
 
     def test_structured_oracle_check_report_is_canonical(self, capsys, tmp_path):
         report_path = tmp_path / "oracle.json"

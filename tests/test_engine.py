@@ -217,7 +217,7 @@ class TestMount:
     def test_mount_unmount_without_access_is_inert(self, driver):
         driver.mount(1, "/mnt/usb")
         driver.unmount(1)
-        assert driver.engine.tainted_entities() == set()
+        assert driver.engine.sorted_taint() == []
         assert all(d.verdict is Verdict.ALLOW for _, d in driver.log)
 
     def test_file_created_under_live_mount_is_mobile(self, driver):

@@ -482,7 +482,7 @@ class TestBookkeeping:
         engine = Engine(EngineConfig.from_trace(trace), ExceptionStore(), mode)
         for ev in trace.events:
             engine.step(ev)
-        want = sorted(engine.tainted_entities(), key=entity_sort_key)
+        want = sorted(engine.sorted_taint(), key=entity_sort_key)
         assert engine.sorted_taint() == want
         assert replay(trace, mode).final_taint == want
         # Sorting the names as text would put proc:10 before proc:9.

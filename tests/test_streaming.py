@@ -177,6 +177,57 @@ def test_a_report_to_stdout_follows_the_summary(tmp_path):
     assert before_timing(run.stdout[len(head):]) == before_timing(want.to_json())
 
 
+def cli_process(argv: list[str], stdout, env: dict | None = None) -> subprocess.CompletedProcess:
+    """``python -m cumac.cli`` with ``argv``, its stdout on ``stdout``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "cumac.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src), **(env or {})},
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_a_report_to_a_redirected_stdout_follows_the_summary(tmp_path, fmt):
+    # With stdout redirected to a file, /dev/stdout is that file: opening
+    # it for the report would truncate the summary written there.
+    text = random_text()
+    path, out = tmp_path / "t.trace", tmp_path / "out"
+    path.write_text(text)
+    argv = ["enforce", "--trace", str(path), "--empty-store", "--format", fmt,
+            "--report", "/dev/stdout"]
+    with open(out, "w") as stdout:
+        run = cli_process(argv, stdout)
+    want = replay(parse_trace(text), EnvironmentBit.UNSECURE, ExceptionStore())
+    assert run.returncode == 1 and run.stderr == ""
+    written, head = out.read_text(), summary(str(path), want)
+    assert written.startswith(head)
+    if fmt == "structured":
+        assert before_timing(written[len(head):]) == before_timing(want.to_json())
+    else:
+        assert without_timing(written[len(head):]) == without_timing(want.to_text())
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    "enforce --scenario usb-rootkit --empty-store",
+    "enforce --scenario usb-rootkit --empty-store --format text --report /dev/stdout",
+    "enforce --scenario usb-rootkit --empty-store --format structured --report /dev/stdout",
+    "graph --scenario usb-rootkit",
+])
+def test_a_closed_stdout_is_one_error_line_and_exit_two(argv, unbuffered):
+    # The read end is closed before the command starts, so its first write
+    # to stdout fails, be it a print or the flush before main returns.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = cli_process(argv.split(), write_end, {"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    assert run.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
 def test_a_report_in_the_store_file_is_written_last(tmp_path):
     # learn writes its store after the run, so a report streamed into the
     # same file would be cut into; it is held and written over the store.
