@@ -14,9 +14,9 @@ decision rows (``DecisionRows``), add its outcomes to running counts
 ``write_document`` streams a structured report, small sections and one
 row section, to a text stream without building it: its bytes equal
 ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, but each small
-section goes through ``json.dumps`` alone, and the rows are rendered from
-strings prepared once per event kind and outcome and written
-``_BLOCK_ROWS`` at a time. So writing a report holds one block of rows,
+section goes through ``json.dumps`` alone, and the rows are rendered by
+one generated renderer per event kind and written ``_BLOCK_ROWS`` at a
+time. So writing a report holds one block of rows,
 not a second copy of the report, nor a third as encoded bytes. The replay
 report here and the comparison report in ``lwm`` share this writer; a
 replay report's rows come first in key order, so ``DecisionRows`` can
@@ -51,7 +51,7 @@ import io
 import json
 from array import array
 from dataclasses import dataclass, field
-from enum import Enum
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from itertools import compress, repeat
 from math import fsum
@@ -61,7 +61,7 @@ from typing import Any, Callable, Iterable, TextIO
 
 from .engine import Engine
 from .model import (
-    ALLOW, BY_EXCEPTION, DENIED, Decision, DenyReason, Event, Verdict
+    ALLOW, BY_EXCEPTION, DENIED, Decision, DenyReason, Event, IpcChannel, TaintState, Verdict
 )
 from .store import EnvironmentBit, ExceptionStore
 from .trace import _EVENTS, EVENT_VERBS, Trace, TraceHeader, collector_paused
@@ -72,9 +72,9 @@ from .trace import _EVENTS, EVENT_VERBS, Trace, TraceHeader, collector_paused
 # ``seq``, nor the ids the parser resolved for created files), in sorted
 # order, with enum members (the IPC channel) reported by their value. The
 # JSON text of a row is fixed by its event kind and decision outcome apart
-# from a few values, so ``write_json`` renders rows from pieces prepared here
-# instead of through ``json.dumps``. The indents are those that
-# ``json.dumps(..., indent=2)`` gives a row in the report's ``decisions``.
+# from a few values, so ``write_json`` renders rows with one generated
+# renderer per event kind instead of through ``json.dumps``. The indents
+# are those ``json.dumps(..., indent=2)`` gives a row of ``decisions``.
 
 _BLOCK_ROWS = 512
 """Decision rows that ``write_json`` joins into one write: enough that the
@@ -84,59 +84,77 @@ _ITEM = "\n" + " " * 4  # a row of ``decisions``
 _ROW = "\n" + " " * 6  # a key of a row
 _NESTED = "\n" + " " * 8  # a key of ``args``, an item of ``taint_updates``
 
-def _row_json(verb: str, fields: dict) -> tuple[tuple[tuple[str, str], ...], str]:
-    names = sorted(attr for attr, _ in fields.values())
-    keys = [f'{_NESTED}"{name}": ' for name in names]
-    keys = [f'{_ITEM}{{{_ROW}"args": {{{keys[0]}', *("," + key for key in keys[1:])]
-    return tuple(zip(keys, names)), f'{_ROW}}},{_ROW}"event": {encode_basestring_ascii(verb)},'
 
-
-_ROW_JSON = {cls: _row_json(verb, fields) for verb, (cls, fields) in _EVENTS.items()}
-"""Per event kind, the JSON text before each argument value (the opening
-of the row and of ``args`` before the first, a comma before the others,
-then the key) paired with the argument's name, and the JSON text from the
-last argument value to the ``event`` entry."""
-
-
-def _arg_json(value: Any) -> str:
-    """The JSON text of an argument value, an enum member by its value.
-    Any other type is refused, so that a new kind of field fails loudly
-    instead of being written differently from ``json.dumps``."""
-    if isinstance(value, Enum):
-        value = value.value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    raise TypeError(f"cannot render a {type(value).__name__} argument in a report")
-
-
-_ARG_JSON_BY_TYPE = {bool: _arg_json, int: int.__repr__, str: encode_basestring_ascii}
-"""Fast paths of :func:`_arg_json` for the exact built-in types."""
-
-_OUTCOME_JSON: dict[tuple[Verdict, DenyReason], tuple[str, str]] = {
-    (d.verdict, d.reason): (
-        f'{_ROW}"exception_kind": {encode_basestring_ascii(d.exception_kind.value)},'
-        f'{_ROW}"reason": {encode_basestring_ascii(d.reason.value)},{_ROW}"seq": ',
-        f',{_ROW}"verdict": {encode_basestring_ascii(d.verdict.value)}{_ITEM}}}',
-    )
-    for d in (ALLOW, *DENIED.values(), *BY_EXCEPTION.values())
+_ARG_JSON = {
+    "int": 'v if type(v := ev.{}) is int'
+    ' else "true" if v is True else "false" if v is False else int_repr(v)',
+    "IpcChannel": "channels[v] if (v := ev.{}) in channels else encode(v)",
+    "str": "encode(ev.{})",
 }
-"""Per decision outcome, a verdict and a reason (they fix the exception
-kind), the JSON text from the ``event`` entry to the value of ``seq``, and
-from the value of ``taint_updates`` to the end of the row."""
+_ARG_JSON["bool"] = _ARG_JSON["int"]
+"""Per return annotation of a field's check, the expression of the JSON
+text of the field's value: an int as the f-string formats it, a bool as
+``json.dumps`` writes it, a channel by its value. Any other type raises
+``TypeError`` (in ``int.__repr__`` or ``encode_basestring_ascii``), and a
+check of any other type fails the build."""
+
+
+_STATE_JSON = {state: f",{_NESTED}  {encode_basestring_ascii(state.value)}" for state in TaintState}
+"""Per taint state, its JSON text in a taint update, comma first."""
 
 
 def _taint_updates_json(updates: tuple) -> str:
-    item = _NESTED + "  "
-    return "[" + ",".join(
-        f"{_NESTED}[{item}{encode_basestring_ascii(entity)},"
-        f"{item}{encode_basestring_ascii(old.value)},"
-        f"{item}{encode_basestring_ascii(new.value)}{_NESTED}]"
+    states = _STATE_JSON
+    return f',{_ROW}"taint_updates": [' + ",".join([
+        f"{_NESTED}[{_NESTED}  {encode_basestring_ascii(entity)}{states[old]}{states[new]}{_NESTED}]"
         for entity, old, new in updates
-    ) + f"{_ROW}]"
+    ]) + f"{_ROW}]"
+
+
+def _renderers_source() -> str:
+    """The source of one renderer per verb, which returns the JSON text of
+    an event's row and decision as one f-string. Its expressions go between
+    ``\\0`` and ``\\1`` while the text is escaped; they hold no ``'`` and no
+    backslash, which an f-string's expressions may not before Python 3.12."""
+    lines = []
+    for verb, (_, spec) in _EVENTS.items():
+        args = sorted((attr, check.__annotations__["return"]) for attr, check in spec.values())
+        row = (
+            f'{_ITEM}{{{_ROW}"args": {{'
+            + ",".join(f'{_NESTED}"{attr}": \0{_ARG_JSON[kind].format(attr)}\1' for attr, kind in args)
+            + f'{_ROW}}},{_ROW}"event": {encode_basestring_ascii(verb)},\0head\1'
+            + f'\0{_ARG_JSON["int"].format("seq")}\1'
+            + "\0updates_json(u) if (u := d.taint_updates) else no_updates\1\0tail\1"
+        )
+        row = row.replace("{", "{{").replace("}", "}}").replace("\0", "{").replace("\1", "}")
+        lines += [
+            f"def {verb}(ev, d):",
+            "    head, tail = outcomes[d.verdict][d.reason]",
+            f"    return f{row!r}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _row_renderers() -> dict[type[Event], Callable[[Event, Decision], str]]:
+    """Per event class, the renderer of its rows, built on first use, so
+    that a run that writes no structured report never compiles them.
+    ``outcomes`` holds, per verdict and reason, the JSON text from the
+    ``event`` entry to ``seq``'s value, and from ``taint_updates`` on."""
+    outcomes: dict[Verdict, dict[DenyReason, tuple[str, str]]] = {v: {} for v in Verdict}
+    for d in (ALLOW, *DENIED.values(), *BY_EXCEPTION.values()):
+        outcomes[d.verdict][d.reason] = (
+            f'{_ROW}"exception_kind": {encode_basestring_ascii(d.exception_kind.value)},'
+            f'{_ROW}"reason": {encode_basestring_ascii(d.reason.value)},{_ROW}"seq": ',
+            f',{_ROW}"verdict": {encode_basestring_ascii(d.verdict.value)}{_ITEM}}}',
+        )
+    channels = {member: encode_basestring_ascii(member.value) for member in IpcChannel}
+    namespace = dict(outcomes=outcomes, updates_json=_taint_updates_json, channels=channels,
+                     no_updates=f',{_ROW}"taint_updates": []', int_repr=int.__repr__,
+                     encode=encode_basestring_ascii)
+    exec(compile(_renderers_source(), "<cumac.replay rows>", "exec"), namespace)
+    # Popped, so that the namespace, the renderers' globals, holds none of them.
+    return {cls: namespace.pop(verb) for verb, (cls, _) in _EVENTS.items()}
 
 
 def _write_rows_json(
@@ -145,31 +163,12 @@ def _write_rows_json(
     """Write the JSON text of the rows of ``decisions`` that follow
     ``written`` rows already written, ``_BLOCK_ROWS`` rows joined per
     write; the list's opening comes before the first row."""
-    rows = _ROW_JSON
-    fast = _ARG_JSON_BY_TYPE
-    outcomes = _OUTCOME_JSON
-    updates_key = f',{_ROW}"taint_updates": '
+    renderers = _row_renderers()
     for start in range(0, len(events), _BLOCK_ROWS):
-        parts = ["," if start or written else "["]
-        append = parts.append
         block = zip(events[start : start + _BLOCK_ROWS], decisions[start : start + _BLOCK_ROWS])
-        for index, (ev, decision) in enumerate(block):
-            if index:
-                append(",")
-            keys, args_tail = rows[type(ev)]
-            for key, name in keys:
-                value = getattr(ev, name)
-                append(key)
-                append(fast.get(type(value), _arg_json)(value))
-            append(args_tail)
-            head, tail = outcomes[decision.verdict, decision.reason]
-            append(head)
-            append(int.__repr__(ev.seq))
-            append(updates_key)
-            updates = decision.taint_updates
-            append(_taint_updates_json(updates) if updates else "[]")
-            append(tail)
-        write("".join(parts))
+        rows = [renderers[type(ev)](ev, decision) for ev, decision in block]
+        rows[0] = ("," if start or written else "[") + rows[0]
+        write(",".join(rows))
 
 
 def write_document(stream: TextIO, sections: dict[str, Any], continued: bool = False) -> None:

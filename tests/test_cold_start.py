@@ -1,7 +1,8 @@
 """A CLI start loads only what ``learn`` and ``enforce`` run. The names
 that live in ``lwm``, ``oracle`` and ``randomtrace`` are read through the
 package's ``__getattr__``, which imports their module on first use and
-stores nothing in the package."""
+stores nothing in the package. The renderers of structured report rows
+are compiled by the first run that writes one."""
 
 import importlib
 import os
@@ -35,6 +36,33 @@ def test_the_cli_import_loads_no_deferred_module():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_only_a_structured_report_builds_the_row_renderers(tmp_path):
+    store, report = str(tmp_path / "s.cumac"), str(tmp_path / "r.json")
+    trace = ["--scenario", "benign-webserver"]
+    commands = [
+        ["learn", *trace, "--store-out", store],
+        ["enforce", *trace, "--store", store],
+        ["enforce", *trace, "--store", store, "--format", "structured", "--report", report],
+    ]
+    code = f"""
+import contextlib, io, sys, cumac.cli
+built = sys.modules["cumac.replay"]._row_renderers.cache_info
+sizes = [built().currsize]
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cumac.cli.main(argv) == 0
+    sizes.append(built().currsize)
+print(sizes)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[0, 0, 0, 1]\n"
 
 
 @pytest.mark.parametrize("name, module", DEFERRED_NAMES.items())

@@ -16,7 +16,7 @@ from cumac.engine import Engine
 from cumac.lwm import LwmEngine, compare
 from cumac.oracle import export_taint_graph, taint_oracle
 from cumac.randomtrace import random_trace
-from cumac.replay import learn, replay
+from cumac.replay import _row_renderers, learn, replay
 from cumac.store import EnvironmentBit
 from cumac.errors import TraceParseError
 from cumac.trace import parse_trace, render_trace
@@ -74,6 +74,13 @@ class TestNoCyclicGarbage:
             parse_trace(text)
         assert failure.value.line == bad + 1
         del failure
+        assert gc.collect() == 0
+
+    def test_building_the_row_renderers_leaves_none(self, collector):
+        _row_renderers.cache_clear()
+        gc.collect()
+        _row_renderers()
+        _row_renderers.cache_clear()  # drops the renderers and their globals
         assert gc.collect() == 0
 
     @pytest.mark.parametrize("case", ["usb-rootkit", "random-0"])

@@ -19,12 +19,15 @@ from cumac import cli, scenarios
 from cumac.engine import Engine, EngineConfig
 from cumac.errors import TraceError
 from cumac.lwm import compare
-from cumac.model import ALLOW, Read, Verdict, entity_sort_key
+from cumac.model import (
+    ALLOW, BY_EXCEPTION, DENIED, Copy, Create, Decision, Exec, Fork, Ipc, IpcChannel, Login, Mount,
+    PrivOp, Read, RemoteComm, TaintState, Unmount, Verdict, Write, entity_sort_key
+)
 from cumac.oracle import export_taint_graph, taint_oracle
 from cumac.randomtrace import random_trace
 from cumac.replay import _BLOCK_ROWS, ReplayReport, TimingStats, learn, replay
 from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
-from cumac.trace import parse_trace, render_trace
+from cumac.trace import _EVENTS, parse_trace, render_trace
 
 # ``cumac.replay`` as an attribute of the package is the replay() function.
 replay_module = sys.modules["cumac.replay"]
@@ -87,6 +90,45 @@ ESCAPED_NAMES_TRACE = (
     "UNMOUNT id=1\n"
     "PRIV pid=1 cap=CAP_SYS_MODULE\n"
 )
+
+
+# One hand-built event of each kind, with escapes in a string argument.
+ONE_EVENT_PER_KIND = {
+    "FORK": Fork(1, parent_pid=1, child_pid=2),
+    "EXEC": Exec(2, pid=2, fid=3),
+    "NET": RemoteComm(3, pid=2, peer_address='\u4f8b"\\\U0001f642'),
+    "LOGIN": Login(4, pid=2, user="root"),
+    "MOUNT": Mount(5, mount_id=1, path_prefix="/mnt/usb"),
+    "UNMOUNT": Unmount(6, mount_id=1),
+    "COPY": Copy(7, pid=2, src_fid=3, dst_path="/tmp/a", dst_perms="755", dst_owner="root", dst_fid=9),
+    "CREATE": Create(8, pid=2, path="/tmp/b", perms="644", owner="root", is_directory=True, new_fid=10),
+    "WRITE": Write(9, pid=2, fid=9),
+    "READ": Read(10, pid=2, fid=3),
+    "IPC": Ipc(11, from_pid=1, to_pid=2, channel=IpcChannel.SHARED_MEMORY),
+    "PRIV": PrivOp(12, pid=2, capability="CAP_SYS_MODULE"),
+}
+
+# The seven shared outcomes, and an allow that taints two entities.
+OUTCOMES = {
+    "allow": ALLOW,
+    **{f"deny-{reason.value}": decision for reason, decision in DENIED.items()},
+    **{f"by-exception-{reason.value}": decision for reason, decision in BY_EXCEPTION.items()},
+    "allow-tainting-two": Decision(
+        Verdict.ALLOW,
+        taint_updates=(
+            ("proc:2", TaintState.NON_INTRUSION, TaintState.POTENTIAL_INTRUSION),
+            ('file:9"\\', TaintState.NON_INTRUSION, TaintState.POTENTIAL_INTRUSION),
+        ),
+    ),
+}
+
+
+def hand_built_report(events: list, decisions: list) -> ReplayReport:
+    """A report of ``events`` and their ``decisions``, which no replay made."""
+    report = replay(parse_trace("cumac-trace v1\n"), EnvironmentBit.UNSECURE)
+    report.events += events
+    report.decisions += decisions
+    return report
 
 
 def assert_json_is_the_reference(report: ReplayReport) -> None:
@@ -372,6 +414,46 @@ class TestJsonEncoder:
     def test_empty_log_matches_the_reference(self):
         report = replay(parse_trace("cumac-trace v1\n"), EnvironmentBit.UNSECURE)
         assert_json_is_the_reference(report)
+
+    def test_the_table_has_one_event_of_each_kind(self):
+        assert set(ONE_EVENT_PER_KIND) == set(_EVENTS)
+        for verb, ev in ONE_EVENT_PER_KIND.items():
+            assert type(ev) is _EVENTS[verb][0]
+        assert len(OUTCOMES) == 7 + 1
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("verb", ONE_EVENT_PER_KIND)
+    def test_every_kind_and_outcome_matches_the_reference(self, verb, outcome):
+        report = hand_built_report([ONE_EVENT_PER_KIND[verb]], [OUTCOMES[outcome]])
+        assert_json_is_the_reference(report)
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            Read(1, pid="1", fid=2),
+            Read(1, pid=True, fid=2),
+            Exec(1, pid=1, fid=False),
+            Read(True, pid=1, fid=2),
+            Mount(1, mount_id=1.0, path_prefix="/mnt"),
+            Create(1, pid=1, path="/a", perms="644", owner="root", is_directory=1, new_fid=5),
+            Create(1, pid=1, path="/a", perms="644", owner="root", is_directory="1", new_fid=5),
+            Create(1, pid=1, path="/a", perms="644", owner="root", is_directory=None, new_fid=5),
+            Ipc(1, from_pid=1, to_pid=2, channel="shm"),
+            Ipc(1, from_pid=1, to_pid=2, channel="carrier-pigeon"),
+            Ipc(1, from_pid=1, to_pid=2, channel=3),
+            Ipc(1, from_pid=1, to_pid=2, channel=TaintState.NON_INTRUSION),
+            RemoteComm(1, pid=1, peer_address=7),
+            Login(1, pid=1, user=b"root"),
+        ],
+        ids=repr,
+    )
+    def test_ill_typed_values_are_refused_or_written_as_json_dumps_writes(self, event):
+        report = hand_built_report([event], [ALLOW])
+        try:
+            text = report.to_json()
+        except TypeError:
+            return
+        assert text.splitlines(True) == reference_json(report).splitlines(True)
 
     def test_unknown_argument_type_is_refused(self):
         report = replay(parse_trace("cumac-trace v1\n"), EnvironmentBit.UNSECURE)
