@@ -20,11 +20,17 @@ they never hold the whole trace's events. Their first error in this
 order is reported: trace read, parse, options/store/snapshot, engine,
 store write, report write. The other commands need the whole trace.
 
-An output path that is the file behind stdout (/dev/stdout, or the file
-stdout is redirected to) is never opened: what it would get is written
-through stdout, a report after the summary. The modules that only compare, graph and
-oracle-check use (lwm, oracle, randomtrace) are imported by those
-commands, so that learn and enforce start without them.
+Every output file (learn's store, any --report, graph's DOT text) is
+written through ``_Output``, by one rule. A path is opened at most once,
+and the file behind stdout (/dev/stdout, or the file stdout is redirected
+to) never. Text is held in memory and written last in two cases only:
+what goes to stdout, after the summary, and a report in the file of
+learn's --store-out, which is opened afresh after the store. The first
+write error of a file is kept and reported after any earlier error.
+
+The modules that only compare, graph and oracle-check use (lwm, oracle,
+randomtrace) are imported by those commands, so that learn and enforce
+start without them.
 """
 
 from __future__ import annotations
@@ -34,9 +40,10 @@ import io
 import json  # noqa: F401  (unused here; perfbench/tracer.py times cli.json.dumps)
 import os
 import sys
+from contextlib import nullcontext
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import Any
 
 from . import scenarios
 from .errors import ConfigError, CumacError, TraceError
@@ -153,108 +160,56 @@ def _load_trace(args: argparse.Namespace) -> tuple[Trace, str, ExceptionStore, T
     return trace, name, store, TraceHeader.from_trace(trace, trusted)
 
 
-def _replay_blocks(
-    args: argparse.Namespace, mode: EnvironmentBit, out: _ReportOut, store_required: bool = False
-) -> tuple[str, ReplayReport, ExceptionStore, dict[str, int]]:
-    """Load the inputs of ``learn`` or ``enforce``, open ``out``, then per
-    parse block: step its events, write their rows and count their
-    outcomes into ``out``, and drop them. An engine error waits for the
-    rest of the text to parse, as a parse error comes first. Returns the
-    name, the report, the store and the parser's ``fid_by_path``."""
-    name, text, store, trusted = _load_inputs(args, store_required)
-    out.open()  # after the store is read, as --report may name it
-    parser = _Parser()
-    blocks = parser.blocks(text)
-    run = None
-    for events in blocks:
+class _Output:
+    """One output file, written by the rule of the module docstring in a
+    ``with`` block: ``write`` writes into the file or holds, and the end
+    of the block writes what is held, closes the file and raises the first
+    ``OSError`` as ``cannot write {label} {path}``. ``later`` is a path
+    that the command writes after this one is opened. A block left by an
+    error drops what is held and leaves the file as far as it was written."""
+
+    __slots__ = ("label", "path", "stdout", "held", "stream", "error")
+
+    def __init__(self, label: str, path: str, later: str | None = None):
+        self.label, self.path, self.stream, self.error = label, path, None, None
+        self.stdout = _is_stdout(path)
+        self.held = io.StringIO() if self.stdout or (later and _same_file(path, later)) else None
+        if self.held is None:
+            self._open()
+
+    def _open(self) -> None:
         try:
-            if run is None:  # the header is complete at the first block
-                run = ReplayRun(TraceHeader.from_trace(Trace(parser.header), trusted), store, mode)
-            decisions = run.step(events)
-        except (ConfigError, TraceError):
-            for _ in blocks:
-                pass
-            raise
-        out.outcomes.add(events, decisions)
-        if out.rows is not None:
-            out.rows.add(events, decisions)
-        del events, decisions  # before the next block is parsed
-    label, fid_by_path = parser.header.label, parser.fid_by_path
-    del text, parser, blocks
-    return name, run.report(label, [], [], out.outcomes), store, fid_by_path
-
-
-class _ReportOut:
-    """The --report of ``learn`` and ``enforce`` and the outcome counts it
-    reads. A structured report is opened before the run and gets its
-    rows as the run goes; its first OSError is kept, and raised by
-    ``finish``, so that any earlier error in the order comes first. A
-    failed run leaves it truncated. A text report is written at the end,
-    and so is a structured one whose file the command also writes after
-    the run (``held``): stdout, which is never opened and gets it through
-    ``sys.stdout``, or learn's store, so that it comes last as before."""
-
-    __slots__ = ("args", "stream", "error", "rows", "outcomes", "held")
-
-    def __init__(self, args: argparse.Namespace):
-        self.args, self.stream, self.error, self.rows, self.held = args, None, None, None, None
-        self.outcomes = Outcomes(keep_denials=bool(args.report) and args.format == "text")
-
-    def __enter__(self) -> "_ReportOut":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def open(self) -> None:
-        if self.args.report and self.args.format == "structured":
-            if _is_stdout(self.args.report):
-                self.held = io.StringIO()  # and finish writes it to stdout
-            else:
-                try:
-                    self.stream = open(self.args.report, "w", encoding="utf-8")
-                except OSError as exc:
-                    self.error = exc
-                else:
-                    if _is_the_store_out(self.args):
-                        self.held = io.StringIO()
-            self.rows = DecisionRows(self.held or self)
+            self.stream = open(self.path, "w", encoding="utf-8")
+        except OSError as exc:
+            self.error = exc
 
     def write(self, text: str) -> None:
-        if self.error is None:
+        if self.held is not None:
+            self.held.write(text)
+        elif self.error is None:
             try:
                 self.stream.write(text)
             except OSError as exc:
                 self.error = exc
 
-    def close(self) -> None:
-        stream, self.stream = self.stream, None
-        if stream is not None:
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, failed: type | None, *_: object) -> None:
+        if failed is None and self.held is not None:
+            text, self.held = self.held.getvalue(), None
+            if self.stdout:
+                sys.stdout.write(text)  # a BrokenPipeError goes on to main
+            else:
+                self._open()
+                self.write(text)
+        if self.stream is not None:
             try:
-                stream.close()
+                self.stream.close()
             except OSError as exc:
                 self.error = self.error or exc
-
-    def finish(self, report: ReplayReport) -> None:
-        if self.rows is None:
-            if self.args.report:
-                _write_file("report", self.args.report, report.to_text())
-            return
-        self.rows.close(report)
-        if self.held is not None:
-            write = sys.stdout.write if self.stream is None else self.write
-            write(self.held.getvalue())
-        self.close()
-        if self.error is not None:
-            raise CumacError(f"cannot write report {self.args.report}: {self.error}")
-
-
-def _is_the_store_out(args: argparse.Namespace) -> bool:
-    store_out = getattr(args, "store_out", None)
-    try:
-        return bool(store_out and os.path.samefile(store_out, args.report))
-    except OSError:  # no store file yet
-        return False
+        if failed is None and self.error is not None:
+            raise CumacError(f"cannot write {self.label} {self.path}: {self.error}")
 
 
 def _is_stdout(path: str) -> bool:
@@ -266,36 +221,19 @@ def _is_stdout(path: str) -> bool:
         return False
 
 
-def _write_stream(label: str, path: str, write: Callable[[TextIO], None]) -> None:
-    """Open ``path`` as UTF-8 text and let ``write`` write the payload into
-    it; an OSError at any point is a CumacError. A path that is stdout
-    (``_is_stdout``) is not opened: the payload goes through ``sys.stdout``."""
-    if _is_stdout(path):
-        write(sys.stdout)
-        return
+def _same_file(path: str, other: str) -> bool:
+    """Whether two paths name one file, made or not yet."""
     try:
-        with open(path, "w", encoding="utf-8") as stream:
-            write(stream)
-    except OSError as exc:
-        raise CumacError(f"cannot write {label} {path}: {exc}") from None
+        return os.path.samefile(path, other)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(path) == os.path.realpath(other)
 
 
 def _write_file(label: str, path: str, payload: str) -> None:
-    _write_stream(label, path, lambda stream: stream.write(payload))
-
-
-def _emit_report(
-    args: argparse.Namespace, write_json: Callable[[TextIO], None], text: Callable[[], str]
-) -> None:
-    """Write the report in the requested format when --report is given:
-    ``write_json`` streams the structured form into the open file, ``text``
-    builds the text form, and only the one that is written gets called."""
-    if not args.report:
-        return
-    if args.format == "structured":
-        _write_stream("report", args.report, write_json)
-    else:
-        _write_file("report", args.report, text())
+    """Write ``payload``, an output's whole text (perfbench/tracer.py
+    counts the reports written here)."""
+    with _Output(label, path) as out:
+        out.write(payload)
 
 
 def _print_replay_summary(name: str, report: ReplayReport) -> None:
@@ -313,16 +251,56 @@ def _print_replay_summary(name: str, report: ReplayReport) -> None:
         print("tainted: " + " ".join(report.final_taint))
 
 
-def _cmd_learn(args: argparse.Namespace) -> int:
-    if not args.store_out:
+def _cmd_replay(args: argparse.Namespace) -> int:
+    """``learn`` (Secure; writes --store-out) or ``enforce`` (Unsecure;
+    needs a store). After the inputs load, per parse block: step its
+    events, count their outcomes, write their rows into a structured
+    report, and drop them. An engine error waits for the rest of the text
+    to parse, as a parse error comes first. Then learn writes its store,
+    the summary is printed, and the report is ended or written."""
+    learning = args.command == "learn"
+    if learning and not args.store_out:
         raise CumacError("learn needs --store-out P (a writable store path)")
-    with _ReportOut(args) as out:
-        name, report, store, fid_by_path = _replay_blocks(args, EnvironmentBit.SECURE, out)
-        _annotate_key_paths(store, fid_by_path)
-        _write_file("store", args.store_out, store.save())
+    mode = EnvironmentBit.SECURE if learning else EnvironmentBit.UNSECURE
+    name, text, store, trusted = _load_inputs(args, store_required=not learning)
+    store_out = args.store_out if learning else None
+    structured = bool(args.report) and args.format == "structured"
+    outcomes = Outcomes(keep_denials=bool(args.report) and not structured)
+    # opened after the store is read, as --report may name it
+    with _Output("report", args.report, store_out) if structured else nullcontext() as out:
+        rows = DecisionRows(out) if structured else None
+        parser = _Parser()
+        blocks = parser.blocks(text)
+        run = None
+        for events in blocks:
+            try:
+                if run is None:  # the header is complete at the first block
+                    run = ReplayRun(
+                        TraceHeader.from_trace(Trace(parser.header), trusted), store, mode
+                    )
+                decisions = run.step(events)
+            except (ConfigError, TraceError):
+                for _ in blocks:
+                    pass
+                raise
+            outcomes.add(events, decisions)
+            if rows is not None:
+                rows.add(events, decisions)
+            del events, decisions  # before the next block is parsed
+        label, fid_by_path = parser.header.label, parser.fid_by_path
+        del text, parser, blocks
+        report = run.report(label, [], [], outcomes)
+        del run  # and its step times
+        if learning:
+            _annotate_key_paths(store, fid_by_path)
+            _write_file("store", store_out, store.save())
         _print_replay_summary(name, report)
-        print(f"store written: {args.store_out}")
-        out.finish(report)
+        if learning:
+            print(f"store written: {store_out}")
+        if rows is not None:
+            rows.close(report)
+    if args.report and not structured:
+        _write_file("report", args.report, report.to_text())
     return 0 if report.deny_count == 0 else 1
 
 
@@ -336,16 +314,6 @@ def _annotate_key_paths(store: ExceptionStore, fid_by_path: dict[str, int]) -> N
             store.key_paths.setdefault(fid, path)
 
 
-def _cmd_enforce(args: argparse.Namespace) -> int:
-    with _ReportOut(args) as out:
-        name, report, _, _ = _replay_blocks(
-            args, EnvironmentBit.UNSECURE, out, store_required=True
-        )
-        _print_replay_summary(name, report)
-        out.finish(report)
-    return 0 if report.deny_count == 0 else 1
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .lwm import compare
 
@@ -356,7 +324,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"denied by lwm only: {result.lwm_only or 'none'}")
     print(f"denied by both: {result.both or 'none'}")
     print(f"denied by cumac only: {result.cumac_only or 'none'}")
-    _emit_report(args, result.write_json, result.to_text)
+    if args.report and args.format == "structured":
+        with _Output("report", args.report) as out:
+            result.write_json(out)
+    elif args.report:
+        _write_file("report", args.report, result.to_text())
     return 0 if result.cumac_deny_count == 0 else 1
 
 
@@ -416,14 +388,17 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         },
         "runs": runs,
     }
-    text = f"{matched}/{args.runs} matched\n"
-    _emit_report(args, lambda stream: write_document(stream, doc), lambda: text)
+    if args.report and args.format == "structured":
+        with _Output("report", args.report) as out:
+            write_document(out, doc)
+    elif args.report:
+        _write_file("report", args.report, f"{matched}/{args.runs} matched\n")
     return 0 if mismatches == 0 else 1
 
 
 _HANDLERS = {
-    "learn": _cmd_learn,
-    "enforce": _cmd_enforce,
+    "learn": _cmd_replay,
+    "enforce": _cmd_replay,
     "compare": _cmd_compare,
     "graph": _cmd_graph,
     "oracle-check": _cmd_oracle_check,

@@ -58,7 +58,7 @@ from .model import (
     _parent_path,
     under_live_mount,
 )
-from .replay import _BLOCK_ROWS, _ITEM, _ROW, StructuredReport, write_document
+from .replay import _BLOCK_ROWS, _ITEM, _ROW, StructuredReport, _non_int_json, write_document
 from .store import ExceptionStore
 from .trace import EVENT_VERBS, Trace, TraceHeader, collector_paused
 
@@ -297,12 +297,13 @@ def _write_verdict_rows_json(
     events: list[Event], verdicts: list[tuple[Verdict, Verdict]], write: Callable[[str], Any]
 ) -> None:
     """Write the JSON text of a comparison's ``rows`` list, ``_BLOCK_ROWS``
-    rows joined per write."""
-    heads, tail = _VERDICT_ROW_JSON, _ITEM + "}"
+    rows joined per write; ``seq`` is written as in a decision row."""
+    heads, tail, non_int = _VERDICT_ROW_JSON, _ITEM + "}", _non_int_json
     for start in range(0, len(events), _BLOCK_ROWS):
         block = zip(events[start : start + _BLOCK_ROWS], verdicts[start : start + _BLOCK_ROWS])
         write(("," if start else "[") + ",".join(
-            f"{heads[type(ev), cumac, lwm]}{ev.seq}{tail}" for ev, (cumac, lwm) in block
+            f"{heads[type(ev), cumac, lwm]}{v if type(v := ev.seq) is int else non_int(v)}{tail}"
+            for ev, (cumac, lwm) in block
         ))
     write("\n  ]" if events else "[]")
 

@@ -85,9 +85,15 @@ _ROW = "\n" + " " * 6  # a key of a row
 _NESTED = "\n" + " " * 8  # a key of ``args``, an item of ``taint_updates``
 
 
+def _non_int_json(v: Any) -> str:
+    """The JSON text of a number field's value that is not an exact int: a
+    bool as ``json.dumps`` writes it; anything else goes through
+    ``int.__repr__``, which raises ``TypeError`` for a non-int."""
+    return "true" if v is True else "false" if v is False else int.__repr__(v)
+
+
 _ARG_JSON = {
-    "int": 'v if type(v := ev.{}) is int'
-    ' else "true" if v is True else "false" if v is False else int_repr(v)',
+    "int": "v if type(v := ev.{}) is int else non_int(v)",
     "IpcChannel": "channels[v] if (v := ev.{}) in channels else encode(v)",
     "str": "encode(ev.{})",
 }
@@ -150,7 +156,7 @@ def _row_renderers() -> dict[type[Event], Callable[[Event, Decision], str]]:
         )
     channels = {member: encode_basestring_ascii(member.value) for member in IpcChannel}
     namespace = dict(outcomes=outcomes, updates_json=_taint_updates_json, channels=channels,
-                     no_updates=f',{_ROW}"taint_updates": []', int_repr=int.__repr__,
+                     no_updates=f',{_ROW}"taint_updates": []', non_int=_non_int_json,
                      encode=encode_basestring_ascii)
     exec(compile(_renderers_source(), "<cumac.replay rows>", "exec"), namespace)
     # Popped, so that the namespace, the renderers' globals, holds none of them.

@@ -244,6 +244,16 @@ def _kept_run(reports: list) -> type:
     return KeptRun
 
 
+# Each command that writes a --report in either format; {tmp} is a scratch
+# directory.
+FULL_DEVICE_REPORTS = [
+    "enforce --scenario usb-rootkit --empty-store",
+    "learn --scenario usb-rootkit --store-out {tmp}/s",
+    "compare --scenario usb-rootkit --empty-store",
+    "oracle-check --runs 2 --events 50",
+]
+
+
 class TestReportFiles:
     """The structured report a command streams into its file is byte for
     byte the json.dumps of the document of the report it made."""
@@ -296,16 +306,15 @@ class TestReportFiles:
         assert list(json.loads(text)) == ["runs", "summary"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("fmt", ["structured", "text"])
-    @pytest.mark.parametrize("command", ["enforce", "learn", "compare"])
-    def test_a_full_device_is_a_write_error(self, capsys, tmp_path, command, fmt):
-        store = ["--store-out", str(tmp_path / "s")] if command == "learn" else ["--empty-store"]
-        code, _, err = run_cli(
-            capsys, command, "--scenario", "usb-rootkit", *store,
-            "--format", fmt, "--report", "/dev/full",
-        )
+    @pytest.mark.parametrize("argv, label", [
+        *(pytest.param(f"{argv} --format {fmt}", "report", id=f"{argv.split()[0]}-{fmt}")
+          for argv in FULL_DEVICE_REPORTS for fmt in ("structured", "text")),
+        pytest.param("graph --scenario usb-rootkit", "graph", id="graph"),
+    ])
+    def test_a_full_device_is_a_write_error(self, capsys, tmp_path, argv, label):
+        code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split(), "--report", "/dev/full")
         assert code == 2
-        assert "cannot write report /dev/full" in err
+        assert err == f"error: cannot write {label} /dev/full: [Errno 28] No space left on device\n"
 
 
 # Each command with its usual exit code; {tmp} is a scratch directory.

@@ -383,6 +383,18 @@ class TestStructuredReport:
         self.assert_json_is_the_reference(compare(trace))
         self.assert_json_is_the_reference(compare(trace, learn(trace)[1]))
 
+    @pytest.mark.parametrize("seq", [True, False, 1.5, "1"], ids=repr)
+    def test_an_ill_typed_seq_is_refused_or_written_as_json_dumps_writes(self, seq):
+        # A hand-built event; a parsed one always has an int seq.
+        trace = scenarios.load_trace("usb-rootkit")
+        trace.events[0].seq = seq
+        report = compare(trace)
+        try:
+            text = report.to_json()
+        except TypeError:
+            return
+        assert text.splitlines(True) == reference_json(report).splitlines(True)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_traces_match_the_reference(self, seed):
         trace = random_trace(seed=seed, events=400)

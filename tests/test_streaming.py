@@ -6,6 +6,7 @@ reported, and the run must hold much less memory than the whole trace."""
 
 import gc
 import io
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from cumac import cli
+from cumac import cli, scenarios
 from cumac.model import Copy, Create
 from cumac.randomtrace import random_trace
 from cumac.replay import learn, replay
@@ -239,6 +240,26 @@ def test_a_report_in_the_store_file_is_written_last(tmp_path):
     assert run_cli(argv)[0] == 0
     want = learn(parse_trace(text))[0]
     assert before_timing(out.read_text()) == before_timing(want.to_json())
+
+
+def test_a_report_in_a_longer_store_file_replaces_the_store(tmp_path):
+    # The store names the rootkit's long path in a key comment, so it is
+    # longer than the report: a report written over it from offset 0,
+    # rather than into the file opened afresh, would leave its tail.
+    text = scenarios.load("usb-rootkit").replace("/mnt/usb/adore", "/mnt/usb/" + "a" * 6000)
+    path, out = tmp_path / "t.trace", tmp_path / "out"
+    path.write_text(text)
+    trace = parse_trace(text)
+    want, store = learn(trace)
+    paths = key_paths(trace)
+    store.key_paths.update((key, paths[key]) for key in store.granted_keys())
+    assert len(store.save()) > len(want.to_json()) + 2000
+    argv = ["learn", "--trace", str(path), "--store-out", str(out),
+            "--format", "structured", "--report", str(out)]
+    assert run_cli(argv)[0] == 0
+    written = out.read_text()
+    assert "timing" in json.loads(written)
+    assert before_timing(written) == before_timing(want.to_json())
 
 
 # -- which error is reported --------------------------------------------------------
