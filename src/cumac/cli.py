@@ -16,9 +16,11 @@ oracle mismatch), 2 = usage, parse or configuration error, or an output
 that could not be written (a closed stdout included).
 
 learn and enforce replay one parse block at a time and then drop it, so
-they never hold the whole trace's events. Their first error in this
-order is reported: trace read, parse, options/store/snapshot, engine,
-store write, report write. The other commands need the whole trace.
+they never hold the whole trace's events, on an error path either. Any
+error after the trace is read drains the rest of its blocks before it is
+raised, so the first error in this order is reported: trace read, parse,
+options/store/snapshot, engine, store write, report write. The other
+commands need the whole trace, and parse it before reading the options.
 
 Every output file (learn's store, any --report, graph's DOT text) is
 written through ``_Output``, by one rule. A path is opened at most once,
@@ -46,7 +48,7 @@ from pathlib import Path
 from typing import Any
 
 from . import scenarios
-from .errors import ConfigError, CumacError, TraceError
+from .errors import CumacError
 from .model import entity_sort_key
 from .replay import DecisionRows, Outcomes, ReplayReport, ReplayRun, replay, write_document
 from .store import EnvironmentBit, ExceptionStore
@@ -100,63 +102,58 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_inputs(
-    args: argparse.Namespace, store_required: bool = False
-) -> tuple[str, str, ExceptionStore, set[str] | None]:
-    """Load a replay command's trace name and text, then its store and any
-    --trusted-users names; a failure is a CumacError, and one after the
-    text is read waits for the text to parse, as a parse error comes first."""
+def _read_trace(args: argparse.Namespace) -> tuple[str, str]:
+    """A replay command's trace name and text."""
     if bool(args.trace) == bool(args.scenario):
         raise CumacError("exactly one of --trace or --scenario is required")
     if args.scenario:
-        name = args.scenario
         try:
-            text = scenarios.load(name)
+            return args.scenario, scenarios.load(args.scenario)
         except KeyError as exc:
             raise CumacError(str(exc.args[0])) from None
-    else:
-        path = Path(args.trace)
+    path = Path(args.trace)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CumacError(f"cannot read trace {path}: {exc}") from None
+    return str(path), decode_trace(data)
+
+
+def _read_options(
+    args: argparse.Namespace, store_required: bool = False
+) -> tuple[ExceptionStore, set[str] | None]:
+    """A replay command's store and any --trusted-users names."""
+    if args.store and args.empty_store:
+        raise CumacError("--store and --empty-store are mutually exclusive")
+    if args.store:
+        path = Path(args.store)
         try:
             data = path.read_bytes()
         except OSError as exc:
-            raise CumacError(f"cannot read trace {path}: {exc}") from None
-        name, text = str(path), decode_trace(data)
-        del data  # the bytes go once decoded
+            raise CumacError(f"cannot read store {path}: {exc}") from None
+        store = ExceptionStore.load(data)
+    elif store_required and not args.empty_store:
+        raise CumacError("this command needs --store P or an explicit --empty-store")
+    else:
+        store = ExceptionStore()
+    if not args.trusted_users:
+        return store, None
+    path = Path(args.trusted_users)
     try:
-        if args.store and args.empty_store:
-            raise CumacError("--store and --empty-store are mutually exclusive")
-        if args.store:
-            path = Path(args.store)
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                raise CumacError(f"cannot read store {path}: {exc}") from None
-            store = ExceptionStore.load(data)
-        elif store_required and not args.empty_store:
-            raise CumacError("this command needs --store P or an explicit --empty-store")
-        else:
-            store = ExceptionStore()
-
-        trusted: set[str] | None = None
-        if args.trusted_users:
-            path = Path(args.trusted_users)
-            try:
-                lines = path.read_bytes().decode("utf-8").split("\n")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise CumacError(f"cannot read trusted-users file {path}: {exc}") from None
-            trusted = {
-                line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
-            }
-    except CumacError:
-        parse_trace(text)
-        raise
-    return name, text, store, trusted
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CumacError(f"cannot read trusted-users file {path}: {exc}") from None
+    return store, {
+        line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
+    }
 
 
 def _load_trace(args: argparse.Namespace) -> tuple[Trace, str, ExceptionStore, TraceHeader]:
-    """The parsed trace of ``compare`` or ``graph``, its name, store and snapshot."""
-    name, text, store, trusted = _load_inputs(args)
+    """The parsed trace of ``compare`` or ``graph``, its name, store and
+    snapshot; the trace is parsed before the options are read."""
+    name, text = _read_trace(args)
     trace = parse_trace(text)
+    store, trusted = _read_options(args)
     return trace, name, store, TraceHeader.from_trace(trace, trusted)
 
 
@@ -253,54 +250,55 @@ def _print_replay_summary(name: str, report: ReplayReport) -> None:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     """``learn`` (Secure; writes --store-out) or ``enforce`` (Unsecure;
-    needs a store). After the inputs load, per parse block: step its
-    events, count their outcomes, write their rows into a structured
-    report, and drop them. An engine error waits for the rest of the text
-    to parse, as a parse error comes first. Then learn writes its store,
-    the summary is printed, and the report is ended or written."""
+    needs a store). After the trace is read and the options are loaded,
+    per parse block: step its events, count their outcomes, write their
+    rows into a structured report, and drop them. Then learn writes its
+    store, the summary is printed, and the report is ended or written."""
     learning = args.command == "learn"
     if learning and not args.store_out:
         raise CumacError("learn needs --store-out P (a writable store path)")
     mode = EnvironmentBit.SECURE if learning else EnvironmentBit.UNSECURE
-    name, text, store, trusted = _load_inputs(args, store_required=not learning)
-    store_out = args.store_out if learning else None
-    structured = bool(args.report) and args.format == "structured"
-    outcomes = Outcomes(keep_denials=bool(args.report) and not structured)
-    # opened after the store is read, as --report may name it
-    with _Output("report", args.report, store_out) if structured else nullcontext() as out:
-        rows = DecisionRows(out) if structured else None
-        parser = _Parser()
-        blocks = parser.blocks(text)
-        run = None
-        for events in blocks:
-            try:
+    name, text = _read_trace(args)
+    parser = _Parser()
+    blocks = parser.blocks(text)  # the blocks hold the text until they end
+    del text
+    try:
+        store, trusted = _read_options(args, store_required=not learning)
+        store_out = args.store_out if learning else None
+        structured = bool(args.report) and args.format == "structured"
+        outcomes = Outcomes(keep_denials=bool(args.report) and not structured)
+        # opened after the store is read, as --report may name it
+        with _Output("report", args.report, store_out) if structured else nullcontext() as out:
+            rows = DecisionRows(out) if structured else None
+            run = None
+            for events in blocks:
                 if run is None:  # the header is complete at the first block
                     run = ReplayRun(
                         TraceHeader.from_trace(Trace(parser.header), trusted), store, mode
                     )
                 decisions = run.step(events)
-            except (ConfigError, TraceError):
-                for _ in blocks:
-                    pass
-                raise
-            outcomes.add(events, decisions)
+                outcomes.add(events, decisions)
+                if rows is not None:
+                    rows.add(events, decisions)
+                del events, decisions  # before the next block is parsed
+            label, fid_by_path = parser.header.label, parser.fid_by_path
+            del parser
+            report = run.report(label, [], [], outcomes)
+            del run  # and its step times
+            if learning:
+                _annotate_key_paths(store, fid_by_path)
+                _write_file("store", store_out, store.save())
+            _print_replay_summary(name, report)
+            if learning:
+                print(f"store written: {store_out}")
             if rows is not None:
-                rows.add(events, decisions)
-            del events, decisions  # before the next block is parsed
-        label, fid_by_path = parser.header.label, parser.fid_by_path
-        del text, parser, blocks
-        report = run.report(label, [], [], outcomes)
-        del run  # and its step times
-        if learning:
-            _annotate_key_paths(store, fid_by_path)
-            _write_file("store", store_out, store.save())
-        _print_replay_summary(name, report)
-        if learning:
-            print(f"store written: {store_out}")
-        if rows is not None:
-            rows.close(report)
-    if args.report and not structured:
-        _write_file("report", args.report, report.to_text())
+                rows.close(report)
+        if args.report and not structured:
+            _write_file("report", args.report, report.to_text())
+    except CumacError:
+        for _ in blocks:  # a parse error in the rest is reported instead
+            pass
+        raise
     return 0 if report.deny_count == 0 else 1
 
 

@@ -38,11 +38,11 @@ there would reclaim nothing; they would only walk the trace and the
 collected decisions, again and again as both grow. After the loop, the
 timing stats and the final taint come from C-level passes (one ``sorted``
 of the step times, one of the tainted entities) rather than a Python loop
-per event. The outcome counts are taken the same way (``map``,
-``operator.countOf``, ``itertools.compress``, ``bytearray.count``): the
-CLI keeps one verdict byte per decision block by block, a library report
-takes them from its decisions on first read, and either counts the
-allows once, so a caller that never reads them never pays for them.
+per event. The outcome counts are taken the same way
+(``Counter.update`` over ``map`` and ``itertools.compress``): the CLI
+adds each block's decisions as it steps them, and a library report
+counts its decisions on first read, so a caller that never reads them
+never pays for them.
 """
 
 from __future__ import annotations
@@ -50,12 +50,13 @@ from __future__ import annotations
 import io
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from itertools import compress, repeat
 from math import fsum
-from operator import attrgetter, countOf, is_
+from operator import attrgetter, is_
 from time import perf_counter, perf_counter_ns
 from typing import Any, Callable, Iterable, TextIO
 
@@ -253,18 +254,6 @@ _VERDICT = attrgetter("verdict")
 _REASON = attrgetter("reason")
 
 
-_VERDICT_CODE = {Verdict.ALLOW: 0, Verdict.ALLOW_BY_EXCEPTION: 1, Verdict.DENY: 2}
-"""The byte that stands for each verdict in ``Outcomes.verdicts``."""
-
-
-def _outcome_counts(verdicts: bytearray) -> tuple[int, int]:
-    """Allows and allows by exception among ``verdicts``, one
-    ``_VERDICT_CODE`` per decision, counted in C-level passes."""
-    return verdicts.count(_VERDICT_CODE[Verdict.ALLOW]), verdicts.count(
-        _VERDICT_CODE[Verdict.ALLOW_BY_EXCEPTION]
-    )
-
-
 def _denied(items: Iterable, decisions: list[Decision]) -> compress:
     """The items whose decision, at the same index, is a denial."""
     return compress(items, map(is_, map(_VERDICT, decisions), repeat(Verdict.DENY)))
@@ -272,41 +261,28 @@ def _denied(items: Iterable, decisions: list[Decision]) -> compress:
 
 class Outcomes:
     """Decisions counted by outcome. ``add`` takes a list of them at a
-    time, for the CLI one parse block: it keeps each verdict as one byte
-    (``verdicts``), counts the denials per reason and, if
+    time, for the CLI one parse block: it counts them per verdict
+    (``verdicts``) and the denials per reason (``reasons``) and, if
     ``keep_denials``, keeps each denial with its event (else ``denials`` is
-    None; a text report lists them). The allows and allows by exception
-    are counted once, at the first read after the last ``add``. The
-    totals always equal the event count."""
+    None; a text report lists them)."""
 
-    __slots__ = ("verdicts", "denies_by_reason", "denials", "_counts")
+    __slots__ = ("verdicts", "reasons", "denials")
 
     def __init__(self, keep_denials: bool = True):
-        self.verdicts = bytearray()
-        self.denies_by_reason: dict[str, int] = {}
+        self.verdicts: Counter[Verdict] = Counter()
+        self.reasons: Counter[DenyReason] = Counter()
         self.denials: list[tuple[Event, Decision]] | None = [] if keep_denials else None
-        self._counts: tuple[int, int] | None = None
 
     def add(self, events: list[Event], decisions: list[Decision]) -> None:
         """Add ``decisions``, one per event of ``events``, in C-level
-        passes: the verdicts, then the denials' reasons per reason."""
-        start = len(self.verdicts)
-        self.verdicts.extend(map(_VERDICT_CODE.__getitem__, map(_VERDICT, decisions)))
-        if self.verdicts.find(_VERDICT_CODE[Verdict.DENY], start) >= 0:
-            reasons = list(map(_REASON, _denied(decisions, decisions)))
-            by_reason = self.denies_by_reason
-            for reason in DENIED:
-                count = countOf(reasons, reason)
-                if count:
-                    by_reason[reason.value] = by_reason.get(reason.value, 0) + count
+        passes: the verdicts, then the denials' reasons."""
+        verdicts = self.verdicts
+        denied = verdicts[Verdict.DENY]
+        verdicts.update(map(_VERDICT, decisions))
+        if verdicts[Verdict.DENY] > denied:
+            self.reasons.update(map(_REASON, _denied(decisions, decisions)))
             if self.denials is not None:
                 self.denials += _denied(zip(events, decisions), decisions)
-
-    def counts(self) -> tuple[int, int]:
-        """Allows and allows by exception."""
-        if self._counts is None:
-            self._counts = _outcome_counts(self.verdicts)
-        return self._counts
 
 
 @dataclass(slots=True)
@@ -346,26 +322,26 @@ class ReplayReport(StructuredReport):
 
     @property
     def event_count(self) -> int:
-        return len(self._outcomes().verdicts)
+        return self._outcomes().verdicts.total()
 
     @property
     def allows(self) -> int:
         """Decisions that allowed their event outright."""
-        return self._outcomes().counts()[0]
+        return self._outcomes().verdicts[Verdict.ALLOW]
 
     @property
     def exception_allows(self) -> int:
         """Decisions that allowed their event by an exception grant."""
-        return self._outcomes().counts()[1]
+        return self._outcomes().verdicts[Verdict.ALLOW_BY_EXCEPTION]
 
     @property
     def denies_by_reason(self) -> dict[str, int]:
         """Denials per reason value, for the reasons that occur."""
-        return self._outcomes().denies_by_reason
+        return {reason.value: count for reason, count in self._outcomes().reasons.items()}
 
     @property
     def deny_count(self) -> int:
-        return sum(self.denies_by_reason.values())
+        return self._outcomes().verdicts[Verdict.DENY]
 
     def denials(self) -> list[tuple[Event, Decision]] | None:
         """Each denial with its event, None if the run did not keep them."""

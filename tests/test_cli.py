@@ -594,13 +594,13 @@ class TestCollectorPause:
 
     def test_a_command_runs_with_the_collector_off(self, collector, capsys, monkeypatch):
         seen = set()
-        load_inputs = cli._load_inputs
+        read_options = cli._read_options
 
         def observed(*args, **kwargs):
             seen.add(gc.isenabled())
-            return load_inputs(*args, **kwargs)
+            return read_options(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_load_inputs", observed)
+        monkeypatch.setattr(cli, "_read_options", observed)
         code, _, _ = run_cli(capsys, "enforce", "--scenario", "usb-rootkit", "--empty-store")
         assert code == 1
         assert seen == {False}

@@ -94,15 +94,20 @@ def summary(name: str, report) -> str:
     return out.getvalue()
 
 
-def before_timing(structured: str) -> str:
-    """A structured report up to its last section, ``timing``."""
-    return structured[: structured.rindex('\n  "timing": ')]
+# Reports are compared as lists of lines, so that a failure names the
+# first differing line at once rather than diffing two texts of megabytes.
 
 
-def without_timing(text: str) -> str:
+def before_timing(structured: str) -> list[str]:
+    """The lines of a structured report up to its last section, ``timing``."""
+    return structured[: structured.rindex('\n  "timing": ')].splitlines(True)
+
+
+def without_timing(text: str) -> list[str]:
+    """The lines of a text report but its last, ``timing``."""
     lines = text.split("\n")
     assert lines[-2].startswith("timing: ")
-    return "\n".join(lines[:-2])
+    return lines[:-2]
 
 
 def key_paths(trace) -> dict[int, str]:
@@ -297,6 +302,19 @@ ERROR_ORDER = {
         2, "", "error: line 1: unknown format header 'cumac-exceptions v9'"
         " (want 'cumac-exceptions v1')\n",
     ),
+    "store-and-empty-store-then-parse-fault": (
+        "enforce --trace {dir}/late.trace --store {dir}/bad.cumac --empty-store",
+        2, "", _LATE_PARSE_FAULT,
+    ),
+    "unreadable-trusted-users-then-parse-fault": (
+        "learn --trace {dir}/late.trace --store-out {dir}/s.cumac"
+        " --trusted-users {dir}/none.txt",
+        2, "", _LATE_PARSE_FAULT,
+    ),
+    "compare-bad-store-then-parse-fault": (
+        "compare --trace {dir}/late.trace --store {dir}/bad.cumac",
+        2, "", _LATE_PARSE_FAULT,
+    ),
     "missing-trace-and-bad-store": (
         "enforce --trace {dir}/none.trace --store {dir}/bad.cumac",
         2, "", "error: cannot read trace {dir}/none.trace: [Errno 2] No such file or directory:"
@@ -400,3 +418,19 @@ def test_a_streamed_enforce_holds_much_less_than_the_whole_trace(tmp_path):
     ratio = traced_peak(streamed) / traced_peak(batch)
     assert ratio < 0.6, f"streamed peak is {ratio:.3f} of the whole-trace peak"
     assert before_timing(streamed_report.read_text()) == before_timing(batch_report.read_text())
+
+
+def test_an_options_error_holds_much_less_than_the_whole_trace(tmp_path, capsys):
+    # The error waits for the rest of the trace to parse, a block at a
+    # time, and holds no more of it than a streamed run does.
+    path = tmp_path / "t.trace"
+    path.write_text(render_trace(random_trace(seed=25, events=10_000)))
+    cli._build_parser()  # built once per process, and kept
+
+    def options_error():
+        argv = ["enforce", "--trace", str(path), "--store", str(tmp_path / "missing.store")]
+        assert run_cli(argv)[0] == 2
+
+    ratio = traced_peak(options_error) / traced_peak(lambda: parse_trace(path.read_bytes()))
+    assert ratio < 0.6, f"the options error's peak is {ratio:.3f} of the whole-trace peak"
+    assert "error: cannot read store" in capsys.readouterr().err
