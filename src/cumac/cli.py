@@ -25,10 +25,12 @@ commands need the whole trace, and parse it before reading the options.
 Every output file (learn's store, any --report, graph's DOT text) is
 written through ``_Output``, by one rule. A path is opened at most once,
 and the file behind stdout (/dev/stdout, or the file stdout is redirected
-to) never. Text is held in memory and written last in two cases only:
-what goes to stdout, after the summary, and a report in the file of
-learn's --store-out, which is opened afresh after the store. The first
-write error of a file is kept and reported after any earlier error.
+to) never. Text is held in memory, as the pieces written, and written
+last in two cases only: for a path that is stdout, which gets a report
+after the summary (learn's store goes before it), and for a report in
+the file of learn's --store-out, which is opened afresh after the store.
+The first write error of a file is kept and reported after any earlier
+error.
 
 The modules that only compare, graph and oracle-check use (lwm, oracle,
 randomtrace) are imported by those commands, so that learn and enforce
@@ -38,7 +40,6 @@ start without them.
 from __future__ import annotations
 
 import argparse
-import io
 import json  # noqa: F401  (unused here; perfbench/tracer.py times cli.json.dumps)
 import os
 import sys
@@ -170,7 +171,7 @@ class _Output:
     def __init__(self, label: str, path: str, later: str | None = None):
         self.label, self.path, self.stream, self.error = label, path, None, None
         self.stdout = _is_stdout(path)
-        self.held = io.StringIO() if self.stdout or (later and _same_file(path, later)) else None
+        self.held = [] if self.stdout or (later and _same_file(path, later)) else None
         if self.held is None:
             self._open()
 
@@ -182,7 +183,7 @@ class _Output:
 
     def write(self, text: str) -> None:
         if self.held is not None:
-            self.held.write(text)
+            self.held.append(text)
         elif self.error is None:
             try:
                 self.stream.write(text)
@@ -194,12 +195,13 @@ class _Output:
 
     def __exit__(self, failed: type | None, *_: object) -> None:
         if failed is None and self.held is not None:
-            text, self.held = self.held.getvalue(), None
+            held, self.held = self.held, None
             if self.stdout:
-                sys.stdout.write(text)  # a BrokenPipeError goes on to main
+                sys.stdout.writelines(held)  # a BrokenPipeError goes on to main
             else:
                 self._open()
-                self.write(text)
+                for piece in held:
+                    self.write(piece)
         if self.stream is not None:
             try:
                 self.stream.close()

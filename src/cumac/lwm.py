@@ -93,15 +93,11 @@ class LwmEngine:
     in place, raises ``_unknown``'s error for an id that is not live, and
     compares levels by identity. Its seed levels and its users' trust
     come from ``config``, by default the trace's header, which must pass
-    ``TraceHeader.validate`` as for ``Engine``; ``validated`` says that the
-    caller has already checked it."""
+    ``TraceHeader.validate`` as for ``Engine``."""
 
-    def __init__(
-        self, trace: Trace, config: TraceHeader | None = None, *, validated: bool = False
-    ):
+    def __init__(self, trace: Trace, config: TraceHeader | None = None):
         config = config or trace.header
-        if not validated:
-            config.validate()
+        config.validate()
         self.subject_levels: dict[int, IntegrityLevel] = {}
         self.object_levels: dict[int, IntegrityLevel] = {}
         self._fid_by_path: dict[str, int] = {}
@@ -402,8 +398,8 @@ def compare(
         store = ExceptionStore()
     config = config or trace.header
     with collector_paused():
-        cumac_engine = Engine(config, store)  # validates the snapshot for both
-        lwm_engine = LwmEngine(trace, config, validated=True)
+        cumac_engine = Engine(config, store)
+        lwm_engine = LwmEngine(trace, config)
         verdicts: list[tuple[Verdict, Verdict]] = []
         lwm_only: list[int] = []
         both: list[int] = []

@@ -1,6 +1,7 @@
 """Low-water-mark baseline: level dynamics and the comparison report."""
 
 import gc
+import itertools
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from cumac.model import (
     Mount,
     PermissionBits,
     Verdict,
+    _covers,
     _parent_path,
 )
 from cumac.randomtrace import random_trace
@@ -225,6 +227,7 @@ def low_fids(engine: LwmEngine) -> set[int]:
 PATHS = st.lists(st.sampled_from(["mnt", "usb", "usbx", "a"]), max_size=4).map(
     lambda segments: "/" + "/".join(segments)
 )
+COVER_PREFIXES = ("/", "/mnt", "/mnt/usb", "/mnt/usb0")
 
 
 class TestHighFileRegistration:
@@ -275,6 +278,17 @@ class TestHighFileRegistration:
         engine._register(7, path, IntegrityLevel.HIGH)
         assert engine._high_below == {prefix: [7] if covered else []}
         assert bool(ancestor_walk({prefix}, path)) == covered
+
+    def test_under_prefix_is_the_covers_rule(self):
+        # LwmEngine keeps a precomputed copy of model._covers for speed.
+        paths = (*COVER_PREFIXES, "/mnt/usbx", "/mnt/usb/x", "/tmpx")
+        for size in range(1, len(COVER_PREFIXES) + 1):
+            for prefixes in itertools.combinations(COVER_PREFIXES, size):
+                mounts = [Mount(seq, seq, prefix) for seq, prefix in enumerate(prefixes, start=1)]
+                engine = LwmEngine(Trace(TraceHeader(), mounts))
+                for path in paths:
+                    covered = any(_covers(prefix, path) for prefix in prefixes)
+                    assert engine._under_prefix(path) == covered, (prefixes, path)
 
 
 class TestUnknownEventKind:

@@ -193,7 +193,7 @@ def test_every_consumer_refuses_a_snapshot_the_engine_refuses(files, message):
         compare(trace)
 
 
-def test_compare_validates_the_snapshot_once(monkeypatch):
+def test_compare_validates_the_snapshot_in_each_engine(monkeypatch):
     calls = []
     validate = TraceHeader.validate
 
@@ -203,4 +203,4 @@ def test_compare_validates_the_snapshot_once(monkeypatch):
 
     monkeypatch.setattr(TraceHeader, "validate", counted)
     compare(TRACE)
-    assert calls == [TRACE.header]
+    assert calls == [TRACE.header, TRACE.header]

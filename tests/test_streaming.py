@@ -214,6 +214,25 @@ def test_a_report_to_a_redirected_stdout_follows_the_summary(tmp_path, fmt):
         assert without_timing(written[len(head):]) == without_timing(want.to_text())
 
 
+def test_a_store_to_stdout_comes_before_the_summary_and_a_report_after(tmp_path):
+    # learn's store is written before the summary is printed, and only a
+    # report waits for the summary; stdout is redirected to a file.
+    out = tmp_path / "out"
+    argv = ["learn", "--scenario", "usb-rootkit", "--store-out", "/dev/stdout",
+            "--format", "structured", "--report", "/dev/stdout"]
+    with open(out, "w") as stdout:
+        run = cli_process(argv, stdout)
+    trace = scenarios.load_trace("usb-rootkit")
+    want, store = learn(trace)
+    paths = key_paths(trace)
+    store.key_paths.update((key, paths[key]) for key in store.granted_keys())
+    assert run.returncode == 0 and run.stderr == ""
+    head = store.save() + summary("usb-rootkit", want) + "store written: /dev/stdout\n"
+    written = out.read_text()
+    assert written.startswith(head)
+    assert before_timing(written[len(head):]) == before_timing(want.to_json())
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("argv", [
     "enforce --scenario usb-rootkit --empty-store",
@@ -434,3 +453,30 @@ def test_an_options_error_holds_much_less_than_the_whole_trace(tmp_path, capsys)
     ratio = traced_peak(options_error) / traced_peak(lambda: parse_trace(path.read_bytes()))
     assert ratio < 0.6, f"the options error's peak is {ratio:.3f} of the whole-trace peak"
     assert "error: cannot read store" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["learn", "enforce"])
+def test_a_held_report_costs_about_its_own_size(tmp_path, command):
+    # A report that waits (for learn's store in its file, or for the summary
+    # in the file behind stdout) is held as the pieces written, and written
+    # piece by piece, not copied out whole and then encoded whole.
+    path = tmp_path / "t.trace"
+    path.write_text(render_trace(random_trace(seed=25, events=20_000)))
+    cli._build_parser()  # built once per process, and kept
+
+    def run(report, stdout, store):
+        argv = [command, "--trace", str(path), "--format", "structured", "--report", str(report)]
+        argv += ["--store-out", str(store)] if command == "learn" else ["--empty-store"]
+        with open(stdout, "w", encoding="utf-8") as out, redirect_stdout(out):
+            assert cli.main(argv) == (command == "enforce")
+
+    held, streamed = tmp_path / "held", tmp_path / "streamed"
+    summary_path, store = tmp_path / "summary", tmp_path / "store"
+    held_files = (held, summary_path, held) if command == "learn" else (held, held, store)
+    held_peak = traced_peak(lambda: run(*held_files))
+    extra = held_peak - traced_peak(lambda: run(streamed, summary_path, store))
+    written = streamed.read_text("utf-8")
+    ratio = extra / len(written)
+    assert ratio < 1.3, f"the held report costs {ratio:.2f} times its size"
+    held_text = held.read_text("utf-8")  # enforce's starts with the summary
+    assert before_timing(held_text[held_text.index("{"):]) == before_timing(written)
