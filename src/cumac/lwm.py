@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, TextIO
+from typing import Any, TextIO
 
 from .engine import Engine, _unknown
 from .errors import TraceError
@@ -58,7 +57,7 @@ from .model import (
     _parent_path,
     under_live_mount,
 )
-from .replay import _BLOCK_ROWS, _ITEM, _ROW, StructuredReport, _non_int_json, write_document
+from .replay import _ITEM, _ROW, StructuredReport, _non_int_json, write_document
 from .store import ExceptionStore
 from .trace import EVENT_VERBS, Trace, TraceHeader, collector_paused
 
@@ -289,21 +288,6 @@ _VERDICT_ROW_JSON: dict[tuple[type, Verdict, Verdict], str] = {
 to the value of ``seq``."""
 
 
-def _write_verdict_rows_json(
-    events: list[Event], verdicts: list[tuple[Verdict, Verdict]], write: Callable[[str], Any]
-) -> None:
-    """Write the JSON text of a comparison's ``rows`` list, ``_BLOCK_ROWS``
-    rows joined per write; ``seq`` is written as in a decision row."""
-    heads, tail, non_int = _VERDICT_ROW_JSON, _ITEM + "}", _non_int_json
-    for start in range(0, len(events), _BLOCK_ROWS):
-        block = zip(events[start : start + _BLOCK_ROWS], verdicts[start : start + _BLOCK_ROWS])
-        write(("," if start else "[") + ",".join(
-            f"{heads[type(ev), cumac, lwm]}{v if type(v := ev.seq) is int else non_int(v)}{tail}"
-            for ev, (cumac, lwm) in block
-        ))
-    write("\n  ]" if events else "[]")
-
-
 @dataclass(slots=True)
 class ComparisonReport(StructuredReport):
     """Per-event verdicts of both engines plus the denial-set difference.
@@ -358,9 +342,13 @@ class ComparisonReport(StructuredReport):
         }
 
     def write_json(self, stream: TextIO) -> None:
-        """Stream the structured report into ``stream``, a ``rows`` entry
-        of ``seq``, ``event``, ``cumac`` and ``lwm`` verdict per event."""
-        rows = partial(_write_verdict_rows_json, self.events, self.verdicts)
+        """Stream the structured report into ``stream``, a ``rows`` entry of
+        ``seq`` (as in a decision row), ``event``, ``cumac`` and ``lwm`` per event."""
+        heads, tail, non_int = _VERDICT_ROW_JSON, _ITEM + "}", _non_int_json
+        rows = (
+            f"{heads[type(ev), cumac, lwm]}{v if type(v := ev.seq) is int else non_int(v)}{tail}"
+            for ev, (cumac, lwm) in zip(self.events, self.verdicts)
+        )
         write_document(stream, {**self.to_structured(), "rows": rows})
 
     def to_text(self) -> str:

@@ -14,11 +14,12 @@ decision rows (``DecisionRows``), add its outcomes to running counts
 ``write_document`` streams a structured report, small sections and one
 row section, to a text stream without building it: its bytes equal
 ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, but each small
-section goes through ``json.dumps`` alone, and the rows are rendered by
-one generated renderer per event kind and written ``_BLOCK_ROWS`` at a
-time. So writing a report holds one block of rows,
-not a second copy of the report, nor a third as encoded bytes. The replay
-report here and the comparison report in ``lwm`` share this writer; a
+section goes through ``json.dumps`` alone. A row section is an iterator
+of row texts, which one writer, ``_write_rows``, frames as a JSON list
+and writes ``_BLOCK_ROWS`` at a time, for every report: the replay
+report here (one generated renderer per event kind renders its rows) and
+the comparison report in ``lwm``. So writing a report holds one block of
+rows, not a second copy of the report, nor a third as encoded bytes. A
 replay report's rows come first in key order, so ``DecisionRows`` can
 write them while the run goes, before its summary is known.
 
@@ -54,11 +55,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from math import fsum
 from operator import attrgetter, is_
 from time import perf_counter, perf_counter_ns
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .engine import Engine
 from .model import (
@@ -78,8 +79,8 @@ from .trace import _EVENTS, EVENT_VERBS, Trace, TraceHeader, collector_paused
 # are those ``json.dumps(..., indent=2)`` gives a row of ``decisions``.
 
 _BLOCK_ROWS = 512
-"""Decision rows that ``write_json`` joins into one write: enough that the
-writes are few, few enough that a block is small next to the report."""
+"""Rows of a report's list that ``_write_rows`` joins into one write: enough
+that the writes are few, few enough that a block is small next to the report."""
 
 _ITEM = "\n" + " " * 4  # a row of ``decisions``
 _ROW = "\n" + " " * 6  # a key of a row
@@ -164,35 +165,33 @@ def _row_renderers() -> dict[type[Event], Callable[[Event, Decision], str]]:
     return {cls: namespace.pop(verb) for verb, (cls, _) in _EVENTS.items()}
 
 
-def _write_rows_json(
-    events: list[Event], decisions: list[Decision], write: Callable[[str], Any], written: int
-) -> None:
-    """Write the JSON text of the rows of ``decisions`` that follow
-    ``written`` rows already written, ``_BLOCK_ROWS`` rows joined per
-    write; the list's opening comes before the first row."""
-    renderers = _row_renderers()
-    for start in range(0, len(events), _BLOCK_ROWS):
-        block = zip(events[start : start + _BLOCK_ROWS], decisions[start : start + _BLOCK_ROWS])
-        rows = [renderers[type(ev)](ev, decision) for ev, decision in block]
-        rows[0] = ("," if start or written else "[") + rows[0]
-        write(",".join(rows))
+def _write_rows(write: Callable[[str], Any], rows: Iterator[str], written: int = 0) -> int:
+    """Write the JSON texts of ``rows`` as the items of a list after
+    ``written`` items, the list's opening before the first and
+    ``_BLOCK_ROWS`` joined per write; return the items written in all."""
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        block[0] = ("," if written else "[") + block[0]
+        write(",".join(block))
+        written += len(block)
+    return written
 
 
 def write_document(stream: TextIO, sections: dict[str, Any], continued: bool = False) -> None:
     """Write ``sections`` as a JSON document to ``stream``, byte for byte
     ``json.dumps(sections, sort_keys=True, indent=2) + "\n"``. A section
-    whose value is callable is a row section: it is handed
-    ``stream.write`` and writes its JSON list itself. With ``continued``,
-    the document's opening and the sections that sort before these are
-    already written (``DecisionRows``), and these follow them."""
+    whose value is an iterator is a row section, the JSON texts of its
+    list's items at a row's indent: ``_write_rows`` writes them, and then
+    the list's end is written. With ``continued``, the document's opening
+    and the sections that sort before these are already written
+    (``DecisionRows``), and these follow them."""
     write = stream.write
     opening = "," if continued else "{"
     for name in sorted(sections):
         write(f"{opening}\n  {encode_basestring_ascii(name)}: ")
         opening = ","
         section = sections[name]
-        if callable(section):
-            section(write)
+        if isinstance(section, Iterator):
+            write("\n  ]" if _write_rows(write, section) else "[]")
         else:
             write(json.dumps(section, sort_keys=True, indent=2).replace("\n", "\n  "))
     write("\n}\n")
@@ -420,8 +419,9 @@ class DecisionRows:
         self.write('{\n  "decisions": ')
 
     def add(self, events: list[Event], decisions: list[Decision]) -> None:
-        _write_rows_json(events, decisions, self.write, self.rows)
-        self.rows += len(events)
+        renderers = _row_renderers()
+        rows = (renderers[type(ev)](ev, decision) for ev, decision in zip(events, decisions))
+        self.rows = _write_rows(self.write, rows, self.rows)
 
     def close(self, report: ReplayReport) -> None:
         self.write("\n  ]" if self.rows else "[]")

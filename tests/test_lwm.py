@@ -422,7 +422,7 @@ class TestStructuredReport:
             self.assert_json_is_the_reference(report)
 
     @pytest.mark.parametrize(
-        "rows", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1], ids=lambda n: f"{n}-rows"
+        "rows", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS], ids=lambda n: f"{n}-rows"
     )
     def test_block_edges_match_the_reference(self, rows):
         report = compare(random_trace(seed=rows, events=rows))

@@ -25,7 +25,7 @@ from cumac.model import (
 )
 from cumac.oracle import export_taint_graph, taint_oracle
 from cumac.randomtrace import random_trace
-from cumac.replay import _BLOCK_ROWS, ReplayReport, TimingStats, learn, replay
+from cumac.replay import _BLOCK_ROWS, ReplayReport, TimingStats, learn, replay, write_document
 from cumac.store import AccessMode, EnvironmentBit, ExceptionStore
 from cumac.trace import _EVENTS, parse_trace, render_trace
 
@@ -489,6 +489,17 @@ class TestStreamingWriter:
         assert sum(per_write) == rows
         assert max(per_write) <= _BLOCK_ROWS
         assert sum(1 for count in per_write if count) == -(-rows // _BLOCK_ROWS)
+
+    @pytest.mark.parametrize(
+        "items", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1], ids=lambda n: f"{n}-items"
+    )
+    def test_an_iterator_section_is_a_row_list(self, items):
+        doc = {"count": {"items": items}, "rows": [f"row {i}" for i in range(items)], "tail": []}
+        writes = Writes()
+        texts = (f"\n    {json.dumps(item)}" for item in doc["rows"])
+        write_document(writes, {**doc, "rows": texts})
+        assert "".join(writes) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert max(text.count('"row ') for text in writes) <= _BLOCK_ROWS
 
     def test_streaming_allocates_a_small_fraction_of_the_report(self):
         report = replay(random_trace(seed=8, events=20_000), EnvironmentBit.UNSECURE)
