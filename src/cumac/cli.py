@@ -15,10 +15,15 @@ oracle-check: all runs matched), 1 = ran with at least one denial (or an
 oracle mismatch), 2 = usage, parse or configuration error, or an output
 that could not be written (a closed stdout included).
 
-learn and enforce replay one parse block at a time and then drop it, so
-they never hold the whole trace's events, on an error path either. Any
-error after the trace is read drains the rest of its blocks before it is
-raised, so the first error in this order is reported: trace read, parse,
+A trace file is read a chunk at a time, twice when it is a regular file:
+a first pass checks that it is UTF-8 and holds nothing, and the parse
+reads it again. A file that can be read only once (/dev/stdin, a pipe) is
+read and decoded whole. learn and enforce replay one parse block at a
+time and then drop it, so they hold one read chunk and one line block,
+never the trace's decoded text or its whole events, on an error path
+either. Any error after the trace is read drains the rest of its blocks
+before it is raised, so the first error in this order is reported: trace
+read (a file that cannot be read, then one that is not UTF-8), parse,
 options/store/snapshot, engine, store write, report write. The other
 commands need the whole trace, and parse it before reading the options.
 
@@ -44,16 +49,18 @@ import json  # noqa: F401  (unused here; perfbench/tracer.py times cli.json.dump
 import os
 import sys
 from contextlib import nullcontext
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from . import scenarios
 from .errors import CumacError
 from .model import entity_sort_key
 from .replay import DecisionRows, Outcomes, ReplayReport, ReplayRun, replay, write_document
 from .store import EnvironmentBit, ExceptionStore
-from .trace import Trace, TraceHeader, _Parser, collector_paused, decode_trace, parse_trace
+from .trace import (
+    _READ_CHUNK, Trace, TraceHeader, _Parser, _decode_chunks, _parse, collector_paused, parse_trace,
+)
 
 _OPTIONS: dict[str, dict[str, Any]] = {
     "--trace": {"metavar": "P", "help": "trace file to replay"},
@@ -103,8 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_trace(args: argparse.Namespace) -> tuple[str, str]:
-    """A replay command's trace name and text."""
+def _read_trace(args: argparse.Namespace) -> tuple[str, str | Iterator[str]]:
+    """A replay command's trace name and text: a scenario's text, or the
+    text of the --trace file. A regular file is checked to be UTF-8 here,
+    a read chunk at a time, and its text is then read again as the chunks
+    are needed (``_file_chunks``). Any other file (/dev/stdin, a FIFO)
+    cannot be read twice, so its text is read whole here."""
     if bool(args.trace) == bool(args.scenario):
         raise CumacError("exactly one of --trace or --scenario is required")
     if args.scenario:
@@ -113,11 +124,36 @@ def _read_trace(args: argparse.Namespace) -> tuple[str, str]:
         except KeyError as exc:
             raise CumacError(str(exc.args[0])) from None
     path = Path(args.trace)
+    if not path.is_file():
+        return str(path), "".join(_file_chunks(path))
+    for _ in _file_chunks(path):  # a UTF-8 error comes before any parse error
+        pass
+    return str(path), _file_chunks(path)
+
+
+def _file_chunks(path: Path) -> Iterator[str]:
+    """The text of the trace file at ``path``, read and decoded
+    ``_READ_CHUNK`` bytes at a time. The file is open while the chunks are
+    read, and closed at their end, at an error, or when the generator is
+    dropped unfinished."""
     try:
-        data = path.read_bytes()
+        with path.open("rb") as file:
+            reads = iter(partial(file.read, _READ_CHUNK), b"")
+            yield from _decode_chunks(reads, partial(_newlines_before, path))
     except OSError as exc:
         raise CumacError(f"cannot read trace {path}: {exc}") from None
-    return str(path), decode_trace(data)
+
+
+def _newlines_before(path: Path, byte: int) -> int:
+    """The newlines in the first ``byte`` bytes of the file at ``path``,
+    read ``_READ_CHUNK`` bytes at a time: the line of a UTF-8 error,
+    counted only once there is an error."""
+    newlines = 0
+    with path.open("rb") as file:
+        while byte > 0 and (data := file.read(min(byte, _READ_CHUNK))):
+            newlines += data.count(b"\n")
+            byte -= len(data)
+    return newlines
 
 
 def _read_options(
@@ -153,7 +189,9 @@ def _load_trace(args: argparse.Namespace) -> tuple[Trace, str, ExceptionStore, T
     """The parsed trace of ``compare`` or ``graph``, its name, store and
     snapshot; the trace is parsed before the options are read."""
     name, text = _read_trace(args)
-    trace = parse_trace(text)
+    # A whole text goes through parse_trace, where perfbench/tracer.py
+    # times the parse and counts its input.
+    trace = parse_trace(text) if isinstance(text, str) else _parse(text)
     store, trusted = _read_options(args)
     return trace, name, store, TraceHeader.from_trace(trace, trusted)
 
@@ -262,7 +300,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     mode = EnvironmentBit.SECURE if learning else EnvironmentBit.UNSECURE
     name, text = _read_trace(args)
     parser = _Parser()
-    blocks = parser.blocks(text)  # the blocks hold the text until they end
+    blocks = parser.blocks(text)  # the blocks hold the text or the file until they end
     del text
     try:
         store, trusted = _read_options(args, store_required=not learning)

@@ -71,12 +71,16 @@ each number has one spelling; ``int`` would also read other scripts'
 digits and padded ones. The parser hands every event one shared object
 per distinct number, owner, peer, permission string and user name.
 
-The parser reads the text one block of lines at a time (``_line_blocks``,
-about 4 KiB each) and hands out each block's events together
+The parser takes the text as an iterable of chunks (a ``str`` is one
+chunk), reads it one block of lines at a time (``_line_blocks``, about
+4 KiB each) and hands out each block's events together
 (``_Parser.blocks``), numbered on from the blocks before it. So the lines
 of the whole text never exist at once. ``parse_trace`` joins the blocks
-into one list; the CLI's ``learn`` and ``enforce`` replay each block and
-drop it, so they never hold the events of the whole trace either.
+into one list. The CLI reads a trace file ``_READ_CHUNK`` bytes at a time
+through ``_decode_chunks``, once to check that it is UTF-8 and once to
+parse it; its ``learn`` and ``enforce`` replay each block and drop it, so
+they hold one read chunk and one line block, never the decoded text or
+the events of the whole trace.
 
 Parsing is total: arbitrary bytes yield either a Trace or a positioned
 TraceParseError, never a crash.
@@ -84,11 +88,12 @@ TraceParseError, never a crash.
 
 from __future__ import annotations
 
+import codecs
 import gc
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError, PermsFormatError, TraceParseError
 from .model import (
@@ -464,14 +469,16 @@ class _Parser:
 
     # -- blocks -------------------------------------------------------------------
 
-    def blocks(self, text: str) -> Iterator[list[Event]]:
-        """The events of ``text``, one list per line block (``_line_blocks``)
-        that has any, with ``seq`` counted on across blocks, or one empty
-        list for a trace without events. The header is complete at the
-        first list, as no snapshot line may follow an event, and
-        ``fid_by_path`` then maps the path of every file made so far to
-        its id. A bad line raises its positioned TraceParseError when its
-        block is read."""
+    def blocks(self, chunks: str | Iterable[str]) -> Iterator[list[Event]]:
+        """The events of the text that ``chunks`` make up (a ``str`` is one
+        chunk), one list per line block (``_line_blocks``) that has any,
+        with ``seq`` counted on across blocks, or one empty list for a trace
+        without events. A chunk is taken when a block that ends in it is
+        needed, so the parse holds one chunk and one block, not the text.
+        The header is complete at the first list, as no snapshot line may
+        follow an event, and ``fid_by_path`` then maps the path of every
+        file made so far to its id. A bad line raises its positioned
+        TraceParseError when its block is read."""
         # The checkers hold the parser, so the parser must not hold them:
         # that would make a reference cycle. They go with this generator.
         checkers = _checkers(self)
@@ -479,7 +486,7 @@ class _Parser:
         feed = self.feed
         canonical = _CANONICAL.get
         line_no = 0
-        for lines in _line_blocks(text):
+        for lines in _line_blocks(chunks):
             numbered = enumerate(lines, line_no + 1)
             if not self.saw_header:
                 for line_no, line in numbered:
@@ -663,48 +670,95 @@ _PARSE_BLOCK = 4 * 1024
 """Characters of trace text that the parser splits into lines at a time,
 so that the lines of the whole text never exist at once; the events of
 one such block are handed out together. A streamed run holds one block's
-lines, events and rows beside the text and the engine state, so a small
-block (about 125 lines) keeps that share small; it costs a few
+lines, events and rows beside one read chunk and the engine state, so a
+small block (about 125 lines) keeps that share small; it costs a few
 microseconds of bookkeeping per block."""
 
+_READ_CHUNK = 64 * 1024
+"""Bytes of a trace file that the CLI reads and decodes at a time
+(``_decode_chunks``), so that a command holds one such chunk of the text,
+not the whole of it; a read costs a system call and a decoder call."""
 
-def _line_blocks(data: str) -> Iterator[list[str]]:
-    """The lines of ``data`` split at ``\n``, as ``data.split("\n")``
-    gives them, in lists of about ``_PARSE_BLOCK`` characters each."""
-    start = 0
-    while True:
-        end = data.find("\n", start + _PARSE_BLOCK)
-        if end < 0:
-            yield data[start:].split("\n")
-            return
-        yield data[start:end].split("\n")
-        start = end + 1
+
+def _line_blocks(chunks: str | Iterable[str]) -> Iterator[list[str]]:
+    """The lines of the text that ``chunks`` make up (a ``str`` is one
+    chunk), split at ``\n`` as ``text.split("\n")`` splits that text, in
+    lists of about ``_PARSE_BLOCK`` characters each. A block ends at the
+    first ``\n`` at least ``_PARSE_BLOCK`` characters after its start,
+    wherever the chunks are cut, so the blocks are those of the joined
+    text. Between chunks only the text after the last block's end is
+    held, in pieces that are joined once a block can end in them."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
+    block = _PARSE_BLOCK
+    held: list[str] = []  # the text after the last block's end
+    size = 0
+    for chunk in chunks:
+        held.append(chunk)
+        size += len(chunk)
+        if size <= block or "\n" not in chunk:
+            continue  # no block ends in what is held
+        data = "".join(held)
+        held.clear()
+        start = 0
+        while (end := data.find("\n", start + block)) >= 0:
+            yield data[start:end].split("\n")
+            start = end + 1
+        held.append(data[start:])
+        size = len(held[0])
+    yield "".join(held).split("\n")
+
+
+def _decode_chunks(chunks: Iterable[bytes], newlines_before: Callable[[int], int]) -> Iterator[str]:
+    """The text of the UTF-8 document that ``chunks`` make up, chunk by
+    chunk, or a TraceParseError at the line and the offset in the whole
+    document of its first byte that is not UTF-8. ``newlines_before(byte)``
+    counts the document's newlines before ``byte``; it is called only for
+    an error, so a valid document is not counted. A sequence cut between
+    two chunks is decoded, or refused, whole: the decoder holds its first
+    bytes for the next chunk, so an error's bytes may start in the chunk
+    before."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    end = 0  # bytes given to the decoder
+    try:
+        for data in chunks:
+            end += len(data)
+            yield decode(data)
+        decode(b"", True)  # bytes still held end the document inside a sequence
+    except UnicodeDecodeError as exc:
+        byte = end - len(exc.object) + exc.start  # exc.object: the bytes held, then the chunk
+        line = newlines_before(byte) + 1
+        raise TraceParseError(line, f"document is not valid UTF-8 at byte {byte}") from None
 
 
 def decode_trace(data: str | bytes) -> str:
     """Trace text from ``data``: UTF-8 bytes are decoded, or a positioned
-    TraceParseError is raised."""
+    TraceParseError is raised, ``_decode_chunks``'s for the one chunk."""
     if isinstance(data, str):
         return data
     try:
         return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
-        raise TraceParseError(line, f"document is not valid UTF-8 at byte {exc.start}") from None
+    except UnicodeDecodeError:  # raise the positioned error
+        return "".join(_decode_chunks((data,), lambda byte: data.count(b"\n", 0, byte)))
 
 
 def parse_trace(data: str | bytes) -> Trace:
     """Parse trace text into a Trace, or raise a positioned TraceParseError:
-    the events of ``_Parser.blocks`` joined into one list.
+    the events of ``_Parser.blocks`` joined into one list."""
+    return _parse(decode_trace(data))
+
+
+def _parse(chunks: str | Iterable[str]) -> Trace:
+    """The Trace of the text that ``chunks`` make up (a ``str`` is one
+    chunk), as ``parse_trace`` gives it.
 
     The cyclic garbage collector is paused while the lines are read and
     then left as it was found: parsing makes no reference cycles, so
     collections would only walk the growing event list again and again."""
-    text = decode_trace(data)
     parser = _Parser()
     events: list[Event] = []
     with collector_paused():
-        for block in parser.blocks(text):
+        for block in parser.blocks(chunks):
             events += block
     return Trace(parser.header, events)
 

@@ -2,7 +2,10 @@
 time and drop each block once its rows are written. What they write must
 be what the library gives for the whole trace at once (``parse_trace``
 with ``replay`` or ``learn``), a failure must report the error it always
-reported, and the run must hold much less memory than the whole trace."""
+reported, and the run must hold much less memory than the whole trace.
+A trace file is read in chunks: its lines, events and UTF-8 errors must
+not depend on where the chunks are cut, and the run must hold no more
+for a longer file."""
 
 import gc
 import io
@@ -11,17 +14,32 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from argparse import Namespace
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cumac import cli, scenarios
+from cumac import trace as trace_module
+from cumac.errors import CumacError, TraceParseError
 from cumac.model import Copy, Create
 from cumac.randomtrace import random_trace
 from cumac.replay import learn, replay
 from cumac.store import EnvironmentBit, ExceptionStore
-from cumac.trace import _PARSE_BLOCK, _line_blocks, _Parser, parse_trace, render_trace
+from cumac.trace import (
+    _PARSE_BLOCK,
+    _READ_CHUNK,
+    _decode_chunks,
+    _line_blocks,
+    _Parser,
+    decode_trace,
+    parse_trace,
+    render_trace,
+)
 
 
 def random_text(seed: int = 12) -> str:
@@ -78,6 +96,159 @@ def test_a_trace_without_events_is_one_empty_block():
     parser = _Parser()
     assert list(parser.blocks("cumac-trace v1\nUSER root trusted=1\n")) == [[]]
     assert parser.header.users == {"root": True}
+
+
+def pieces(whole, cuts: list[int]) -> list:
+    """``whole`` cut at each of ``cuts`` (clamped to its length, sorted; a
+    repeated cut gives an empty piece)."""
+    ends = sorted(min(cut, len(whole)) for cut in cuts)
+    return [whole[start:end] for start, end in zip([0, *ends], [*ends, len(whole)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.text(alphabet="ab \t\r\n#\u00e9", max_size=200),
+    cuts=st.lists(st.integers(0, 200), max_size=12),
+    block=st.integers(1, 48) | st.just(_PARSE_BLOCK),
+)
+@example(text="a\r\nb\r\n", cuts=[2, 2, 5], block=1)  # \r\n cut, an empty chunk
+@example(text="", cuts=[0], block=1)
+@example(text="ab\ncd", cuts=[], block=1)  # no final newline
+def test_the_lines_do_not_depend_on_where_the_chunks_are_cut(text, cuts, block):
+    chunks = pieces(text, cuts)
+    with mock.patch.object(trace_module, "_PARSE_BLOCK", block):
+        blocks = list(_line_blocks(iter(chunks)))
+        assert blocks == list(_line_blocks(text))
+    assert [line for lines in blocks for line in lines] == text.split("\n")
+
+
+_SMALL_LINES = render_trace(random_trace(seed=31, events=300)).split("\n")[:-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    crlf=st.sets(st.integers(0, len(_SMALL_LINES) - 1), max_size=30),
+    final_newline=st.booleans(),
+    cuts=st.lists(st.integers(0, 12_000), max_size=30),
+    block=st.sampled_from([16, 300, _PARSE_BLOCK]),
+)
+def test_the_events_do_not_depend_on_where_the_chunks_are_cut(crlf, final_newline, cuts, block):
+    lines = [line + "\r" if index in crlf else line for index, line in enumerate(_SMALL_LINES)]
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    with mock.patch.object(trace_module, "_PARSE_BLOCK", block):
+        parser = _Parser()
+        events = [ev for events in parser.blocks(iter(pieces(text, cuts))) for ev in events]
+        trace = parse_trace(text)
+    assert events == trace.events and len(events) == 300
+    assert parser.header == trace.header
+
+
+def decoded(data: bytes | list[bytes]) -> str:
+    """The text of ``data``, whole bytes or chunks, or its error message."""
+    try:
+        if isinstance(data, bytes):
+            return decode_trace(data)
+        whole = b"".join(data)
+        return "".join(_decode_chunks(iter(data), lambda byte: whole.count(b"\n", 0, byte)))
+    except TraceParseError as exc:
+        return f"error: {exc}"
+
+
+_UTF8_PIECES = [b"a", b"\n", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80", b"\xff",
+                b"\xc0\xaf", b"\xe2", b"\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    data=st.lists(st.sampled_from(_UTF8_PIECES), max_size=30).map(b"".join),
+    cuts=st.lists(st.integers(0, 120), max_size=8),
+)
+def test_a_utf8_error_is_placed_in_the_whole_document_wherever_the_chunks_are_cut(data, cuts):
+    assert decoded(pieces(data, cuts)) == decoded(data)
+
+
+def utf8_cases() -> dict[str, bytes]:
+    """A trace of several read chunks with bytes that are not UTF-8 placed
+    around the chunk boundaries."""
+    data = render_trace(random_trace(seed=5, events=7000)).encode()
+    assert len(data) > 3 * _READ_CHUNK
+    edge = _READ_CHUNK - 1  # a sequence placed here is cut by the first boundary
+    return {
+        "invalid-byte-in-the-first-chunk": data[:100] + b"\xff" + data[100:],
+        "sequence-cut-by-a-boundary-then-invalid-byte":
+            data[:edge] + "\u20ac".encode() + data[edge:edge + 500] + b"\xff" + data[edge + 500:],
+        "invalid-sequence-cut-by-a-boundary": data[:edge] + b"\xe2\x82(" + data[edge:],
+        "invalid-sequence-in-the-last-chunk": data[:-50] + b"\xc3(" + data[-50:],
+        "sequence-truncated-at-end-of-file": data + b"\xe2\x82",
+    }
+
+
+@pytest.mark.parametrize("case", utf8_cases())
+def test_a_trace_files_utf8_error_is_decode_traces(tmp_path, capsys, case):
+    data = utf8_cases()[case]
+    path = tmp_path / "t.trace"
+    path.write_bytes(data)
+    assert cli.main(["enforce", "--trace", str(path), "--empty-store"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == decoded(data) + "\n"
+    assert decoded(data).startswith("error: line ")
+
+
+def test_a_file_changed_after_its_check_is_still_a_positioned_error(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text(random_text())
+    _, chunks = cli._read_trace(Namespace(trace=str(path), scenario=None))
+    changed = path.read_bytes()[:_READ_CHUNK + 10] + b"\xff"
+    path.write_bytes(changed)
+    with pytest.raises(TraceParseError) as raised:
+        list(_Parser().blocks(chunks))
+    assert f"error: {raised.value}" == decoded(changed)
+
+
+def test_a_file_removed_after_its_check_is_a_read_error(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text(random_text())
+    _, chunks = cli._read_trace(Namespace(trace=str(path), scenario=None))
+    path.unlink()
+    with pytest.raises(CumacError, match=f"^cannot read trace {path}: "):
+        list(chunks)
+
+
+@pytest.fixture
+def opened(monkeypatch) -> list:
+    """Every file opened through ``Path.open`` in the test."""
+    files = []
+    path_open = Path.open
+
+    def spy(self, *args, **kwargs):
+        files.append(path_open(self, *args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(Path, "open", spy)
+    return files
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("enforce --trace {dir}/clean.trace --empty-store", 1),
+    ("enforce --trace {dir}/clean.trace --store {dir}/none.cumac", 2),
+    ("enforce --trace {dir}/late.trace --store {dir}/none.cumac", 2),
+    ("learn --trace {dir}/late.trace --store-out {dir}/s.cumac", 2),
+    ("compare --trace {dir}/late.trace --empty-store", 2),
+], ids=["run", "options-error-drains", "parse-error-in-the-drain", "parse-error", "compare"])
+def test_the_trace_file_is_closed_on_every_path(capsys, inputs, opened, argv, code):
+    assert cli.main(argv.format(dir=inputs).split()) == code
+    traces = [file for file in opened if file.name.endswith(".trace")]
+    assert len(traces) == 2  # the UTF-8 check, then the parse
+    assert all(file.closed for file in traces)
+
+
+def test_an_unfinished_read_closes_the_file_when_it_is_dropped(inputs, opened):
+    _, chunks = cli._read_trace(Namespace(trace=str(inputs / "clean.trace"), scenario=None))
+    assert next(chunks)
+    assert not opened[-1].closed
+    del chunks
+    assert opened[-1].closed
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -183,14 +354,35 @@ def test_a_report_to_stdout_follows_the_summary(tmp_path):
     assert before_timing(run.stdout[len(head):]) == before_timing(want.to_json())
 
 
-def cli_process(argv: list[str], stdout, env: dict | None = None) -> subprocess.CompletedProcess:
-    """``python -m cumac.cli`` with ``argv``, its stdout on ``stdout``."""
+def cli_process(
+    argv: list[str], stdout, env: dict | None = None, stdin: str | None = None
+) -> subprocess.CompletedProcess:
+    """``python -m cumac.cli`` with ``argv``, its stdout on ``stdout`` and
+    any ``stdin`` text piped in."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
         [sys.executable, "-m", "cumac.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(src), **(env or {})},
-        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        input=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
+
+
+def test_a_trace_piped_to_dev_stdin_gives_the_outputs_of_its_file(tmp_path):
+    # A pipe can be read only once: it is read whole before the parse.
+    text = random_text()
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    runs = {}
+    for name, trace, stdin in (("file", str(path), None), ("pipe", "/dev/stdin", text)):
+        report = tmp_path / f"{name}.json"
+        argv = ["enforce", "--trace", trace, "--empty-store",
+                "--format", "structured", "--report", str(report)]
+        run = cli_process(argv, subprocess.PIPE, stdin=stdin)
+        assert run.returncode == 1 and run.stderr == ""
+        runs[name] = run.stdout, before_timing(report.read_text("utf-8"))
+    piped_stdout, piped_report = runs["pipe"]
+    assert piped_stdout.startswith("trace: /dev/stdin (")
+    assert (piped_stdout.replace("/dev/stdin", str(path), 1), piped_report) == runs["file"]
 
 
 @pytest.mark.parametrize("fmt", ["structured", "text"])
@@ -297,6 +489,8 @@ def test_a_report_in_a_longer_store_file_replaces_the_store(tmp_path):
 
 _ENGINE_FAULT = "error: event 90: unknown fid 35\n"
 _LATE_PARSE_FAULT = "error: line 8041: unknown verb 'BOGUS'\n"
+# utf8.trace: a bad line 20, in the first block, and a \xff byte at the end.
+_UTF8_FAULT = "error: line 8042: document is not valid UTF-8 at byte 232685\n"
 _FULL = "error: cannot write report /dev/full: [Errno 28] No space left on device\n"
 _NEEDS_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 
@@ -338,6 +532,18 @@ ERROR_ORDER = {
         "enforce --trace {dir}/none.trace --store {dir}/bad.cumac",
         2, "", "error: cannot read trace {dir}/none.trace: [Errno 2] No such file or directory:"
         " '{dir}/none.trace'\n",
+    ),
+    "utf8-fault-after-parse-fault": (
+        "enforce --trace {dir}/utf8.trace --empty-store --format structured --report {dir}/r.json",
+        2, "", _UTF8_FAULT,
+    ),
+    "learn-utf8-fault-after-parse-fault": (
+        "learn --trace {dir}/utf8.trace --store-out {dir}/s.cumac",
+        2, "", _UTF8_FAULT,
+    ),
+    "compare-utf8-fault-after-parse-fault": (
+        "compare --trace {dir}/utf8.trace --store {dir}/bad.cumac",
+        2, "", _UTF8_FAULT,
     ),
     "engine-fault-and-unwritable-report": (
         "enforce --trace {dir}/clean.trace --empty-store --trusted-users {dir}/root.txt"
@@ -384,6 +590,9 @@ def inputs(tmp_path_factory):
     text = render_trace(random_trace(seed=0, events=8000))
     (folder / "clean.trace").write_text(text)
     (folder / "late.trace").write_text(text + "BOGUS pid=1\n")
+    lines = text.split("\n")
+    bad_line = "\n".join(lines[:19] + ["BOGUS pid=1"] + lines[19:])
+    (folder / "utf8.trace").write_bytes(bad_line.encode() + b"\xff\n")
     (folder / "root.txt").write_text("root\n")
     (folder / "bad.cumac").write_text("cumac-exceptions v9\n")
     return folder
@@ -437,6 +646,29 @@ def test_a_streamed_enforce_holds_much_less_than_the_whole_trace(tmp_path):
     ratio = traced_peak(streamed) / traced_peak(batch)
     assert ratio < 0.6, f"streamed peak is {ratio:.3f} of the whole-trace peak"
     assert before_timing(streamed_report.read_text()) == before_timing(batch_report.read_text())
+
+
+def test_a_streamed_enforce_holds_no_more_for_a_longer_file(tmp_path):
+    # A trace file is read a chunk at a time, so about 8 MB of comment
+    # lines in the middle of it cost the run next to nothing.
+    lines = render_trace(random_trace(seed=25, events=10_000)).split("\n")
+    middle = len(lines) // 2
+    padding = ["# " + "x" * 78] * 100_000
+    plain, padded = tmp_path / "plain.trace", tmp_path / "padded.trace"
+    plain.write_text("\n".join(lines))
+    padded.write_text("\n".join(lines[:middle] + padding + lines[middle:]))
+    assert padded.stat().st_size - plain.stat().st_size > 8_000_000
+    cli._build_parser()  # built once per process, and kept
+
+    def enforce(path):
+        argv = ["enforce", "--trace", str(path), "--empty-store",
+                "--format", "structured", "--report", str(tmp_path / f"{path.stem}.json")]
+        assert run_cli(argv)[0] == 1
+
+    growth = traced_peak(lambda: enforce(padded)) - traced_peak(lambda: enforce(plain))
+    assert growth < 1_000_000, f"the padded trace's peak is {growth} bytes higher"
+    plain_report, padded_report = tmp_path / "plain.json", tmp_path / "padded.json"
+    assert before_timing(padded_report.read_text()) == before_timing(plain_report.read_text())
 
 
 def test_an_options_error_holds_much_less_than_the_whole_trace(tmp_path, capsys):
