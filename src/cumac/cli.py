@@ -59,7 +59,7 @@ from .model import entity_sort_key
 from .replay import DecisionRows, Outcomes, ReplayReport, ReplayRun, replay, write_document
 from .store import EnvironmentBit, ExceptionStore
 from .trace import (
-    _READ_CHUNK, Trace, TraceHeader, _Parser, _decode_chunks, _parse, collector_paused, parse_trace,
+    _READ_CHUNK, Trace, TraceHeader, _Parser, _decode_chunks, collector_paused, decode_trace, parse_trace,
 )
 
 _OPTIONS: dict[str, dict[str, Any]] = {
@@ -125,7 +125,11 @@ def _read_trace(args: argparse.Namespace) -> tuple[str, str | Iterator[str]]:
             raise CumacError(str(exc.args[0])) from None
     path = Path(args.trace)
     if not path.is_file():
-        return str(path), "".join(_file_chunks(path))
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise CumacError(f"cannot read trace {path}: {exc}") from None
+        return str(path), decode_trace(data)
     for _ in _file_chunks(path):  # a UTF-8 error comes before any parse error
         pass
     return str(path), _file_chunks(path)
@@ -189,9 +193,7 @@ def _load_trace(args: argparse.Namespace) -> tuple[Trace, str, ExceptionStore, T
     """The parsed trace of ``compare`` or ``graph``, its name, store and
     snapshot; the trace is parsed before the options are read."""
     name, text = _read_trace(args)
-    # A whole text goes through parse_trace, where perfbench/tracer.py
-    # times the parse and counts its input.
-    trace = parse_trace(text) if isinstance(text, str) else _parse(text)
+    trace = parse_trace(text if isinstance(text, str) else "".join(text))
     store, trusted = _read_options(args)
     return trace, name, store, TraceHeader.from_trace(trace, trusted)
 

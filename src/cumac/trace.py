@@ -744,21 +744,16 @@ def decode_trace(data: str | bytes) -> str:
 
 def parse_trace(data: str | bytes) -> Trace:
     """Parse trace text into a Trace, or raise a positioned TraceParseError:
-    the events of ``_Parser.blocks`` joined into one list."""
-    return _parse(decode_trace(data))
-
-
-def _parse(chunks: str | Iterable[str]) -> Trace:
-    """The Trace of the text that ``chunks`` make up (a ``str`` is one
-    chunk), as ``parse_trace`` gives it.
+    the events of ``_Parser.blocks`` joined into one list.
 
     The cyclic garbage collector is paused while the lines are read and
     then left as it was found: parsing makes no reference cycles, so
     collections would only walk the growing event list again and again."""
+    text = decode_trace(data)
     parser = _Parser()
     events: list[Event] = []
     with collector_paused():
-        for block in parser.blocks(chunks):
+        for block in parser.blocks(text):
             events += block
     return Trace(parser.header, events)
 

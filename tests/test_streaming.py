@@ -385,6 +385,23 @@ def test_a_trace_piped_to_dev_stdin_gives_the_outputs_of_its_file(tmp_path):
     assert (piped_stdout.replace("/dev/stdin", str(path), 1), piped_report) == runs["file"]
 
 
+def test_a_utf8_error_piped_to_dev_stdin_is_decode_traces():
+    # The pipe's bytes are read once: the error's line is counted in them,
+    # not in a second read of the pipe, which would find it empty.
+    lines = random_text().split("\n")
+    data = "\n".join([*lines[:19], "BOGUS pid=1", *lines[19:]]).encode() + b"\xff\n"
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "cumac.cli", "enforce", "--trace", "/dev/stdin", "--empty-store"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        input=data, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+    )
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr.decode() == decoded(data) + "\n"
+    assert decoded(data) == f"error: line {len(lines) + 1}: document is not valid UTF-8" \
+        f" at byte {len(data) - 2}"
+
+
 @pytest.mark.parametrize("fmt", ["structured", "text"])
 def test_a_report_to_a_redirected_stdout_follows_the_summary(tmp_path, fmt):
     # With stdout redirected to a file, /dev/stdout is that file: opening
